@@ -60,13 +60,13 @@ struct FuncRow
     double wall_s = 0.0;
 };
 
-/** Best-rep result of one fast-forward engine over the ff suite. */
+/** Best-rep fast-forward result over the ff suite. */
 struct FuncSpeed
 {
     double minstr_per_s = 0.0;
     double wall_s = 0.0;
     dmt::u64 instr = 0;
-    dmt::TranslationStats xstats; ///< translated mode only
+    dmt::TranslationStats xstats;
     std::vector<FuncRow> rows;
 };
 
@@ -91,23 +91,21 @@ ffSpecs()
     return specs;
 }
 
-/** Run one workload on one engine: repeat {reset; run to completion}
- *  until at least @p floor_instr instructions retire, so short kernels
- *  don't reduce the sample to timer noise and the translated engine is
- *  measured at steady state (the translation cache survives reset()).
+/** Run one workload: repeat {reset; run to completion} until at least
+ *  @p floor_instr instructions retire, so short kernels don't reduce
+ *  the sample to timer noise and the engine is measured at steady
+ *  state (the translation cache survives reset()).
  *  Times the run() calls only: fast-forward throughput is about
  *  executing instructions, and the sampled-run / checkpoint consumers
  *  pay reset()+loadProgram() once per workload, not once per 8M
  *  instructions. */
 FuncRow
-runFfRow(dmt::FfMode mode, const std::string &spec,
-         dmt::u64 floor_instr, bool bbv_on,
+runFfRow(const std::string &spec, dmt::u64 floor_instr, bool bbv_on,
          dmt::TranslationStats *xstats)
 {
     using namespace dmt;
     const Program prog = buildWorkload(spec);
     FunctionalCore core(prog);
-    core.setMode(mode);
     // Phase profiling attached (bench-scale interval); one collector
     // spans the repeats, exactly like a long profiling pass would.
     BbvCollector bbv(100000, prog.text.size(), prog.entry);
@@ -129,34 +127,25 @@ runFfRow(dmt::FfMode mode, const std::string &spec,
 }
 
 /**
- * One repetition over both fast-forward engines, interleaved per
- * workload: each spec runs on the interpreter and then immediately on
- * the translated engine, so transient host load degrades both numbers
- * alike and the reported speedup is a like-for-like ratio instead of
- * the quotient of two separately-noisy measurements.
+ * One repetition with BBV collection off and on, interleaved per
+ * workload: each spec runs plain and then immediately with a collector
+ * attached, so transient host load degrades both numbers alike and the
+ * reported BBV overhead is a like-for-like ratio instead of the
+ * quotient of two separately-noisy measurements.
  */
 void
 measureFunctionalRep(const std::vector<std::string> &specs,
-                     dmt::u64 floor_instr, FuncSpeed *interp,
-                     FuncSpeed *xlat, FuncSpeed *interp_bbv,
+                     dmt::u64 floor_instr, FuncSpeed *xlat,
                      FuncSpeed *xlat_bbv)
 {
     using namespace dmt;
     for (const std::string &spec : specs) {
-        interp->rows.push_back(runFfRow(FfMode::Interp, spec,
-                                        floor_instr, false,
-                                        &interp->xstats));
-        xlat->rows.push_back(runFfRow(FfMode::Translated, spec,
-                                      floor_instr, false,
-                                      &xlat->xstats));
-        interp_bbv->rows.push_back(
-            runFfRow(FfMode::Interp, spec, floor_instr, true,
-                     &interp_bbv->xstats));
+        xlat->rows.push_back(
+            runFfRow(spec, floor_instr, false, &xlat->xstats));
         xlat_bbv->rows.push_back(
-            runFfRow(FfMode::Translated, spec, floor_instr, true,
-                     &xlat_bbv->xstats));
+            runFfRow(spec, floor_instr, true, &xlat_bbv->xstats));
     }
-    for (FuncSpeed *f : {interp, xlat, interp_bbv, xlat_bbv}) {
+    for (FuncSpeed *f : {xlat, xlat_bbv}) {
         for (const FuncRow &row : f->rows) {
             f->instr += row.instr;
             f->wall_s += row.wall_s;
@@ -230,47 +219,33 @@ benchMain()
     // FunctionalCore runs — the engine behind the checkpointed skip
     // distance in sampled mode (DMT_SAMPLE), so its ratio over dmt6
     // bounds how much of a sampled run's wall clock the skips can
-    // cost.  Both engines (DMT_FF_MODE) are measured over the 8-kernel
-    // suite plus one instance of each generated family.
+    // cost.  Measured over the 8-kernel suite plus one instance of
+    // each generated family, with and without BBV collection.
     const std::vector<std::string> specs = ffSpecs();
     const u64 ff_floor = std::max<u64>(budget, 8'000'000);
-    FuncSpeed interp, xlat, interp_bbv, xlat_bbv;
+    FuncSpeed xlat, xlat_bbv;
     for (u64 rep = 0; rep < reps; ++rep) {
-        FuncSpeed ci, cx, cib, cxb;
-        measureFunctionalRep(specs, ff_floor, &ci, &cx, &cib, &cxb);
+        FuncSpeed cx, cxb;
+        measureFunctionalRep(specs, ff_floor, &cx, &cxb);
         if (!benchQuiet()) {
             std::fprintf(stderr,
                          "simspeed: functional rep %llu/%llu: "
-                         "interp %.3f, translated %.3f Minstr/s "
-                         "(%.2fx); with BBV %.3f / %.3f\n",
+                         "translated %.3f Minstr/s; with BBV %.3f\n",
                          static_cast<unsigned long long>(rep + 1),
                          static_cast<unsigned long long>(reps),
-                         ci.minstr_per_s, cx.minstr_per_s,
-                         ci.minstr_per_s > 0.0
-                             ? cx.minstr_per_s / ci.minstr_per_s
-                             : 0.0,
-                         cib.minstr_per_s, cxb.minstr_per_s);
+                         cx.minstr_per_s, cxb.minstr_per_s);
         }
-        if (ci.minstr_per_s > interp.minstr_per_s)
-            interp = std::move(ci);
         if (cx.minstr_per_s > xlat.minstr_per_s)
             xlat = std::move(cx);
-        if (cib.minstr_per_s > interp_bbv.minstr_per_s)
-            interp_bbv = std::move(cib);
         if (cxb.minstr_per_s > xlat_bbv.minstr_per_s)
             xlat_bbv = std::move(cxb);
     }
     // Phase-profiling tax: best BBV-on rep over best BBV-off rep.
-    const double interp_bbv_pct = interp.minstr_per_s > 0.0
-        ? (1.0 - interp_bbv.minstr_per_s / interp.minstr_per_s) * 100.0
-        : 0.0;
     const double xlat_bbv_pct = xlat.minstr_per_s > 0.0
         ? (1.0 - xlat_bbv.minstr_per_s / xlat.minstr_per_s) * 100.0
         : 0.0;
     const double ff_ratio = machines[1].minstr_per_s > 0.0
         ? xlat.minstr_per_s / machines[1].minstr_per_s : 0.0;
-    const double xlat_ratio = interp.minstr_per_s > 0.0
-        ? xlat.minstr_per_s / interp.minstr_per_s : 0.0;
 
     if (!benchQuiet()) {
         const TranslationStats &xs = xlat.xstats;
@@ -315,19 +290,10 @@ benchMain()
     std::printf("%-21s %12.3f %10.2f %12llu\n", "aggregate", aggregate,
                 total_wall,
                 static_cast<unsigned long long>(total_retired));
-    std::printf("%-21s %12.3f %10.2f %12llu  (full programs)\n",
-                "functional", interp.minstr_per_s, interp.wall_s,
-                static_cast<unsigned long long>(interp.instr));
-    std::printf("%-21s %12.3f %10.2f %12llu  (%.2fx interp, "
+    std::printf("%-21s %12.3f %10.2f %12llu  (full programs, "
                 "%.0fx dmt6)\n",
                 "functional_translated", xlat.minstr_per_s, xlat.wall_s,
-                static_cast<unsigned long long>(xlat.instr), xlat_ratio,
-                ff_ratio);
-    std::printf("%-21s %12.3f %10.2f %12llu  (BBV on, %+.1f%%)\n",
-                "functional_bbv", interp_bbv.minstr_per_s,
-                interp_bbv.wall_s,
-                static_cast<unsigned long long>(interp_bbv.instr),
-                interp_bbv_pct);
+                static_cast<unsigned long long>(xlat.instr), ff_ratio);
     std::printf("%-21s %12.3f %10.2f %12llu  (BBV on, %+.1f%%)\n",
                 "functional_translated_bbv", xlat_bbv.minstr_per_s,
                 xlat_bbv.wall_s,
@@ -340,18 +306,9 @@ benchMain()
     w.key("instr_per_run").value(budget);
     w.key("reps").value(reps);
     w.key("aggregate_minstr_per_s").value(aggregate);
-    w.key("functional");
-    w.beginObject();
-    funcJsonOn(w, interp);
-    w.key("speedup_vs_dmt6")
-        .value(machines[1].minstr_per_s > 0.0
-                   ? interp.minstr_per_s / machines[1].minstr_per_s
-                   : 0.0);
-    w.endObject();
     w.key("functional_translated");
     w.beginObject();
     funcJsonOn(w, xlat);
-    w.key("speedup_vs_interp").value(xlat_ratio);
     w.key("speedup_vs_dmt6").value(ff_ratio);
     w.key("cache");
     w.beginObject();
@@ -364,11 +321,6 @@ benchMain()
     w.key("indirect_misses").value(xlat.xstats.indirect_misses);
     w.key("blocks_executed").value(xlat.xstats.blocks_executed);
     w.endObject();
-    w.endObject();
-    w.key("functional_bbv");
-    w.beginObject();
-    funcJsonOn(w, interp_bbv);
-    w.key("overhead_pct_vs_plain").value(interp_bbv_pct);
     w.endObject();
     w.key("functional_translated_bbv");
     w.beginObject();

@@ -29,7 +29,8 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
       df_pred(),
       fus(cfg_.unlimited_fus, cfg_.fus, cfg_.lat_div)
 {
-    cfg.validate();
+    if (const std::string bad = cfg.validate(); !bad.empty())
+        fatal("%s", bad.c_str());
     if (const char *dbg = std::getenv("DMT_DEBUG"))
         debug_trace = dbg[0] != '0';
     cfg.watchdog_cycles = parseEnvU64("DMT_WATCHDOG", cfg.watchdog_cycles);

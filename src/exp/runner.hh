@@ -76,12 +76,10 @@ struct SampleSummary
     /** Host seconds this run spent advancing the functional cursor
      *  (excluded from the canonical JSON, like all host timing). */
     double func_wall_s = 0.0;
-    /** Fast-forward engine telemetry (DMT_FF_MODE and, for the
-     *  translated engine, translation-cache counters accumulated over
-     *  this run's fast-forwards).  Host-side diagnostics: excluded
-     *  from the canonical JSON so results stay byte-identical across
-     *  engines. */
-    std::string ff_mode;
+    /** Fast-forward telemetry: translation-cache counters
+     *  accumulated over this run's fast-forwards.  Host-side
+     *  diagnostics: excluded from the canonical JSON because they
+     *  depend on checkpoint-cache state, not on the inputs. */
     u64 ff_blocks_translated = 0;
     u64 ff_retranslations = 0;
     u64 ff_evictions = 0;

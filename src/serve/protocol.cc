@@ -206,39 +206,10 @@ checkJobSpec(const JobSpec &job, std::string *err)
 
     if (!validWorkload(job.workload, &e))
         return false;
-    // Mirror of SimConfig::validate(), which fatal()s: every
-    // constraint that would exit the process must reject here first.
-    if (c.max_threads < 1 || c.max_threads > 64) {
-        e = "max_threads out of range";
-        return false;
-    }
-    if (c.fetch_ports < 1 || c.fetch_block < 1) {
-        e = "bad fetch configuration";
-        return false;
-    }
-    if (c.window_size < c.fetch_block) {
-        e = "window smaller than one fetch block";
-        return false;
-    }
-    if (c.tb_size < 8) {
-        e = "trace buffer too small";
-        return false;
-    }
-    if (c.lqSize() < 1 || c.sqSize() < 1) {
-        e = "load/store queues too small";
-        return false;
-    }
-    if (c.tb_latency < 0 || c.tb_read_block < 0) {
-        e = "bad trace buffer timing";
-        return false;
-    }
-    if (c.lat_alu < 1 || c.lat_mul < 1 || c.lat_div < 1
-        || c.lat_mem < 1) {
-        e = "latencies must be at least 1 cycle";
-        return false;
-    }
-    if (c.audit_period < 0) {
-        e = "audit_period must be >= 0";
+    // The config rules are SimConfig::validate()'s; only the job-level
+    // rules live here.
+    if (std::string bad = c.validate(); !bad.empty()) {
+        e = std::move(bad);
         return false;
     }
     if (c.fault.enabled) {
@@ -248,10 +219,6 @@ checkJobSpec(const JobSpec &job, std::string *err)
     if (job.sample.enabled() && c.warmup_retired > 0) {
         e = "warmup_retired conflicts with sampling (the sample spec "
             "owns warmup)";
-        return false;
-    }
-    if (c.max_retired > 0 && c.warmup_retired >= c.max_retired) {
-        e = "warmup_retired leaves no measurement window";
         return false;
     }
     return true;

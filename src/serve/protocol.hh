@@ -98,18 +98,19 @@ bool parseRequest(std::string_view line, Request *out, std::string *err);
  * Apply a job-spec "config" override object onto @p cfg.  Accepts
  * exactly the keys SimConfig::jsonOn() emits (minus the run-control
  * and fault block), so a recorded config document can be replayed as
- * an override.  Unknown keys, wrong types and values that would trip
- * SimConfig::validate() — which fatal()s, unacceptable in a daemon —
- * are rejected through @p err instead.
+ * an override.  Unknown keys, wrong types and out-of-range values are
+ * rejected through @p err; checkJobSpec() then applies
+ * SimConfig::validate() to the whole config.
  */
 bool applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
                           std::string *err);
 
 /**
- * The daemon-side validity check mirroring SimConfig::validate()'s
- * constraints (plus suite-membership for @p workload) as a rejection
- * instead of an exit.  Every job must pass this before it can reach a
- * DmtEngine constructor.
+ * The daemon-side validity check: SimConfig::validate() plus the
+ * job-level rules (a known workload, no fault injection, no
+ * warmup_retired alongside sampling), as a rejection instead of the
+ * DmtEngine constructor's exit.  Every job must pass this before it
+ * can reach a DmtEngine constructor.
  */
 bool checkJobSpec(const JobSpec &job, std::string *err);
 

@@ -250,8 +250,10 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
         w.key("req").value(std::string_view(hashHex(req_hash)));
         w.key("draining").value(true);
         w.endObject();
-        sendReply(conn, w.str());
+        // Drain before replying: a client holding the reply must find
+        // the daemon already draining.
         requestDrain();
+        sendReply(conn, w.str());
         return;
       }
       case Request::Op::Run:

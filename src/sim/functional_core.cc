@@ -1,41 +1,19 @@
 #include "sim/functional_core.hh"
 
-#include "common/log.hh"
-#include "sim/bbv.hh"
-#include "sim/functional.hh"
-
 namespace dmt
 {
 
 FunctionalCore::FunctionalCore(const Program &prog, bool stream_output)
-    : prog_(prog)
+    : prog_(prog), translated_(std::make_unique<TranslatedCore>(prog))
 {
-    decoded_.reserve(prog_.text.size());
-    for (const Instruction &inst : prog_.text) {
-        DecodedOp d;
-        d.cls = opInfo(inst.op).opClass;
-        d.mem_bytes = static_cast<u8>(inst.isMem() ? inst.memBytes() : 0);
-        d.mem_signed = inst.isLoad() && inst.memSigned();
-        d.has_dest = inst.effectiveDest() >= 0;
-        decoded_.push_back(d);
-    }
     state_.stream_output = stream_output;
-    mode_ = ffModeFromEnv();
-    cache_blocks_ = ffCacheBlocksFromEnv();
     reset();
 }
 
 void
 FunctionalCore::setCacheBound(u32 max_blocks)
 {
-    cache_blocks_ = max_blocks < 1 ? 1 : max_blocks;
-    translated_.reset();
-}
-
-TranslationStats
-FunctionalCore::translationStats() const
-{
-    return translated_ ? translated_->stats() : TranslationStats{};
+    translated_ = std::make_unique<TranslatedCore>(prog_, max_blocks);
 }
 
 void
@@ -63,121 +41,7 @@ FunctionalCore::restore(const ArchState &state, const MainMemory &mem,
 u64
 FunctionalCore::run(u64 max_instr)
 {
-    if (mode_ == FfMode::Translated) {
-        if (!translated_)
-            translated_ =
-                std::make_unique<TranslatedCore>(prog_, cache_blocks_);
-        const u64 done = translated_->run(state_, mem_, max_instr, bbv_);
-        instr_count_ += done;
-        return done;
-    }
-    return runInterp(max_instr);
-}
-
-u64
-FunctionalCore::runInterp(u64 max_instr)
-{
-    // Split on the collector once per batch so the common (off) path
-    // compiles with zero per-instruction BBV overhead.
-    return bbv_ ? runInterpImpl<true>(max_instr)
-                : runInterpImpl<false>(max_instr);
-}
-
-template <bool kBbv>
-u64
-FunctionalCore::runInterpImpl(u64 max_instr)
-{
-    const Addr text_base = Program::kTextBase;
-    const Addr text_end = prog_.textEnd();
-    const Instruction *text = prog_.text.data();
-    const DecodedOp *dec = decoded_.data();
-
-    u64 done = 0;
-    u64 bbv_last = 0; // `done` at the last BBV region boundary
-    Addr pc = state_.pc;
-    while (done < max_instr && !state_.halted) {
-        if (pc < text_base || pc >= text_end || (pc & 3) != 0) {
-            // Running off the text segment halts, like functionalStep.
-            state_.halted = true;
-            break;
-        }
-        const size_t idx = (pc - text_base) >> 2;
-        const Instruction &inst = text[idx];
-        const DecodedOp &d = dec[idx];
-        Addr next_pc = pc + 4;
-
-        const u32 rs_val = state_.reg(inst.rs);
-        const u32 rt_val = state_.reg(inst.rt);
-
-        switch (d.cls) {
-          case OpClass::IntAlu:
-          case OpClass::IntMul:
-          case OpClass::IntDiv:
-            state_.setReg(inst.rd, aluCompute(inst, rs_val, rt_val));
-            break;
-          case OpClass::MemRead: {
-              const Addr ea = (rs_val + static_cast<u32>(inst.imm))
-                  & ~static_cast<Addr>(d.mem_bytes - 1);
-              state_.setReg(inst.rd,
-                            mem_.read(ea, d.mem_bytes, d.mem_signed));
-              break;
-          }
-          case OpClass::MemWrite: {
-              const Addr ea = (rs_val + static_cast<u32>(inst.imm))
-                  & ~static_cast<Addr>(d.mem_bytes - 1);
-              mem_.write(ea, d.mem_bytes, rt_val);
-              break;
-          }
-          case OpClass::Control: {
-              bool taken = true; // jumps always transfer
-              switch (inst.op) {
-                case Opcode::J:
-                  next_pc = inst.jumpTarget();
-                  break;
-                case Opcode::JAL:
-                  state_.setReg(inst.rd, pc + 4);
-                  next_pc = inst.jumpTarget();
-                  break;
-                case Opcode::JR:
-                  next_pc = rs_val;
-                  break;
-                case Opcode::JALR:
-                  // Read rs before the (possibly aliasing) link write.
-                  next_pc = rs_val;
-                  state_.setReg(inst.rd, pc + 4);
-                  break;
-                default:
-                  taken = branchTaken(inst, rs_val, rt_val);
-                  if (taken)
-                      next_pc = inst.branchTarget(pc);
-                  break;
-              }
-              // A taken transfer ends a BBV region; the transfer
-              // instruction itself (retired below as done+1) belongs
-              // to the region it ends.  See sim/bbv.hh.
-              if (kBbv && taken) {
-                  bbv_->transfer(next_pc, done + 1 - bbv_last);
-                  bbv_last = done + 1;
-              }
-              break;
-          }
-          case OpClass::Other:
-            if (inst.op == Opcode::HALT) {
-                state_.halted = true;
-                next_pc = pc;
-            } else if (inst.op == Opcode::OUT) {
-                state_.emitOut(rs_val);
-            }
-            break;
-        }
-
-        pc = next_pc;
-        ++done;
-    }
-
-    if (kBbv)
-        bbv_->flush(done - bbv_last);
-    state_.pc = pc;
+    const u64 done = translated_->run(state_, mem_, max_instr, bbv_);
     instr_count_ += done;
     return done;
 }

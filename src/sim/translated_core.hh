@@ -1,28 +1,27 @@
 /**
  * @file
- * Superblock-translated fast-forward engine: a portable threaded-code
+ * Superblock-translated fast-forward engine: a threaded-code
  * execution core in the style of Valgrind's per-block translate →
  * cache → chain pipeline.
  *
- * The batched functional interpreter (FunctionalCore) still pays a
- * per-instruction decode-and-dispatch tax: a class switch, an
- * out-of-line aluCompute() call with its own opcode switch, and a
- * hash-map page walk per memory access.  TranslatedCore amortizes all
- * of that once per *block*: superblocks are discovered at runtime by
- * straight-line decode from the entry PC across direct jumps and calls
- * (J/JAL are inlined with tail duplication) to the first indirect or
- * otherwise unresolvable transfer (or a length cap), translated into a
- * dense array of
+ * functionalStep() pays a per-instruction decode-and-dispatch tax: an
+ * opcode-class switch, an out-of-line aluCompute() call with its own
+ * opcode switch, a hash-map page walk per memory access and a full
+ * StepResult.  TranslatedCore amortizes all of that once per *block*:
+ * superblocks are discovered at runtime by straight-line decode from
+ * the entry PC across direct jumps and calls (J/JAL are inlined with
+ * tail duplication) to the first indirect or otherwise unresolvable
+ * transfer (or a length cap), translated into a dense array of
  * pre-resolved micro-op records — operands folded to register indices
  * and immediates, shift amounts pre-masked, LUI/link values
  * pre-computed, memory ops pre-classified into per-width handlers —
- * and executed by a computed-goto dispatch loop (a switch fallback
- * keeps non-GNU compilers working; see DMT_FF_SWITCH_DISPATCH).
+ * and executed by a computed-goto dispatch loop (a GNU extension that
+ * GCC and Clang both support).
  *
  * Translations live in a cache keyed by block start PC and bounded by
- * DMT_FF_CACHE (LRU eviction by entry epoch; evicting a block bumps
- * its slot generation, which lazily invalidates every chain link into
- * it).  Direct block→block successors — jump targets, taken-branch
+ * kDefaultCacheBlocks (LRU eviction by entry epoch; evicting a block
+ * bumps its slot generation, which lazily invalidates every chain link
+ * into it).  Direct block→block successors — jump targets, taken-branch
  * side exits, fall-throughs — are chained on first use so hot loops
  * run block to block with zero per-instruction dispatch overhead;
  * indirect transfers (JR/JALR) resolve through a flat PC-indexed
@@ -42,7 +41,6 @@
 #ifndef DMT_SIM_TRANSLATED_CORE_HH
 #define DMT_SIM_TRANSLATED_CORE_HH
 
-#include <string_view>
 #include <vector>
 
 #include "casm/program.hh"
@@ -53,30 +51,6 @@ namespace dmt
 {
 
 class BbvCollector;
-
-/** Fast-forward execution engine selection (DMT_FF_MODE). */
-enum class FfMode : u8
-{
-    Interp,     ///< batched pre-decoded interpreter (PR 5)
-    Translated, ///< superblock-translated threaded code (default)
-};
-
-/** Strict mode parse; @return false on an unknown mode name. */
-bool parseFfMode(std::string_view s, FfMode *out);
-
-/** Canonical name of a mode ("interp" / "translated"). */
-const char *ffModeName(FfMode mode);
-
-/**
- * DMT_FF_MODE: fast-forward engine for every FunctionalCore consumer
- * (checkpoint generation, sampled runs, conformance, serve daemon).
- * Unset defaults to Translated; an unknown mode is a fatal() user
- * error, never a silent fallback.
- */
-FfMode ffModeFromEnv();
-
-/** DMT_FF_CACHE: translation-cache bound in blocks (default 8192). */
-u32 ffCacheBlocksFromEnv();
 
 /** Translation-cache and dispatch telemetry. */
 struct TranslationStats
@@ -150,8 +124,7 @@ class TranslatedCore
                   ///< for block-ending control ops (see translate())
         /** Handler label for computed-goto dispatch, resolved at
          *  translation time so dispatch is a single dependent load
-         *  before the indirect jump (null under switch dispatch,
-         *  which switches on kind instead). */
+         *  before the indirect jump. */
         const void *handler;
         u8 kind;  ///< Opcode value, or a synthetic kind (GOTO, inlined
                   ///< J/JAL) past kNumOpcodes
@@ -210,8 +183,7 @@ class TranslatedCore
     const Program &prog_;
     u32 max_blocks_;
     /** Handler label table exported by run() before the first
-     *  translation (computed labels are function-scope); null under
-     *  switch dispatch. */
+     *  translation (computed labels are function-scope). */
     const void *const *labels_ = nullptr;
     std::vector<Block> slots_;
     std::vector<u32> free_slots_;

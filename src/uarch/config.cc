@@ -1,7 +1,6 @@
 #include "uarch/config.hh"
 
 #include "common/json.hh"
-#include "common/log.hh"
 #include "common/strutil.hh"
 
 namespace dmt
@@ -31,38 +30,40 @@ SimConfig::sqSize() const
     return sq_size > 0 ? sq_size : tb_size / 4;
 }
 
-void
+std::string
 SimConfig::validate() const
 {
     if (max_threads < 1 || max_threads > 64)
-        fatal("max_threads %d out of range", max_threads);
+        return strprintf("max_threads %d out of range", max_threads);
     if (fetch_ports < 1 || fetch_block < 1)
-        fatal("bad fetch configuration");
+        return "bad fetch configuration";
     if (window_size < fetch_block)
-        fatal("window smaller than one fetch block");
+        return "window smaller than one fetch block";
     if (tb_size < 8)
-        fatal("trace buffer too small (%d)", tb_size);
+        return strprintf("trace buffer too small (%d)", tb_size);
     if (lqSize() < 1 || sqSize() < 1)
-        fatal("load/store queues too small");
+        return "load/store queues too small";
     if (tb_latency < 0 || tb_read_block < 0)
-        fatal("bad trace buffer timing");
+        return "bad trace buffer timing";
     if (lat_alu < 1 || lat_mul < 1 || lat_div < 1 || lat_mem < 1)
-        fatal("latencies must be at least 1 cycle");
+        return "latencies must be at least 1 cycle";
     if (audit_period < 0)
-        fatal("audit_period must be >= 0");
+        return "audit_period must be >= 0";
     if (max_retired > 0 && warmup_retired >= max_retired) {
-        fatal("warmup_retired %llu leaves no measurement window before "
-              "max_retired %llu",
-              static_cast<unsigned long long>(warmup_retired),
-              static_cast<unsigned long long>(max_retired));
+        return strprintf(
+            "warmup_retired %llu leaves no measurement window before "
+            "max_retired %llu",
+            static_cast<unsigned long long>(warmup_retired),
+            static_cast<unsigned long long>(max_retired));
     }
     for (int i = 0; i < kNumFaultSites; ++i) {
         if (fault.rate[i] < 0.0 || fault.rate[i] > 1.0) {
-            fatal("fault rate for %s out of [0, 1]: %g",
-                  faultSiteName(static_cast<FaultSite>(i)),
-                  fault.rate[i]);
+            return strprintf("fault rate for %s out of [0, 1]: %g",
+                             faultSiteName(static_cast<FaultSite>(i)),
+                             fault.rate[i]);
         }
     }
+    return {};
 }
 
 SimConfig

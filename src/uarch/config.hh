@@ -203,8 +203,9 @@ struct SimConfig
     /** Effective per-thread store queue capacity. */
     int sqSize() const;
 
-    /** Validate invariants; fatal()s on nonsense. */
-    void validate() const;
+    /** Check invariants.  @return the first violated rule as a
+     *  message, or an empty string for a valid config. */
+    std::string validate() const;
 
     /** The paper's baseline: 4-wide superscalar, 128-entry window. */
     static SimConfig baseline();

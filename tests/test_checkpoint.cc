@@ -294,6 +294,10 @@ TEST(Sampled, DeterministicAcrossCacheStates)
     EXPECT_EQ(cold.sampling.intervals, 4u);
     EXPECT_GT(cold.sampling.covered, 200000u);
     EXPECT_GT(cold.sampling.functional_instr, cold.retired);
+    // Timing-only telemetry: the cold run fast-forwarded through
+    // translated, chained blocks.
+    EXPECT_GT(cold.sampling.ff_blocks_translated, 0u);
+    EXPECT_GT(cold.sampling.ff_chain_hits, 0u);
 
     const std::string dir = tempDir("persist");
     setenv("DMT_CKPT_DIR", dir.c_str(), 1);

@@ -52,6 +52,15 @@ struct DmtCfgCase
     bool realistic_fus;
 };
 
+// Test listings show each parameter as gtest prints it.  Without this
+// that is the struct's raw bytes, whose name pointer moves with ASLR,
+// so every listing would name the cases differently.
+void
+PrintTo(const DmtCfgCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class DmtConfigSweep : public ::testing::TestWithParam<DmtCfgCase>
 {
 };

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dmt/engine.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
+#include "workloads/workloads.hh"
 
 namespace dmt
 {
@@ -96,12 +98,17 @@ TEST(PaperConfig, FigureSweeps)
 
 TEST(PaperConfig, ValidationCatchesNonsense)
 {
+    EXPECT_EQ(exp::baseline().validate(), "");
     SimConfig c = exp::baseline();
     c.max_threads = 0;
-    EXPECT_DEATH(c.validate(), "max_threads");
+    EXPECT_NE(c.validate().find("max_threads"), std::string::npos);
     SimConfig c2 = exp::baseline();
     c2.tb_size = 2;
-    EXPECT_DEATH(c2.validate(), "trace buffer");
+    EXPECT_NE(c2.validate().find("trace buffer"), std::string::npos);
+
+    // The engine turns the first violated rule into a fatal() exit.
+    const Program prog = buildWorkload("go");
+    EXPECT_DEATH({ DmtEngine e(c, prog); }, "max_threads");
 }
 
 TEST(Runner, RespectsBudget)

@@ -1,11 +1,11 @@
 /**
  * @file
  * Phase-aware sampling: BBV collection must be a pure function of the
- * architectural instruction stream (bit-identical across both
- * fast-forward engines and any run() chunking), seeded k-means must be
+ * architectural instruction stream (bit-identical to a functionalStep()
+ * reference and across any run() chunking), seeded k-means must be
  * reproducible and well-defined on degenerate inputs, the phase-sampled
- * pipeline must be deterministic across cache states and engines and
- * must agree with full-detail CPI, and a checked-in signature
+ * pipeline must be deterministic across cache states and must agree
+ * with full-detail CPI, and a checked-in signature
  * (tests/golden/phase_go.json, regenerated with DMT_UPDATE_GOLDEN=1)
  * pins the whole thing.  A live daemon round-trip proves phase-spec
  * jobs inherit the serve layer's byte-identity contract.
@@ -31,7 +31,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "sim/bbv.hh"
-#include "sim/translated_core.hh"
+#include "sim/functional.hh"
 #include "uarch/config.hh"
 #include "workloads/workloads.hh"
 
@@ -51,8 +51,7 @@ const struct EnvSanitizer
               "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
               "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
               "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR", "DMT_FF_MODE", "DMT_FF_CACHE",
-              "DMT_PHASE_K", "DMT_PHASE_DIMS", "DMT_PHASE_SEED"})
+              "DMT_CKPT_DIR", "DMT_PHASE_K", "DMT_PHASE_DIMS", "DMT_PHASE_SEED"})
             unsetenv(v);
     }
 } env_sanitizer;
@@ -141,30 +140,65 @@ TEST(BbvCollector, ChunkedReportingIsInvariant)
 
 // ---- BBV collection on real workloads ----------------------------------
 
+/** The sim/bbv.hh contract computed from the oracle: step
+ *  functionalStep() and report every taken control transfer. */
+std::vector<IntervalBbv>
+referenceBbvs(const Program &prog, u64 interval_len, u64 budget,
+              u64 *covered, bool *completed)
+{
+    ArchState st;
+    MainMemory mem;
+    st.reset(prog);
+    mem.loadProgram(prog);
+    BbvCollector bbv(interval_len, prog.text.size(), prog.entry);
+    u64 done = 0;
+    u64 since = 0; // instructions since the last region boundary
+    while (done < budget && !st.halted) {
+        if (!prog.validTextAddr(st.pc)) {
+            functionalStep(st, mem, prog); // halts, executes nothing
+            break;
+        }
+        const Instruction &inst = prog.fetch(st.pc);
+        const bool taken = inst.isCondBranch()
+            ? branchTaken(inst, st.reg(inst.rs), st.reg(inst.rt))
+            : inst.isJump();
+        const StepResult r = functionalStep(st, mem, prog);
+        ++done;
+        ++since;
+        if (taken) {
+            bbv.transfer(r.next_pc, since);
+            since = 0;
+        }
+    }
+    bbv.flush(since);
+    bbv.finish();
+    *covered = done;
+    *completed = st.halted;
+    return bbv.takeIntervals();
+}
+
 TEST(Bbv, CrossEngineBitIdentity)
 {
     const Program prog = buildWorkload("go");
     constexpr u64 kInterval = 10000;
     constexpr u64 kBudget = 200000;
 
-    u64 cov_t = 0, cov_i = 0;
-    bool done_t = false, done_i = false;
-    const std::vector<IntervalBbv> t = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Translated, &cov_t, &done_t);
-    const std::vector<IntervalBbv> i = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Interp, &cov_i, &done_i);
+    u64 cov_t = 0, cov_r = 0;
+    bool done_t = false, done_r = false;
+    const std::vector<IntervalBbv> t =
+        collectBbvs(prog, kInterval, kBudget, &cov_t, &done_t);
+    const std::vector<IntervalBbv> r =
+        referenceBbvs(prog, kInterval, kBudget, &cov_r, &done_r);
 
-    EXPECT_EQ(cov_t, cov_i);
-    EXPECT_EQ(done_t, done_i);
-    ASSERT_EQ(t.size(), i.size());
+    EXPECT_EQ(cov_t, cov_r);
+    EXPECT_EQ(done_t, done_r);
+    ASSERT_EQ(t.size(), r.size());
     for (size_t n = 0; n < t.size(); ++n)
-        EXPECT_TRUE(t[n] == i[n]) << "interval " << n
-                                  << " differs between engines";
+        EXPECT_TRUE(t[n] == r[n]) << "interval " << n
+                                  << " differs from the reference";
 
-    // Reruns on the same engine are bit-identical too.
-    const std::vector<IntervalBbv> t2 = collectBbvs(
-        prog, kInterval, kBudget, FfMode::Translated);
-    EXPECT_TRUE(t == t2);
+    // Reruns are bit-identical too.
+    EXPECT_TRUE(t == collectBbvs(prog, kInterval, kBudget));
 }
 
 TEST(Bbv, IntervalsPartitionTheStream)
@@ -174,8 +208,8 @@ TEST(Bbv, IntervalsPartitionTheStream)
     // the last must be exactly full, and the totals must tile the
     // covered stream with no gaps or double counting.
     u64 covered = 0;
-    const std::vector<IntervalBbv> bbvs = collectBbvs(
-        prog, 7321, 123457, FfMode::Translated, &covered);
+    const std::vector<IntervalBbv> bbvs =
+        collectBbvs(prog, 7321, 123457, &covered);
     ASSERT_FALSE(bbvs.empty());
     u64 sum = 0;
     for (size_t n = 0; n < bbvs.size(); ++n) {
@@ -212,7 +246,7 @@ TEST(PhaseCluster, SeededRunsAreReproducible)
 {
     const Program prog = buildWorkload("go");
     const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, 10000, 200000, FfMode::Translated);
+        collectBbvs(prog, 10000, 200000);
     ASSERT_GE(bbvs.size(), 10u);
 
     const PhaseAnalysis a = clusterPhases(bbvs, params(10000));
@@ -231,7 +265,7 @@ TEST(PhaseCluster, ResultIsWellFormedForAnySeed)
 {
     const Program prog = buildWorkload("go");
     const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, 10000, 200000, FfMode::Translated);
+        collectBbvs(prog, 10000, 200000);
 
     for (const u64 seed : {u64{7}, u64{42}, u64{12345}}) {
         const PhaseAnalysis pa =
@@ -339,16 +373,6 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     EXPECT_EQ(cold.sampling.phase_intervals, 20u);
     EXPECT_GT(cold.sampling.covered, 0u);
     EXPECT_LT(cold.sampling.functional_instr, cold.sampling.covered);
-
-    // The interp fast-forward engine must reproduce the same bytes:
-    // BBVs, clustering, window placement and measured windows are all
-    // engine-independent.
-    setenv("DMT_FF_MODE", "interp", 1);
-    clearAllCaches();
-    const RunResult interp = runWorkloadSampled(cfg, "go", p, kBudget);
-    unsetenv("DMT_FF_MODE");
-    EXPECT_EQ(cold.jsonString(), interp.jsonString())
-        << "phase-sampled results must not depend on DMT_FF_MODE";
     clearAllCaches();
 }
 

@@ -254,6 +254,20 @@ TEST(Protocol, RejectsWithoutExiting)
     }
 }
 
+TEST(Protocol, RejectsWhatValidateRejects)
+{
+    // A cross-field rule no per-key range catches: the daemon rejects
+    // it with SimConfig::validate()'s own message instead of letting
+    // the DmtEngine constructor exit.
+    Request req;
+    std::string err;
+    EXPECT_FALSE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
+                              "\"go\",\"config\":{\"window_size\":2,"
+                              "\"fetch_block\":4}}}",
+                              &req, &err));
+    EXPECT_EQ(err, "window smaller than one fetch block");
+}
+
 TEST(Protocol, BudgetDefaultsMatchLocalRuns)
 {
     setenv("DMT_BENCH_INSTR", "4321", 1);
