@@ -4,7 +4,8 @@
  * a set of machine configurations through the parallel sweep pool
  * (DMT_JOBS workers), tabulate speedups over the baseline superscalar,
  * and optionally archive the full run as a machine-readable
- * BENCH_<tag>.json artifact.
+ * BENCH_<tag>.json artifact.  The DMT_* knobs are read here, at the
+ * binary edge (cli/env.hh), and handed to the sweep explicitly.
  */
 
 #ifndef DMT_BENCH_BENCH_COMMON_HH
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
@@ -60,26 +62,34 @@ struct SuiteSweep
  * gen:<family>:<seed>[:knob=value...] generator specs (family sweeps:
  * pass a list of specs varying one knob or the seed).  Failed cells
  * (SimError) come back with ok == false; callers decide row-skip
- * policy.  Progress goes to stderr in completion order unless
- * DMT_BENCH_QUIET is set.
+ * policy.  Every machine gets the engine knobs (simConfigFromEnv),
+ * every cell the DMT_SAMPLE spec and the DMT_BENCH_INSTR budget.
+ * Progress goes to stderr in completion order unless DMT_BENCH_QUIET
+ * is set.
  */
 inline SuiteSweep
 sweepGrid(const std::vector<std::string> &workloads,
           const std::vector<BenchColumn> &machines)
 {
-    SweepRunner pool;
-    for (const std::string &w : workloads)
-        for (const BenchColumn &m : machines)
-            pool.add(m.cfg, w, 0, w + "/" + m.name);
+    const SampleParams sample = sampleParamsFromEnv();
+    const u64 budget = benchInstrFromEnv();
+    std::vector<SimConfig> cfgs;
+    for (const BenchColumn &m : machines)
+        cfgs.push_back(simConfigFromEnv(m.cfg));
+    SweepRunner pool(sweepJobs());
+    for (const std::string &w : workloads) {
+        for (size_t mi = 0; mi < machines.size(); ++mi)
+            pool.add({w + "/" + machines[mi].name, w, cfgs[mi], budget,
+                      sample});
+    }
 
     SweepRunner::Progress progress;
     if (!benchQuiet()) {
-        const SampleParams sp = SampleParams::fromEnv();
-        if (sp.enabled()) {
+        if (sample.enabled()) {
             std::fprintf(stderr,
                          "sampling: DMT_SAMPLE=%s — cycles/retired "
                          "cover measured windows only\n",
-                         sp.canonicalSpec().c_str());
+                         sample.canonicalSpec().c_str());
         }
         std::fprintf(stderr, "sweep: %zu jobs on %d worker(s)\n",
                      pool.size(), pool.poolWidth());
@@ -280,6 +290,7 @@ int benchMain();
 int
 main()
 {
+    dmt::setCheckpointDir(dmt::checkpointDirFromEnv());
     try {
         return benchMain();
     } catch (const dmt::SimError &err) {

@@ -9,6 +9,7 @@
 
 #include "branch/predictor.hh"
 #include "casm/assembler.hh"
+#include "cli/env.hh"
 #include "common/rng.hh"
 #include "dmt/engine.hh"
 #include "dmt/trace_buffer.hh"
@@ -102,10 +103,10 @@ void
 BM_BaselineCycles(benchmark::State &state)
 {
     const Program prog = mkSumLoop(1 << 30);
+    SimConfig cfg = simConfigFromEnv(SimConfig::baseline());
+    cfg.max_cycles = 2000;
     for (auto _ : state) {
         state.PauseTiming();
-        SimConfig cfg = SimConfig::baseline();
-        cfg.max_cycles = 2000;
         DmtEngine e(cfg, prog);
         state.ResumeTiming();
         e.run();
@@ -119,10 +120,10 @@ void
 BM_DmtCycles(benchmark::State &state)
 {
     const Program prog = buildWorkload("go");
+    SimConfig cfg = simConfigFromEnv(SimConfig::dmt(6, 2));
+    cfg.max_cycles = 2000;
     for (auto _ : state) {
         state.PauseTiming();
-        SimConfig cfg = SimConfig::dmt(6, 2);
-        cfg.max_cycles = 2000;
         DmtEngine e(cfg, prog);
         state.ResumeTiming();
         e.run();

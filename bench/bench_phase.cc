@@ -112,7 +112,7 @@ benchMain()
     // the stream, the more windows uniform sampling must pay for while
     // the phase mode still pays k.  DMT_BENCH_INSTR can push further.
     const u64 budget = std::max<u64>(benchRunLength(), 2000000);
-    const SimConfig cfg = SimConfig::dmt(6, 2);
+    const SimConfig cfg = simConfigFromEnv(SimConfig::dmt(6, 2));
 
     // Per-window depth differs deliberately: uniform spreads its
     // budget over every interval, so each window stays shallow; phase
@@ -131,7 +131,7 @@ benchMain()
         WorkloadRow row;
         row.name = canonicalWorkloadName(spec);
 
-        const RunResult full = runWorkload(cfg, spec, budget);
+        const RunResult full = runWorkloadJob(cfg, spec, budget, {});
         row.full_instr = full.retired;
         row.full_wall_s = full.wall_s;
         row.full_cpi = full.retired > 0

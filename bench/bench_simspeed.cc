@@ -18,7 +18,6 @@
 
 #include <chrono>
 
-#include "common/env.hh"
 #include "sim/bbv.hh"
 #include "sim/functional_core.hh"
 #include "workloads/generator.hh"
@@ -36,14 +35,16 @@ struct MachineSpeed
     std::vector<dmt::SweepCell> cells; ///< best rep, suite order
 };
 
-/** One serial pass of the whole suite on @p cfg. */
+/** One serial pass of the whole suite on @p cfg (with the DMT_SAMPLE
+ *  spec and DMT_BENCH_INSTR budget, like every figure bench). */
 dmt::SweepStats
 sweepOnce(const dmt::SimConfig &cfg, std::vector<dmt::SweepCell> *cells)
 {
     using namespace dmt;
+    const SampleParams sample = sampleParamsFromEnv();
     SweepRunner pool(1);
     for (const WorkloadInfo &w : workloadSuite())
-        pool.add(cfg, w.name, 0, w.name);
+        pool.add({w.name, w.name, cfg, benchInstrFromEnv(), sample});
     *cells = pool.run();
     for (const SweepCell &cell : *cells) {
         if (!cell.ok)
@@ -188,9 +189,9 @@ benchMain()
 
     std::vector<MachineSpeed> machines(2);
     machines[0].name = "baseline";
-    machines[0].cfg = exp::baseline();
+    machines[0].cfg = simConfigFromEnv(exp::baseline());
     machines[1].name = "dmt6";
-    machines[1].cfg = SimConfig::dmt(6, 2);
+    machines[1].cfg = simConfigFromEnv(SimConfig::dmt(6, 2));
 
     for (MachineSpeed &m : machines) {
         for (u64 rep = 0; rep < reps; ++rep) {

@@ -12,6 +12,8 @@
 #include <sstream>
 
 #include "casm/assembler.hh"
+#include "cli/env.hh"
+#include "common/log.hh"
 #include "dmt/engine.hh"
 #include "isa/disasm.hh"
 #include "sim/functional.hh"
@@ -95,12 +97,17 @@ main(int argc, char **argv)
         std::printf(" %u (0x%x)", v, v);
     std::printf("\n");
 
-    DmtEngine engine(SimConfig::dmt(4, 2), prog);
-    engine.run();
-    std::printf("DMT run: %llu cycles, IPC %.2f, golden %s\n",
-                static_cast<unsigned long long>(
-                    engine.stats().cycles.value()),
-                engine.stats().ipc(),
-                engine.goldenOk() ? "PASS" : "FAIL");
+    try {
+        DmtEngine engine(simConfigFromEnv(SimConfig::dmt(4, 2)), prog);
+        engine.run();
+        std::printf("DMT run: %llu cycles, IPC %.2f, golden %s\n",
+                    static_cast<unsigned long long>(
+                        engine.stats().cycles.value()),
+                    engine.stats().ipc(),
+                    engine.goldenOk() ? "PASS" : "FAIL");
+    } catch (const SimError &err) {
+        std::fprintf(stderr, "DMT run aborted: %s\n", err.what());
+        return 1;
+    }
     return 0;
 }

@@ -56,7 +56,7 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
+#include "cli/env.hh"
 #include "common/json.hh"
 #include "serve/client.hh"
 #include "serve/faultnet.hh"
@@ -379,7 +379,7 @@ runCommand(ServeClient &client, const ClientOptions &opt,
 int
 main(int argc, char **argv)
 {
-    int port = ServeOptions::fromEnv().port;
+    int port = serveOptionsFromEnv().port;
     double wait_s = 0.0;
     ClientOptions opt;
 
@@ -414,7 +414,7 @@ main(int argc, char **argv)
     std::unique_ptr<FaultNetProxy> proxy;
     if (parseEnvU64("DMT_FAULTNET", 0, 0, 1) != 0) {
         proxy = std::make_unique<FaultNetProxy>(
-            FaultNetOptions::fromEnv(port));
+            faultNetOptionsFromEnv(port));
         std::string perr;
         if (!proxy->start(&perr))
             return die("faultnet: " + perr);

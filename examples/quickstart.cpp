@@ -2,18 +2,25 @@
  * @file
  * Quickstart: assemble a small program, run it on the functional
  * simulator, the baseline superscalar and the DMT processor, and
- * compare.  This is the 60-second tour of the public API.
+ * compare.  This is the 60-second tour of the public API.  The engine
+ * knobs (DMT_TRACE*, DMT_FAULT*, DMT_WATCHDOG, ...) apply to every
+ * machine built here.
  */
 
 #include <cstdio>
 
 #include "casm/assembler.hh"
+#include "cli/env.hh"
+#include "common/log.hh"
 #include "workloads/workloads.hh"
 #include "dmt/engine.hh"
 #include "sim/functional.hh"
 
+namespace
+{
+
 int
-main()
+tour()
 {
     using namespace dmt;
 
@@ -56,7 +63,7 @@ main()
                 static_cast<unsigned long long>(steps));
 
     // 3. Cycle-level run of the same program on the baseline.
-    DmtEngine fib_base(SimConfig::baseline(), prog);
+    DmtEngine fib_base(simConfigFromEnv(SimConfig::baseline()), prog);
     fib_base.run();
     std::printf("baseline   : %llu cycles, IPC %.2f, output %u, "
                 "golden %s\n",
@@ -70,9 +77,9 @@ main()
     //    spawned by hardware at calls and loop branches; every retired
     //    instruction is verified against the golden model as it runs.
     const Program go = buildWorkload("go");
-    SimConfig base_cfg = SimConfig::baseline();
+    SimConfig base_cfg = simConfigFromEnv(SimConfig::baseline());
     base_cfg.max_retired = 60000;
-    SimConfig dmt_cfg = SimConfig::dmt(6, 2);
+    SimConfig dmt_cfg = simConfigFromEnv(SimConfig::dmt(6, 2));
     dmt_cfg.max_retired = 60000;
 
     DmtEngine base(base_cfg, go);
@@ -104,4 +111,17 @@ main()
         / static_cast<double>(processor.stats().cycles.value());
     std::printf("speedup    : %.2fx\n", speedup);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    try {
+        return tour();
+    } catch (const dmt::SimError &err) {
+        std::fprintf(stderr, "quickstart: %s\n", err.what());
+        return 1;
+    }
 }

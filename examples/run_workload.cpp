@@ -11,12 +11,18 @@
  * `run_workload all ...` sweeps the entire suite through the parallel
  * scheduler (DMT_JOBS workers) and prints one summary line per
  * workload plus the sweep's throughput accounting.
+ *
+ * The engine knobs (DMT_WATCHDOG, DMT_AUDIT, DMT_CRASH_FILE,
+ * DMT_TRACE*, DMT_FAULT*), DMT_SAMPLE and DMT_CKPT_DIR are read once
+ * here (cli/env.hh) and applied to the configuration built below.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
+#include "cli/env.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "dmt/engine.hh"
@@ -124,15 +130,17 @@ main(int argc, char **argv)
         return 0;
     }
 
-    SimConfig cfg =
+    SimConfig cfg = simConfigFromEnv(
         threads > 1 ? SimConfig::dmt(threads, ports)
-                    : SimConfig::baseline();
+                    : SimConfig::baseline());
     cfg.max_retired = budget;
+    const SampleParams sample = sampleParamsFromEnv();
+    setCheckpointDir(checkpointDirFromEnv());
 
     if (name == "all") {
-        SweepRunner pool;
+        SweepRunner pool(sweepJobs());
         for (const WorkloadInfo &w : workloadSuite())
-            pool.add(cfg, w.name, budget);
+            pool.add({w.name, w.name, cfg, budget, sample});
         std::printf("sweeping %zu workloads on %s (%d worker(s))\n",
                     pool.size(), cfg.summary().c_str(),
                     pool.poolWidth());
@@ -167,18 +175,16 @@ main(int argc, char **argv)
         return all_ok ? 0 : 1;
     }
 
-    if (SampleParams::fromEnv().enabled()) {
-        // Sampled single run: go through the runner funnel (which
-        // applies DMT_SAMPLE) instead of a raw engine, so the sampled
-        // summary — and in phase mode the phase table — is visible
-        // from the command line.
+    if (sample.enabled()) {
+        // Sampled single run: go through the runner funnel instead of
+        // a raw engine, so the sampled summary — and in phase mode the
+        // phase table — is visible from the command line.
         std::printf("running %s (sampled, DMT_SAMPLE=%s) on %s ...\n",
-                    name.c_str(),
-                    SampleParams::fromEnv().canonicalSpec().c_str(),
+                    name.c_str(), sample.canonicalSpec().c_str(),
                     cfg.summary().c_str());
         RunResult r;
         try {
-            r = runWorkload(cfg, name, budget);
+            r = runWorkloadJob(cfg, name, budget, sample);
         } catch (const SimError &err) {
             std::fprintf(stderr, "run aborted: %s\n", err.what());
             return 1;
@@ -208,28 +214,30 @@ main(int argc, char **argv)
     std::printf("running %s on %s ...\n", name.c_str(),
                 cfg.summary().c_str());
     const Program prog = buildWorkload(name);
-    DmtEngine engine(cfg, prog);
+    std::unique_ptr<DmtEngine> engine;
     try {
-        engine.run();
+        engine = std::make_unique<DmtEngine>(cfg, prog);
+        engine->run();
     } catch (const SimError &err) {
-        // A watchdog or invariant-audit panic: the post-mortem JSON has
-        // already been written; exit cleanly with the diagnostic.
+        // A rejected config, or a watchdog or invariant-audit panic
+        // (the post-mortem JSON has already been written): exit
+        // cleanly with the diagnostic.
         std::fprintf(stderr, "run aborted: %s\n", err.what());
         return 1;
     }
 
-    if (!engine.goldenOk()) {
+    if (!engine->goldenOk()) {
         std::fprintf(stderr, "GOLDEN MISMATCH: %s\n",
-                     engine.goldenError().c_str());
+                     engine->goldenError().c_str());
         return 1;
     }
 
     StatGroup group(name);
-    engine.stats().registerAll(group);
+    engine->stats().registerAll(group);
     std::fputs(group.dump().c_str(), stdout);
-    std::printf("%s.ipc %38.3f\n", name.c_str(), engine.stats().ipc());
+    std::printf("%s.ipc %38.3f\n", name.c_str(), engine->stats().ipc());
     std::printf("golden check: PASS (%llu instructions verified)\n",
                 static_cast<unsigned long long>(
-                    engine.stats().retired.value()));
+                    engine->stats().retired.value()));
     return 0;
 }

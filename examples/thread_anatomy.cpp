@@ -9,19 +9,23 @@
 
 #include <cstdio>
 
+#include "cli/env.hh"
+#include "common/log.hh"
 #include "dmt/engine.hh"
 #include "isa/disasm.hh"
 #include "workloads/workloads.hh"
 
+namespace
+{
+
 int
-main()
+anatomy()
 {
     using namespace dmt;
 
     const Program prog = mkFibRecursive(8);
 
-    SimConfig cfg = SimConfig::dmt(4, 2);
-    DmtEngine engine(cfg, prog);
+    DmtEngine engine(simConfigFromEnv(SimConfig::dmt(4, 2)), prog);
 
     std::printf("retired stream of fib(8) on a 4-context DMT machine\n");
     std::printf("(column = hardware thread context that ran it)\n\n");
@@ -65,4 +69,17 @@ main()
     std::printf("golden check: %s\n",
                 engine.goldenOk() ? "PASS" : "FAIL");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    try {
+        return anatomy();
+    } catch (const dmt::SimError &err) {
+        std::fprintf(stderr, "thread_anatomy: %s\n", err.what());
+        return 1;
+    }
 }

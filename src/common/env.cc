@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/log.hh"
 #include "common/strutil.hh"
 
 namespace dmt
@@ -45,40 +44,6 @@ parseF64(std::string_view s, double *out)
     }
     *out = v;
     return true;
-}
-
-u64
-parseEnvU64(const char *name, u64 def, u64 min_value, u64 max_value)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return def;
-    u64 v = 0;
-    if (!parseU64(env, &v))
-        fatal("%s: '%s' is not a valid unsigned integer", name, env);
-    if (v < min_value || v > max_value) {
-        fatal("%s: %llu out of range [%llu, %llu]", name,
-              static_cast<unsigned long long>(v),
-              static_cast<unsigned long long>(min_value),
-              static_cast<unsigned long long>(max_value));
-    }
-    return v;
-}
-
-double
-parseEnvF64(const char *name, double def, double min_value,
-            double max_value)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return def;
-    double v = 0.0;
-    if (!parseF64(env, &v))
-        fatal("%s: '%s' is not a valid number", name, env);
-    if (v < min_value || v > max_value)
-        fatal("%s: %g out of range [%g, %g]", name, v, min_value,
-              max_value);
-    return v;
 }
 
 } // namespace dmt

@@ -1,14 +1,10 @@
 /**
  * @file
- * Checked parsing for the numeric DMT_* environment knobs.  The raw
+ * Strict numeric parsing for knob values and spec fields.  The raw
  * strtoull/atoi idiom silently accepts trailing garbage ("60k" parses
- * as 60) and wraps on overflow; every knob that configures a run now
- * funnels through these helpers, which reject both loudly.
- *
- * An unset or empty variable yields the caller's default.  A malformed
- * or out-of-range value is a *user* error, so it reports via fatal()
- * (clean exit), never a silent fallback that would make a sweep
- * quietly measure the wrong thing.
+ * as 60) and wraps on overflow; the environment edge (cli/env.hh), the
+ * sample-spec parser and the workload-generator spec parser funnel
+ * through these helpers, which reject both.
  */
 
 #ifndef DMT_COMMON_ENV_HH
@@ -34,22 +30,6 @@ bool parseU64(std::string_view s, u64 *out);
  * @retval true on success, writing the value through @p out.
  */
 bool parseF64(std::string_view s, double *out);
-
-/**
- * Read the environment variable @p name as a u64 in [@p min, @p max].
- * Unset or empty returns @p def; garbage, overflow or a value outside
- * the range is fatal().
- */
-u64 parseEnvU64(const char *name, u64 def, u64 min_value = 0,
-                u64 max_value = ~u64{0});
-
-/**
- * Read the environment variable @p name as a finite double in
- * [@p min, @p max].  Unset or empty returns @p def; garbage or a value
- * outside the range is fatal().
- */
-double parseEnvF64(const char *name, double def, double min_value,
-                   double max_value);
 
 } // namespace dmt
 

@@ -119,7 +119,7 @@ class DmtEngine : public OrderOracle
     /** Telemetry front door (sink injection, ring readback). */
     Tracer &tracer() { return tracer_; }
 
-    /** Fault injector (configured from cfg.fault + DMT_FAULT env). */
+    /** Fault injector (configured from cfg.fault). */
     const FaultInjector &faults() const { return injector_; }
 
     // OrderOracle: program order of two dynamic memory operations.
@@ -129,9 +129,6 @@ class DmtEngine : public OrderOracle
     /** Observation hook invoked for every finally-retired entry (after
      *  its effects committed).  Used by tests and trace tooling. */
     std::function<void(const TBEntry &, ThreadId)> retire_hook;
-
-    /** Debug event tracing to stderr (set via DMT_DEBUG=1). */
-    bool debug_trace = false;
 
   private:
     friend class EngineInspector;   // white-box testing hook

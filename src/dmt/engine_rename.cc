@@ -225,10 +225,6 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
         }
     }
 
-    if (debug_trace)
-        std::fprintf(stderr, "[%llu] spawn tid=%d start=0x%x parent=%d "
-                     "at pc=0x%x loop=%d\n", (unsigned long long)now_,
-                     child_id, start_pc, parent.id, entry.pc, is_loop);
     tree.addChild(parent.id, child_id);
     entry.child_tid = child_id;
     entry.child_gen = c.gen;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "dmt/engine.hh"
@@ -107,30 +106,13 @@ RunResult::jsonString() const
 }
 
 u64
-benchRunLength()
-{
-    // 0 (like unset) selects the default length.
-    const u64 v = parseEnvU64("DMT_BENCH_INSTR", 0);
-    return v > 0 ? v : 60000;
-}
-
-u64
-effectiveBudget(bool sampled, u64 max_retired)
+effectiveBudget(bool sampled, u64 max_retired, u64 default_budget)
 {
     if (max_retired > 0)
         return max_retired;
-    return sampled ? parseEnvU64("DMT_BENCH_INSTR", 0)
-                   : benchRunLength();
-}
-
-RunResult
-runWorkload(const SimConfig &cfg, const std::string &workload,
-            u64 max_retired)
-{
-    // Sampled mode (DMT_SAMPLE) reroutes the whole funnel: benches and
-    // sweeps get interval sampling without knowing about it.
-    return runWorkloadJob(cfg, workload, max_retired,
-                          SampleParams::fromEnv());
+    if (default_budget > 0)
+        return default_budget;
+    return sampled ? 0 : kBenchRunLength;
 }
 
 RunResult
@@ -146,8 +128,7 @@ runWorkloadJob(const SimConfig &cfg, const std::string &raw_workload,
         return runWorkloadSampled(cfg, workload, sample, max_retired);
 
     SimConfig run_cfg = cfg;
-    run_cfg.max_retired =
-        max_retired > 0 ? max_retired : benchRunLength();
+    run_cfg.max_retired = max_retired > 0 ? max_retired : kBenchRunLength;
 
     const Program prog = buildWorkload(workload);
     DmtEngine engine(run_cfg, prog);

@@ -124,35 +124,26 @@ struct RunResult
 };
 
 /**
- * Number of instructions each benchmark run retires, overridable with
- * the DMT_BENCH_INSTR environment variable (the paper runs 300M; the
- * default here keeps a full figure under a minute).
+ * Instructions a detailed run retires when its budget is 0 (the paper
+ * runs 300M; this keeps a full figure under a minute).
  */
-u64 benchRunLength();
-
-/**
- * Simulate @p workload (a suite name from workloadSuite()) on @p cfg,
- * retiring at most @p max_retired instructions (0 = benchRunLength()).
- * Golden checking stays enabled: a bench producing wrong execution
- * aborts rather than reporting garbage.
- *
- * When DMT_SAMPLE is set ("skip:warm:measure[:intervals]") the run is
- * routed through runWorkloadSampled() instead: detailed simulation
- * covers periodic measurement windows and checkpointed functional
- * fast-forward covers the gaps, so every bench and sweep built on this
- * funnel gains paper-scale coverage without code changes.
- */
-RunResult runWorkload(const SimConfig &cfg, const std::string &workload,
-                      u64 max_retired = 0);
+constexpr u64 kBenchRunLength = 60000;
 
 struct SampleParams;
 
 /**
- * runWorkload() with the sampling decision passed explicitly instead
- * of read from DMT_SAMPLE.  This is the serve-layer entry point: a
- * daemon job's spec — not the daemon's environment — decides whether
- * a request samples, and runWorkload() itself delegates here, so
- * daemon answers are byte-identical to direct calls by construction.
+ * Simulate @p workload (a suite name from workloadSuite() or a gen:
+ * spec) on @p cfg, retiring at most @p max_retired instructions.  A
+ * budget of 0 means kBenchRunLength for detailed runs and the whole
+ * program for sampled runs.  Golden checking stays enabled: a bench
+ * producing wrong execution aborts rather than reporting garbage.
+ *
+ * When @p sample is enabled the run is routed through
+ * runWorkloadSampled(): detailed simulation covers the measurement
+ * windows and checkpointed functional fast-forward covers the gaps.
+ * This is the one run entry point — benches, sweeps and the daemon
+ * all call it with everything spelled out, so daemon answers are
+ * byte-identical to direct calls by construction.
  */
 RunResult runWorkloadJob(const SimConfig &cfg,
                          const std::string &workload, u64 max_retired,
@@ -160,13 +151,13 @@ RunResult runWorkloadJob(const SimConfig &cfg,
 
 /**
  * The retirement budget a (max_retired, sample) request resolves to:
- * an explicit @p max_retired wins; otherwise detailed runs use
- * benchRunLength() and sampled runs use DMT_BENCH_INSTR (0 = whole
- * program), mirroring runWorkload()/runWorkloadSampled().  The serve
- * layer resolves budgets *before* computing cache keys so identical
- * effective requests share a cache cell.
+ * an explicit @p max_retired wins, then @p default_budget; with both
+ * 0, detailed runs use kBenchRunLength and sampled runs 0 (the whole
+ * program), mirroring runWorkloadJob().  The serve layer resolves
+ * budgets *before* computing cache keys so identical effective
+ * requests share a cache cell.
  */
-u64 effectiveBudget(bool sampled, u64 max_retired);
+u64 effectiveBudget(bool sampled, u64 max_retired, u64 default_budget);
 
 /** Percentage speedup of @p test over @p base for identical work. */
 double speedupPct(const RunResult &base, const RunResult &test);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,7 +25,7 @@ namespace dmt
 namespace
 {
 
-/** Bounds shared by spec parsing and the DMT_PHASE_* env knobs. */
+/** Phase spec bounds. */
 constexpr u64 kPhaseMaxK = 64;
 constexpr u64 kPhaseMaxDims = 256;
 
@@ -145,33 +144,6 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
     return true;
 }
 
-SampleParams
-SampleParams::fromEnv()
-{
-    SampleParams p;
-    const char *raw = std::getenv("DMT_SAMPLE");
-    if (!raw || !*raw)
-        return p;
-    std::string err;
-    if (!SampleParams::parse(raw, &p, &err))
-        fatal("DMT_SAMPLE=\"%s\": %s", raw, err.c_str());
-    if (p.phaseMode()) {
-        // Env defaults apply only to fields the spec left out; the
-        // canonical spec is always fully explicit, so daemon cache
-        // keys and golden identities never depend on the environment.
-        const size_t nf = splitFields(raw, ":").size() - 1;
-        if (nf < 4)
-            p.phase.max_k =
-                parseEnvU64("DMT_PHASE_K", p.phase.max_k, 1, kPhaseMaxK);
-        if (nf < 5)
-            p.phase.dims = parseEnvU64("DMT_PHASE_DIMS", p.phase.dims,
-                                       1, kPhaseMaxDims);
-        if (nf < 6)
-            p.phase.seed = parseEnvU64("DMT_PHASE_SEED", p.phase.seed);
-    }
-    return p;
-}
-
 namespace
 {
 
@@ -195,6 +167,9 @@ struct WorkloadCkpts
 
 std::mutex g_cache_m;
 std::map<std::string, std::unique_ptr<WorkloadCkpts>> g_cache;
+/** On-disk checkpoint directory ("" = memory only); g_cache_m guards
+ *  it. */
+std::string g_ckpt_dir;
 
 // Shared-cache accounting (monotonic until clearCheckpointCache()).
 std::atomic<u64> g_ckpt_mem_hits{0};
@@ -216,29 +191,32 @@ entryFor(const std::string &workload)
 }
 
 std::string
-ckptPath(const char *dir, const std::string &workload, u64 pos)
+ckptPath(const std::string &dir, const std::string &workload, u64 pos)
 {
-    return strprintf("%s/%s-%llu.ckpt", dir, workload.c_str(),
+    return strprintf("%s/%s-%llu.ckpt", dir.c_str(), workload.c_str(),
                      static_cast<unsigned long long>(pos));
 }
 
 /** The checkpoint directory, created (one level) on first use.
- *  @return nullptr when DMT_CKPT_DIR is unset. */
-const char *
+ *  @return "" when checkpoints stay in memory only. */
+std::string
 ckptDir()
 {
-    const char *dir = std::getenv("DMT_CKPT_DIR");
-    if (!dir || !*dir)
-        return nullptr;
-    ::mkdir(dir, 0755); // best-effort; EEXIST is the common case
+    std::string dir;
+    {
+        std::lock_guard<std::mutex> lock(g_cache_m);
+        dir = g_ckpt_dir;
+    }
+    if (!dir.empty())
+        ::mkdir(dir.c_str(), 0755); // best-effort; EEXIST is common
     return dir;
 }
 
 /**
  * Architectural checkpoint at exactly @p pos retired instructions.
- * Order of preference: in-memory cache, DMT_CKPT_DIR file, advancing
- * the functional cursor (rewinding it from the nearest earlier
- * checkpoint when a caller asks for a position behind it).
+ * Order of preference: in-memory cache, checkpoint-directory file,
+ * advancing the functional cursor (rewinding it from the nearest
+ * earlier checkpoint when a caller asks for a position behind it).
  *
  * @return nullptr when the program HALTs at or before @p pos; then
  *         @p halt_pos_out receives the halt position.  @p ff_wall
@@ -262,8 +240,8 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
         return it->second;
     }
 
-    const char *dir = ckptDir();
-    if (dir) {
+    const std::string dir = ckptDir();
+    if (!dir.empty()) {
         auto ck = std::make_shared<Checkpoint>();
         std::string err;
         if (Checkpoint::load(ckptPath(dir, workload, pos), e.prog_hash,
@@ -321,7 +299,7 @@ checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
     auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
     e.by_pos[pos] = ck;
     g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-    if (dir)
+    if (!dir.empty())
         ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
     return ck;
 }
@@ -336,6 +314,13 @@ clearCheckpointCache()
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
     g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
+}
+
+void
+setCheckpointDir(std::string dir)
+{
+    std::lock_guard<std::mutex> lock(g_cache_m);
+    g_ckpt_dir = std::move(dir);
 }
 
 CheckpointCacheCounters
@@ -528,8 +513,6 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
 {
     DMT_ASSERT(params.enabled(),
                "runWorkloadSampled needs a measure window");
-    if (budget == 0)
-        budget = parseEnvU64("DMT_BENCH_INSTR", 0); // 0 = whole program
 
     if (params.phaseMode())
         return runPhaseSampled(cfg, workload, params, budget);

@@ -13,18 +13,17 @@
  * the RunResult.  Per-interval CPI feeds a mean +- 95% confidence
  * interval so the aggregate comes with an error bar.
  *
- * Configuration comes from DMT_SAMPLE="skip:warm:measure[:intervals]"
+ * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
- * 0 or omitted = run to program end / budget).  DMT_CKPT_DIR names a
- * directory where checkpoints persist across invocations.
+ * 0 or omitted = run to program end / budget).  setCheckpointDir()
+ * names a directory where checkpoints persist across invocations.
  *
- * DMT_SAMPLE="phase:interval:warm:measure[:maxk[:dims[:seed]]]"
- * selects phase-aware placement instead (exp/phase.hh): a BBV profile
- * over fixed `interval`-length slices is clustered into phases, one
+ * "phase:interval:warm:measure[:maxk[:dims[:seed]]]" selects
+ * phase-aware placement instead (exp/phase.hh): a BBV profile over
+ * fixed `interval`-length slices is clustered into phases, one
  * warm+measure window runs at each phase representative, and CPI
- * aggregates by phase weight.  Omitted trailing fields default from
- * DMT_PHASE_K / DMT_PHASE_DIMS / DMT_PHASE_SEED (env consulted only by
- * fromEnv(); daemon job specs stay hermetic).
+ * aggregates by phase weight.  Omitted trailing fields take their
+ * documented defaults (maxk 8, dims 16, seed 42).
  */
 
 #ifndef DMT_EXP_SAMPLED_HH
@@ -38,7 +37,7 @@
 namespace dmt
 {
 
-/** Parsed DMT_SAMPLE knob. */
+/** A parsed sample spec (the job-level sampling decision). */
 struct SampleParams
 {
     /** Window-placement policy. */
@@ -81,19 +80,13 @@ struct SampleParams
      */
     static bool parse(std::string_view spec, SampleParams *out,
                       std::string *err);
-
-    /** Parse DMT_SAMPLE; garbage is fatal() like every other DMT_*
-     *  knob.  Unset => disabled.  For phase specs, trailing fields the
-     *  spec omitted default from DMT_PHASE_K / DMT_PHASE_DIMS /
-     *  DMT_PHASE_SEED (explicit spec fields always win). */
-    static SampleParams fromEnv();
 };
 
 /**
  * Run @p workload on @p cfg under interval sampling.  @p budget bounds
- * the stream positions traversed (0 = DMT_BENCH_INSTR if set, else the
- * whole program); sampling stops at HALT, the budget, or
- * @p params.max_intervals, whichever comes first.
+ * the stream positions traversed (0 = the whole program); sampling
+ * stops at HALT, the budget, or @p params.max_intervals, whichever
+ * comes first.
  *
  * The returned RunResult's cycles/retired/stats cover the measured
  * windows only (summed across intervals); result.sampling carries the
@@ -105,20 +98,27 @@ RunResult runWorkloadSampled(const SimConfig &cfg,
                              const SampleParams &params, u64 budget = 0);
 
 /**
- * Drop every in-memory checkpoint (test hook; on-disk DMT_CKPT_DIR
+ * Drop every in-memory checkpoint (test hook; on-disk checkpoint
  * files are left alone so persistence can be exercised separately).
  * Also zeroes the cache counters below.
  */
 void clearCheckpointCache();
 
 /**
+ * Persist sampled-run checkpoints under @p dir (created, one level, on
+ * first use) and look there before fast-forwarding; "" (the default)
+ * keeps the cache memory-only.  Process-wide, like the cache itself.
+ */
+void setCheckpointDir(std::string dir);
+
+/**
  * Process-lifetime accounting for the shared checkpoint cache.  A
  * sampled window first looks for its start checkpoint in memory
- * (mem_hits), then on disk under DMT_CKPT_DIR (disk_hits), and only
- * then pays for functional fast-forward to build one (builds).  The
- * daemon reports these in its `stats` reply and the local harness
- * mains print them in their stderr summaries, so warm-cache behaviour
- * is visible in both deployments.
+ * (mem_hits), then on disk under the checkpoint directory
+ * (disk_hits), and only then pays for functional fast-forward to build
+ * one (builds).  The daemon reports these in its `stats` reply and the
+ * local harness mains print them in their stderr summaries, so
+ * warm-cache behaviour is visible in both deployments.
  */
 struct CheckpointCacheCounters
 {

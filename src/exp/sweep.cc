@@ -5,10 +5,8 @@
 #include <mutex>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
-#include "trace/tracer.hh"
 
 namespace dmt
 {
@@ -30,7 +28,7 @@ secondsSince(Clock::time_point start)
 bool
 jobWritesTraceFiles(const SweepJob &job)
 {
-    const TraceOptions t = traceOptionsFromEnv(job.cfg.trace);
+    const TraceOptions &t = job.cfg.trace;
     return t.enabled && (t.chrome || t.counters);
 }
 
@@ -40,8 +38,8 @@ runJob(const SweepJob &job)
     SweepCell cell;
     const auto start = Clock::now();
     try {
-        cell.result =
-            runWorkload(job.cfg, job.workload, job.max_retired);
+        cell.result = runWorkloadJob(job.cfg, job.workload,
+                                     job.max_retired, job.sample);
         cell.ok = true;
     } catch (const SimError &err) {
         cell.error = err.what();
@@ -53,11 +51,8 @@ runJob(const SweepJob &job)
 } // namespace
 
 int
-sweepJobs()
+hardwareJobs()
 {
-    const u64 env = parseEnvU64("DMT_JOBS", 0, 0, 1024);
-    if (env > 0)
-        return static_cast<int>(env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -101,7 +96,7 @@ SweepStats::jsonOn(JsonWriter &w) const
 }
 
 SweepRunner::SweepRunner(int pool)
-    : pool_(pool > 0 ? pool : sweepJobs())
+    : pool_(pool > 0 ? pool : hardwareJobs())
 {
 }
 

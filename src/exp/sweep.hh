@@ -2,12 +2,12 @@
  * @file
  * Parallel experiment scheduler.  The paper's evaluation is a grid of
  * machine-configuration x benchmark simulations; every cell is an
- * independent, deterministic, single-threaded runWorkload() call, so a
- * sweep parallelizes perfectly.  SweepRunner fans queued jobs out over
- * a fixed pool of worker threads (DMT_JOBS, default the host's
- * hardware concurrency) and hands the results back in submission
- * order, so callers see exactly the serial semantics — including
- * bit-identical RunResults — regardless of completion order.
+ * independent, deterministic, single-threaded runWorkloadJob() call,
+ * so a sweep parallelizes perfectly.  SweepRunner fans queued jobs out
+ * over a fixed pool of worker threads (default the host's hardware
+ * concurrency) and hands the results back in submission order, so
+ * callers see exactly the serial semantics — including bit-identical
+ * RunResults — regardless of completion order.
  *
  * Error model: a job whose simulation throws SimError (watchdog,
  * invariant audit, golden mismatch) becomes a failed cell carrying the
@@ -16,8 +16,8 @@
  *
  * Determinism contract (see DESIGN.md section 10): workers share no
  * mutable simulator state — each job builds its own Program and
- * DmtEngine — so results depend only on (config, workload, budget),
- * never on pool width or scheduling.
+ * DmtEngine — so results depend only on (config, workload, budget,
+ * sample spec), never on pool width or scheduling.
  */
 
 #ifndef DMT_EXP_SWEEP_HH
@@ -29,6 +29,7 @@
 
 #include "common/stats.hh"
 #include "exp/runner.hh"
+#include "exp/sampled.hh"
 #include "uarch/config.hh"
 
 namespace dmt
@@ -40,9 +41,10 @@ class JsonWriter;
 struct SweepJob
 {
     std::string label;    ///< diagnostics/progress, e.g. "go/6T"
-    std::string workload; ///< suite name for runWorkload()
+    std::string workload; ///< suite name for runWorkloadJob()
     SimConfig cfg;
-    u64 max_retired = 0;  ///< 0 = benchRunLength()
+    u64 max_retired = 0;  ///< 0 = runWorkloadJob()'s default
+    SampleParams sample;  ///< disabled = a detailed run
 };
 
 /** Outcome of one job; failed cells carry the SimError message. */
@@ -93,11 +95,9 @@ struct SweepStats
     void jsonOn(JsonWriter &w) const;
 };
 
-/**
- * Pool width for sweeps: DMT_JOBS when set (>= 1), otherwise the
- * host's hardware concurrency (>= 1).
- */
-int sweepJobs();
+/** The host's hardware concurrency (>= 1): the pool width that a
+ *  width of 0 selects. */
+int hardwareJobs();
 
 /** Fixed-pool scheduler over independent simulation jobs. */
 class SweepRunner
@@ -109,7 +109,7 @@ class SweepRunner
                                         const SweepCell &cell,
                                         size_t done, size_t total)>;
 
-    /** @param pool worker count; <= 0 means sweepJobs(). */
+    /** @param pool worker count; <= 0 means hardwareJobs(). */
     explicit SweepRunner(int pool = 0);
 
     /** Queue a job; returns its index (== its cell's index). */

@@ -1,12 +1,5 @@
 #include "fault/injector.hh"
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
-#include "common/env.hh"
-#include "common/log.hh"
-
 namespace dmt
 {
 
@@ -67,53 +60,6 @@ u64
 FaultInjector::offered(FaultSite site) const
 {
     return offered_[static_cast<int>(site)];
-}
-
-FaultOptions
-faultOptionsFromEnv(FaultOptions base)
-{
-    const char *spec = std::getenv("DMT_FAULT");
-    const double env_rate = parseEnvF64("DMT_FAULT_RATE", 0.01, 0.0, 1.0);
-
-    if (spec && *spec) {
-        std::string s(spec);
-        if (s == "0" || s == "off") {
-            base.enabled = false;
-        } else {
-            base.enabled = true;
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                const std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty())
-                    continue;
-                if (tok == "1" || tok == "on" || tok == "all") {
-                    for (int i = 0; i < kNumFaultSites; ++i) {
-                        if (base.rate[i] <= 0.0)
-                            base.rate[i] = env_rate;
-                    }
-                    continue;
-                }
-                bool known = false;
-                for (int i = 0; i < kNumFaultSites; ++i) {
-                    if (tok == faultSiteName(static_cast<FaultSite>(i))) {
-                        if (base.rate[i] <= 0.0)
-                            base.rate[i] = env_rate;
-                        known = true;
-                    }
-                }
-                if (!known)
-                    warn("DMT_FAULT: unknown site '%s' ignored",
-                         tok.c_str());
-            }
-        }
-    }
-
-    base.seed = parseEnvU64("DMT_FAULT_SEED", base.seed);
-    return base;
 }
 
 } // namespace dmt

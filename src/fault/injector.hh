@@ -71,19 +71,6 @@ class FaultInjector
     u64 offered_[kNumFaultSites] = {};
 };
 
-/**
- * Apply environment overrides on top of @p base:
- *
- *  - DMT_FAULT: comma-separated site list ("spawn-input",
- *    "dataflow-value", "load-value", "spawn-decision",
- *    "branch-prediction"), or "1"/"all" for every site; "0"/"off"
- *    forces injection off.  Selected sites get DMT_FAULT_RATE (default
- *    0.01) unless the config already set a nonzero rate.
- *  - DMT_FAULT_RATE: per-opportunity probability for selected sites.
- *  - DMT_FAULT_SEED: deterministic stream seed.
- */
-FaultOptions faultOptionsFromEnv(FaultOptions base);
-
 } // namespace dmt
 
 #endif // DMT_FAULT_INJECTOR_HH

@@ -2,9 +2,9 @@
  * @file
  * Fault-injection configuration embedded in SimConfig (the `fault`
  * member).  A plain aggregate, like trace/options.hh, so the config
- * layer does not depend on the injector machinery.  Environment
- * overrides (DMT_FAULT et al.) are applied by faultOptionsFromEnv() in
- * fault/injector.hh.
+ * layer does not depend on the injector machinery.  The engine uses
+ * exactly what its config carries; binaries map DMT_FAULT et al. onto
+ * it at their edge (cli/env.hh).
  *
  * The fault contract: every site corrupts *speculative-only* state —
  * state the paper's recovery machinery (trace-buffer walks, dependency

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/env.hh"
-
 namespace dmt
 {
 
@@ -56,17 +54,6 @@ connectLoopback(int port)
 }
 
 } // namespace
-
-FaultNetOptions
-FaultNetOptions::fromEnv(int upstream_port)
-{
-    FaultNetOptions o;
-    o.upstream_port = upstream_port;
-    o.rate = parseEnvF64("DMT_FAULTNET_RATE", 0.05, 0.0, 1.0);
-    o.seed = parseEnvU64("DMT_FAULTNET_SEED", 1998);
-    o.stall_ms = parseEnvU64("DMT_FAULTNET_STALL_MS", 100, 0, 60000);
-    return o;
-}
 
 FaultNetProxy::FaultNetProxy(const FaultNetOptions &opts)
     : opts_(opts), rng_(opts.seed)

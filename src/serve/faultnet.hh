@@ -42,7 +42,8 @@
 namespace dmt
 {
 
-/** Proxy configuration, from the DMT_FAULTNET_* environment knobs. */
+/** Proxy configuration (dmt_client fills it from the DMT_FAULTNET_*
+ *  knobs, cli/env.hh). */
 struct FaultNetOptions
 {
     /** Proxy listening port on 127.0.0.1; 0 picks an ephemeral port
@@ -58,11 +59,6 @@ struct FaultNetOptions
     u64 seed = 1998;
     /** How long a "stall" fault sits on a chunk. */
     u64 stall_ms = 100;
-
-    /** Strict parse of DMT_FAULTNET_RATE / DMT_FAULTNET_SEED /
-     *  DMT_FAULTNET_STALL_MS (garbage is fatal(), like every other
-     *  DMT_* knob) on top of the given upstream port. */
-    static FaultNetOptions fromEnv(int upstream_port);
 };
 
 /** The fault-injecting relay.  Construct, start(), eventually stop(). */

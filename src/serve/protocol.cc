@@ -225,7 +225,8 @@ checkJobSpec(const JobSpec &job, std::string *err)
 }
 
 bool
-parseRequest(std::string_view line, Request *out, std::string *err)
+parseRequest(std::string_view line, Request *out, std::string *err,
+             u64 default_budget)
 {
     std::string scratch;
     std::string &e = err ? *err : scratch;
@@ -315,7 +316,8 @@ parseRequest(std::string_view line, Request *out, std::string *err)
         if (!numAsU64(*m, ~u64{0} >> 11, &budget, &e, "max_retired"))
             return false;
     }
-    job.max_retired = effectiveBudget(job.sample.enabled(), budget);
+    job.max_retired =
+        effectiveBudget(job.sample.enabled(), budget, default_budget);
     // The budget is part of the machine's canonical identity, so the
     // cache key derived from cfg covers it.
     job.cfg.max_retired = job.max_retired;

@@ -70,7 +70,7 @@ struct JobSpec
     /** Resolved retirement budget (effectiveBudget() already applied,
      *  so identical effective requests share one cache key). */
     u64 max_retired = 0;
-    SampleParams sample;   ///< job-level sampling (env is ignored)
+    SampleParams sample;   ///< job-level sampling
     i64 priority = 0;      ///< larger = scheduled sooner
     /** Wall-clock budget from enqueue, milliseconds; 0 = the daemon's
      *  DMT_SERVE_DEADLINE_S default.  Not part of the cache key. */
@@ -88,11 +88,14 @@ struct Request
 };
 
 /**
- * Parse and validate one request line.
+ * Parse and validate one request line.  A run job that names no
+ * budget gets @p default_budget (ServeOptions::default_budget) through
+ * effectiveBudget().
  * @retval false with a description in @p err (when given); the caller
  * turns that into an error reply.
  */
-bool parseRequest(std::string_view line, Request *out, std::string *err);
+bool parseRequest(std::string_view line, Request *out, std::string *err,
+                  u64 default_budget = 0);
 
 /**
  * Apply a job-spec "config" override object onto @p cfg.  Accepts

@@ -4,15 +4,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
-
-#include <cstdlib>
 
 #include <cerrno>
 #include <cstring>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "exp/report.hh"
@@ -56,33 +52,6 @@ sendAll(int fd, const char *data, size_t n)
 
 } // namespace
 
-ServeOptions
-ServeOptions::fromEnv()
-{
-    ServeOptions o;
-    o.port = static_cast<int>(
-        parseEnvU64("DMT_SERVE_PORT", 1998, 0, 65535));
-    o.pool = static_cast<int>(parseEnvU64("DMT_SERVE_JOBS", 0, 0, 1024));
-    o.cache_entries = parseEnvU64("DMT_SERVE_CACHE", 4096, 0, 1u << 20);
-    o.drain_s = parseEnvF64("DMT_SERVE_DRAIN_S", 30.0, 0.0, 86400.0);
-    o.queue_max = parseEnvU64("DMT_SERVE_QUEUE", 1024, 0, 1u << 20);
-    o.deadline_s =
-        parseEnvF64("DMT_SERVE_DEADLINE_S", 0.0, 0.0, 86400.0);
-    if (const char *dir = std::getenv("DMT_SERVE_CACHE_DIR");
-        dir && *dir) {
-        // A misconfigured durable tier must fail loudly at startup,
-        // not degrade every later request into a spill warning.
-        if (::mkdir(dir, 0755) != 0 && errno != EEXIST)
-            fatal("DMT_SERVE_CACHE_DIR=\"%s\": cannot create: %s", dir,
-                  std::strerror(errno));
-        struct stat st{};
-        if (::stat(dir, &st) != 0 || !S_ISDIR(st.st_mode))
-            fatal("DMT_SERVE_CACHE_DIR=\"%s\": not a directory", dir);
-        o.cache_dir = dir;
-    }
-    return o;
-}
-
 Server::Conn::~Conn()
 {
     if (fd >= 0)
@@ -94,7 +63,7 @@ Server::Server(const ServeOptions &opts)
       cache_(static_cast<size_t>(opts.cache_entries), opts.cache_dir)
 {
     if (opts_.pool <= 0)
-        opts_.pool = sweepJobs();
+        opts_.pool = hardwareJobs();
 }
 
 Server::~Server()
@@ -217,7 +186,7 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     const u64 req_hash = fnv1aHash(line);
     Request req;
     std::string err;
-    if (!parseRequest(line, &req, &err)) {
+    if (!parseRequest(line, &req, &err, opts_.default_budget)) {
         bad_requests_.fetch_add(1);
         sendReply(conn,
                   errorReply(req.id, err, errkind::kBadRequest,

@@ -1,7 +1,7 @@
 /**
  * @file
  * The persistent simulation daemon: a local TCP front-end that turns
- * the deterministic runWorkload() funnel into a shared service.
+ * the deterministic runWorkloadJob() funnel into a shared service.
  *
  * Architecture (one process):
  *
@@ -13,8 +13,8 @@
  *                    priority job queue (larger priority first,
  *                          FIFO within a priority level)
  *                          ▼
- *                    worker pool (DMT_SERVE_JOBS, default the sweep
- *                          width) ──► ResultCache::getOrCompute
+ *                    worker pool (ServeOptions::pool, default the
+ *                          host's cores) ──► ResultCache::getOrCompute
  *                          ──► reply on the requesting connection
  *
  * Replies carry the byte-exact canonical RunResult JSON; the result
@@ -51,14 +51,16 @@
 namespace dmt
 {
 
-/** Daemon configuration, from the DMT_SERVE_* environment knobs. */
+/** Daemon configuration.  The daemon reads no environment: dmt_served
+ *  fills this from the DMT_SERVE_* knobs (cli/env.hh), and every job
+ *  carries its own machine config and sample spec. */
 struct ServeOptions
 {
     /** Listening port on 127.0.0.1; 0 picks an ephemeral port
      *  (reported by Server::port()).  Default 1998 — the paper's
      *  publication year. */
     int port = 1998;
-    /** Worker pool width; 0 = sweepJobs() (DMT_JOBS / hardware). */
+    /** Worker pool width; 0 = hardwareJobs(). */
     int pool = 0;
     /** Result-cache capacity in entries; 0 disables storage
      *  (single-flight dedup stays on). */
@@ -80,13 +82,10 @@ struct ServeOptions
      *  enqueue (DMT_SERVE_DEADLINE_S; a job's deadline_ms overrides).
      *  0 = no deadline. */
     double deadline_s = 0.0;
-
-    /** Strict parse of DMT_SERVE_PORT / DMT_SERVE_JOBS /
-     *  DMT_SERVE_CACHE / DMT_SERVE_DRAIN_S / DMT_SERVE_CACHE_DIR /
-     *  DMT_SERVE_QUEUE / DMT_SERVE_DEADLINE_S; garbage is fatal()
-     *  like every other DMT_* knob, and a cache directory that cannot
-     *  be created (or is not a directory) is fatal() too. */
-    static ServeOptions fromEnv();
+    /** Retirement budget for jobs that name none (DMT_BENCH_INSTR);
+     *  0 = runWorkloadJob()'s default.  Resolved before the cache key
+     *  (effectiveBudget()). */
+    u64 default_budget = 0;
 };
 
 /** The daemon.  Construct, start(), eventually requestDrain()+join(). */

@@ -1,10 +1,5 @@
 #include "trace/tracer.hh"
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
-#include "common/env.hh"
 #include "common/log.hh"
 #include "trace/chrome_sink.hh"
 #include "trace/counters_sink.hh"
@@ -77,60 +72,6 @@ Tracer::finish()
     finished_ = true;
     for (auto &snk : sinks_)
         snk->finish();
-}
-
-TraceOptions
-traceOptionsFromEnv(TraceOptions base)
-{
-    const char *spec = std::getenv("DMT_TRACE");
-    if (spec && *spec) {
-        std::string s(spec);
-        if (s == "0" || s == "off") {
-            base.enabled = false;
-        } else {
-            base.enabled = true;
-            // "1" keeps whatever the config selected (default: ring).
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty() || tok == "1" || tok == "on")
-                    continue;
-                if (tok == "ring")
-                    base.ring = true;
-                else if (tok == "chrome")
-                    base.chrome = true;
-                else if (tok == "counters")
-                    base.counters = true;
-                else if (tok == "insts")
-                    base.insts = true;
-                else
-                    warn("DMT_TRACE: unknown sink '%s' ignored",
-                         tok.c_str());
-            }
-        }
-    }
-
-    if (const char *file = std::getenv("DMT_TRACE_FILE"); file && *file)
-        base.chrome_file = file;
-    if (const char *file = std::getenv("DMT_TRACE_COUNTERS_FILE");
-        file && *file) {
-        base.counters_file = file;
-    }
-    base.sample_period = static_cast<int>(
-        parseEnvU64("DMT_TRACE_SAMPLE",
-                    static_cast<u64>(base.sample_period), 1, 1u << 30));
-    const u64 cap = parseEnvU64(
-        "DMT_TRACE_RING", static_cast<u64>(base.ring_capacity), 1,
-        1u << 30);
-    if (cap != static_cast<u64>(base.ring_capacity)) {
-        base.ring_capacity = static_cast<int>(cap);
-        base.ring = true;
-    }
-    return base;
 }
 
 } // namespace dmt

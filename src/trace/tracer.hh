@@ -96,19 +96,6 @@ class Tracer
     std::vector<std::unique_ptr<TraceSink>> sinks_;
 };
 
-/**
- * Apply environment overrides on top of @p base:
- *
- *  - DMT_TRACE: comma-separated sink list ("chrome", "ring",
- *    "counters", "insts"); "1" enables the default ring sink; "0" or
- *    "off" forces tracing off.
- *  - DMT_TRACE_FILE: Chrome trace output path.
- *  - DMT_TRACE_COUNTERS_FILE: counters sink output path.
- *  - DMT_TRACE_SAMPLE: cycles between counter samples.
- *  - DMT_TRACE_RING: ring sink capacity (events).
- */
-TraceOptions traceOptionsFromEnv(TraceOptions base);
-
 } // namespace dmt
 
 #endif // DMT_TRACE_TRACER_HH

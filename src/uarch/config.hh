@@ -153,8 +153,8 @@ struct SimConfig
     /** Verify every retired instruction against the golden model. */
     bool check_golden = true;
     /** Deadlock watchdog: panic (SimError + post-mortem) when no
-     *  instruction finally retires for this many cycles (0 = off);
-     *  DMT_WATCHDOG overrides at engine construction. */
+     *  instruction finally retires for this many cycles (0 = off;
+     *  binaries map DMT_WATCHDOG here, cli/env.hh). */
     u64 watchdog_cycles = 500000;
     /**
      * Absolute wall-clock deadline for this run (steady clock); a
@@ -176,19 +176,19 @@ struct SimConfig
     }
 
     // ---- robustness --------------------------------------------------------
-    /** Run the invariant auditor every this many cycles (0 = off);
-     *  DMT_AUDIT overrides at engine construction. */
+    /** Run the invariant auditor every this many cycles (0 = off;
+     *  binaries map DMT_AUDIT here). */
     int audit_period = 0;
     /** Where watchdog/audit failures write their JSON post-mortem
-     *  (empty = no file); DMT_CRASH_FILE overrides. */
+     *  (empty = no file; binaries map DMT_CRASH_FILE here). */
     std::string crash_file = "dmt_crash.json";
-    /** Fault injection configuration; DMT_FAULT et al. override at
-     *  engine construction (see fault/injector.hh). */
+    /** Fault injection configuration (binaries map DMT_FAULT et al.
+     *  here). */
     FaultOptions fault;
 
     // ---- telemetry ---------------------------------------------------------
-    /** Trace subsystem configuration; DMT_TRACE et al. override at
-     *  engine construction (see trace/tracer.hh). */
+    /** Trace subsystem configuration (binaries map DMT_TRACE et al.
+     *  here). */
     TraceOptions trace;
 
     /** True when this machine runs DMT (more than one context). */

@@ -18,10 +18,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli/env.hh"
 #include "common/log.hh"
 #include "dmt/engine.hh"
 #include "exp/sampled.hh"
@@ -34,22 +36,6 @@ namespace dmt
 {
 namespace
 {
-
-/** Knobs that would perturb the deterministic runs below must not
- *  leak in from the caller's environment. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
-            unsetenv(v);
-    }
-} env_sanitizer;
 
 std::string
 tempDir(const char *name)
@@ -299,29 +285,22 @@ TEST(Sampled, DeterministicAcrossCacheStates)
     EXPECT_GT(cold.sampling.ff_blocks_translated, 0u);
     EXPECT_GT(cold.sampling.ff_chain_hits, 0u);
 
-    const std::string dir = tempDir("persist");
-    setenv("DMT_CKPT_DIR", dir.c_str(), 1);
+    const std::string dir = "ckpt_test_persist";
+    std::filesystem::remove_all(dir);
+    setCheckpointDir(dir);
     clearCheckpointCache();
     const RunResult disk1 = runWorkloadSampled(cfg, "go", p);
     clearCheckpointCache(); // second run must reload from disk files
     const RunResult disk2 = runWorkloadSampled(cfg, "go", p);
-    unsetenv("DMT_CKPT_DIR");
+    setCheckpointDir("");
     clearCheckpointCache();
 
     EXPECT_EQ(cold.jsonString(), disk1.jsonString());
     EXPECT_EQ(cold.jsonString(), disk2.jsonString());
 
     // The checkpoint files really were written.
-    struct stat st{};
-    const std::string first = dir + "/go-50000.ckpt";
-    EXPECT_EQ(::stat(first.c_str(), &st), 0) << first;
-
-    for (u64 i = 1; i <= 4; ++i) {
-        const u64 pos = i * 50000 + (i - 1) * 2000;
-        std::remove((dir + "/go-" + std::to_string(pos) + ".ckpt")
-                        .c_str());
-    }
-    ::rmdir(dir.c_str());
+    EXPECT_TRUE(std::filesystem::exists(dir + "/go-50000.ckpt"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sampled, CoversWholeProgramAndStopsAtHalt)
@@ -409,7 +388,7 @@ TEST(Sampled, GeneratedFamilyCpiBracketsFullDetail)
     const SimConfig cfg = SimConfig::dmt(6, 2);
 
     clearCheckpointCache();
-    const RunResult full = runWorkload(cfg, spec, 2000000);
+    const RunResult full = runWorkloadJob(cfg, spec, 2000000, {});
     ASSERT_TRUE(full.completed);
     ASSERT_GT(full.retired, 200000u) << "workload too short to sample";
     const double full_cpi = static_cast<double>(full.cycles) /
@@ -438,7 +417,7 @@ TEST(Sampled, GeneratedFamilyCpiBracketsFullDetail)
 TEST(Sampled, EnvKnobParsing)
 {
     setenv("DMT_SAMPLE", "1000:200:300", 1);
-    SampleParams p = SampleParams::fromEnv();
+    SampleParams p = sampleParamsFromEnv();
     EXPECT_TRUE(p.enabled());
     EXPECT_EQ(p.skip, 1000u);
     EXPECT_EQ(p.warm, 200u);
@@ -446,11 +425,11 @@ TEST(Sampled, EnvKnobParsing)
     EXPECT_EQ(p.max_intervals, 0u);
 
     setenv("DMT_SAMPLE", "1000:200:300:7", 1);
-    p = SampleParams::fromEnv();
+    p = sampleParamsFromEnv();
     EXPECT_EQ(p.max_intervals, 7u);
 
     unsetenv("DMT_SAMPLE");
-    EXPECT_FALSE(SampleParams::fromEnv().enabled());
+    EXPECT_FALSE(sampleParamsFromEnv().enabled());
 }
 
 } // namespace

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
+#include "cli/env.hh"
 #include "common/rng.hh"
 #include "exp/conformance.hh"
 #include "exp/report.hh"
@@ -38,21 +38,6 @@ namespace dmt
 {
 namespace
 {
-
-/** Knobs that would perturb runs must not leak in from the caller. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
-            unsetenv(v);
-    }
-} env_sanitizer;
 
 /** Seeds per family (strict parse: garbage in the env is fatal). */
 int

@@ -3,8 +3,10 @@
  * Checked environment-knob parsing: the strict numeric parsers behind
  * every DMT_* knob must reject trailing garbage and overflow instead
  * of silently truncating (the old strtoull/atoi behaviour), and the
- * env readers must fatal() on malformed values rather than quietly
- * measuring the wrong configuration.
+ * env readers at the binary edge (cli/env.hh) must fatal() on
+ * malformed values rather than quietly measuring the wrong
+ * configuration.  The libraries themselves read no environment: runs
+ * and daemon replies are byte-identical whatever the DMT_* knobs say.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +16,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
 
+#include "cli/env.hh"
 #include "common/env.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
+#include "serve/client.hh"
 #include "serve/faultnet.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
@@ -173,8 +180,7 @@ clearFaultNetEnv()
 // ---------------------------------------------------------------------
 // DMT_SAMPLE spec parsing: the strict non-fatal SampleParams::parse()
 // layer the daemon relies on, the canonical rendering that feeds the
-// serve cache key, and the DMT_PHASE_* defaults that only fromEnv()
-// may consult.
+// serve cache key, and the fatal() edge reader.
 // ---------------------------------------------------------------------
 
 TEST(SampleSpec, PhaseParsesAndCanonicalizes)
@@ -251,75 +257,21 @@ TEST(SampleSpec, PhaseRejectionsAreStructuredErrors)
     EXPECT_FALSE(SampleParams::parse("phase:0:1:2", &p, nullptr));
 }
 
-TEST(SampleEnv, PhaseKnobsFillOnlyOmittedFields)
-{
-    setenv("DMT_PHASE_K", "5", 1);
-    setenv("DMT_PHASE_DIMS", "32", 1);
-    setenv("DMT_PHASE_SEED", "7", 1);
-
-    setenv("DMT_SAMPLE", "phase:20000:500:1500", 1);
-    SampleParams p = SampleParams::fromEnv();
-    EXPECT_EQ(p.phase.max_k, 5u);
-    EXPECT_EQ(p.phase.dims, 32u);
-    EXPECT_EQ(p.phase.seed, 7u);
-
-    // An explicit spec field always beats its env default.
-    setenv("DMT_SAMPLE", "phase:20000:500:1500:9", 1);
-    p = SampleParams::fromEnv();
-    EXPECT_EQ(p.phase.max_k, 9u);
-    EXPECT_EQ(p.phase.dims, 32u);
-    EXPECT_EQ(p.phase.seed, 7u);
-
-    setenv("DMT_SAMPLE", "phase:20000:500:1500:9:8:1", 1);
-    p = SampleParams::fromEnv();
-    EXPECT_EQ(p.phase.max_k, 9u);
-    EXPECT_EQ(p.phase.dims, 8u);
-    EXPECT_EQ(p.phase.seed, 1u);
-
-    // The env knobs never touch uniform specs or direct parse() calls.
-    setenv("DMT_SAMPLE", "1000:200:300", 1);
-    p = SampleParams::fromEnv();
-    EXPECT_FALSE(p.phaseMode());
-    std::string err;
-    ASSERT_TRUE(
-        SampleParams::parse("phase:20000:500:1500", &p, &err)) << err;
-    EXPECT_EQ(p.phase.max_k, 8u)
-        << "parse() must stay hermetic for daemon job specs";
-
-    unsetenv("DMT_SAMPLE");
-    unsetenv("DMT_PHASE_K");
-    unsetenv("DMT_PHASE_DIMS");
-    unsetenv("DMT_PHASE_SEED");
-}
-
 TEST(SampleEnvDeath, PhaseGarbageAndRangeAreFatal)
 {
     setenv("DMT_SAMPLE", "phase:abc:1:2", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "DMT_SAMPLE");
+    EXPECT_DEATH(sampleParamsFromEnv(), "DMT_SAMPLE");
     setenv("DMT_SAMPLE", "phase:0:1:2", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "interval length");
+    EXPECT_DEATH(sampleParamsFromEnv(), "interval length");
     setenv("DMT_SAMPLE", "phase:100:5:10:99", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "maxk");
-
-    setenv("DMT_SAMPLE", "phase:20000:500:1500", 1);
-    setenv("DMT_PHASE_K", "5x", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "DMT_PHASE_K");
-    setenv("DMT_PHASE_K", "0", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "out of range");
-    unsetenv("DMT_PHASE_K");
-    setenv("DMT_PHASE_DIMS", "257", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "out of range");
-    unsetenv("DMT_PHASE_DIMS");
-    setenv("DMT_PHASE_SEED", "4two", 1);
-    EXPECT_DEATH(SampleParams::fromEnv(), "DMT_PHASE_SEED");
-    unsetenv("DMT_PHASE_SEED");
+    EXPECT_DEATH(sampleParamsFromEnv(), "maxk");
     unsetenv("DMT_SAMPLE");
 }
 
 TEST(ServeEnv, DefaultsWhenUnset)
 {
     clearServeEnv();
-    const ServeOptions o = ServeOptions::fromEnv();
+    const ServeOptions o = serveOptionsFromEnv();
     EXPECT_EQ(o.port, 1998);
     EXPECT_EQ(o.pool, 0) << "0 = sweep pool width";
     EXPECT_EQ(o.cache_entries, 4096u);
@@ -337,7 +289,7 @@ TEST(ServeEnv, ReadsValidValues)
     setenv("DMT_SERVE_DRAIN_S", "1.5", 1);
     setenv("DMT_SERVE_QUEUE", "8", 1);
     setenv("DMT_SERVE_DEADLINE_S", "2.5", 1);
-    const ServeOptions o = ServeOptions::fromEnv();
+    const ServeOptions o = serveOptionsFromEnv();
     EXPECT_EQ(o.port, 0) << "0 = ephemeral port";
     EXPECT_EQ(o.pool, 4);
     EXPECT_EQ(o.cache_entries, 0u) << "0 = storage off, dedup on";
@@ -353,10 +305,10 @@ TEST(ServeEnv, CacheDirIsCreatedAndAccepted)
     const char *dir = "serve_env_cache_dir";
     ::rmdir(dir);
     setenv("DMT_SERVE_CACHE_DIR", dir, 1);
-    const ServeOptions o = ServeOptions::fromEnv();
+    const ServeOptions o = serveOptionsFromEnv();
     EXPECT_EQ(o.cache_dir, dir);
     struct stat st{};
-    EXPECT_EQ(::stat(dir, &st), 0) << "fromEnv must create the dir";
+    EXPECT_EQ(::stat(dir, &st), 0) << "the reader must create the dir";
     EXPECT_TRUE(S_ISDIR(st.st_mode));
     clearServeEnv();
     ::rmdir(dir);
@@ -366,18 +318,18 @@ TEST(ServeEnvDeath, GarbageIsFatal)
 {
     clearServeEnv();
     setenv("DMT_SERVE_PORT", "http", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_PORT");
+    EXPECT_DEATH(serveOptionsFromEnv(), "DMT_SERVE_PORT");
     setenv("DMT_SERVE_PORT", "1998x", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_PORT");
+    EXPECT_DEATH(serveOptionsFromEnv(), "DMT_SERVE_PORT");
     unsetenv("DMT_SERVE_PORT");
     setenv("DMT_SERVE_DRAIN_S", "soon", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_DRAIN_S");
+    EXPECT_DEATH(serveOptionsFromEnv(), "DMT_SERVE_DRAIN_S");
     unsetenv("DMT_SERVE_DRAIN_S");
     setenv("DMT_SERVE_QUEUE", "many", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_QUEUE");
+    EXPECT_DEATH(serveOptionsFromEnv(), "DMT_SERVE_QUEUE");
     unsetenv("DMT_SERVE_QUEUE");
     setenv("DMT_SERVE_DEADLINE_S", "5s", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "DMT_SERVE_DEADLINE_S");
+    EXPECT_DEATH(serveOptionsFromEnv(), "DMT_SERVE_DEADLINE_S");
     clearServeEnv();
 }
 
@@ -385,16 +337,16 @@ TEST(ServeEnvDeath, RangeIsEnforced)
 {
     clearServeEnv();
     setenv("DMT_SERVE_PORT", "70000", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
+    EXPECT_DEATH(serveOptionsFromEnv(), "out of range");
     unsetenv("DMT_SERVE_PORT");
     setenv("DMT_SERVE_JOBS", "5000", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
+    EXPECT_DEATH(serveOptionsFromEnv(), "out of range");
     unsetenv("DMT_SERVE_JOBS");
     setenv("DMT_SERVE_DRAIN_S", "-1", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
+    EXPECT_DEATH(serveOptionsFromEnv(), "out of range");
     unsetenv("DMT_SERVE_DRAIN_S");
     setenv("DMT_SERVE_DEADLINE_S", "-0.5", 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "out of range");
+    EXPECT_DEATH(serveOptionsFromEnv(), "out of range");
     clearServeEnv();
 }
 
@@ -406,7 +358,7 @@ TEST(ServeEnvDeath, CacheDirThatIsAFileIsFatal)
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     setenv("DMT_SERVE_CACHE_DIR", path, 1);
-    EXPECT_DEATH(ServeOptions::fromEnv(), "not a directory");
+    EXPECT_DEATH(serveOptionsFromEnv(), "not a directory");
     clearServeEnv();
     std::remove(path);
 }
@@ -414,7 +366,7 @@ TEST(ServeEnvDeath, CacheDirThatIsAFileIsFatal)
 TEST(FaultNetEnv, DefaultsWhenUnset)
 {
     clearFaultNetEnv();
-    const FaultNetOptions o = FaultNetOptions::fromEnv(1998);
+    const FaultNetOptions o = faultNetOptionsFromEnv(1998);
     EXPECT_EQ(o.upstream_port, 1998);
     EXPECT_EQ(o.listen_port, 0) << "proxy always picks an ephemeral "
                                    "port";
@@ -429,7 +381,7 @@ TEST(FaultNetEnv, ReadsValidValues)
     setenv("DMT_FAULTNET_RATE", "0.25", 1);
     setenv("DMT_FAULTNET_SEED", "42", 1);
     setenv("DMT_FAULTNET_STALL_MS", "7", 1);
-    const FaultNetOptions o = FaultNetOptions::fromEnv(1998);
+    const FaultNetOptions o = faultNetOptionsFromEnv(1998);
     EXPECT_DOUBLE_EQ(o.rate, 0.25);
     EXPECT_EQ(o.seed, 42u);
     EXPECT_EQ(o.stall_ms, 7u);
@@ -539,21 +491,102 @@ TEST(FaultNetEnvDeath, GarbageAndRangeAreFatal)
 {
     clearFaultNetEnv();
     setenv("DMT_FAULTNET_RATE", "lots", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "DMT_FAULTNET_RATE");
+    EXPECT_DEATH(faultNetOptionsFromEnv(1998), "DMT_FAULTNET_RATE");
     setenv("DMT_FAULTNET_RATE", "1.5", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "out of range");
+    EXPECT_DEATH(faultNetOptionsFromEnv(1998), "out of range");
     unsetenv("DMT_FAULTNET_RATE");
     setenv("DMT_FAULTNET_SEED", "0x29", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "DMT_FAULTNET_SEED");
+    EXPECT_DEATH(faultNetOptionsFromEnv(1998), "DMT_FAULTNET_SEED");
     unsetenv("DMT_FAULTNET_SEED");
     setenv("DMT_FAULTNET_STALL_MS", "90000", 1);
-    EXPECT_DEATH(FaultNetOptions::fromEnv(1998), "out of range");
+    EXPECT_DEATH(faultNetOptionsFromEnv(1998), "out of range");
     unsetenv("DMT_FAULTNET_STALL_MS");
     setenv("DMT_FAULTNET", "yes", 1);
     EXPECT_DEATH(parseEnvU64("DMT_FAULTNET", 0, 0, 1), "DMT_FAULTNET");
     setenv("DMT_FAULTNET", "2", 1);
     EXPECT_DEATH(parseEnvU64("DMT_FAULTNET", 0, 0, 1), "out of range");
     clearFaultNetEnv();
+}
+
+// ---------------------------------------------------------------------
+// One input surface: the edge maps every engine knob into its
+// SimConfig field, and nothing below the edge reads the environment.
+// ---------------------------------------------------------------------
+
+TEST(EngineEnv, MapsEachKnobIntoItsSimConfigField)
+{
+    const char *const knobs[][2] = {
+        {"DMT_WATCHDOG", "77"},        {"DMT_AUDIT", "5"},
+        {"DMT_CRASH_FILE", "pm.json"}, {"DMT_TRACE", "ring"},
+        {"DMT_TRACE_FILE", "t.json"},  {"DMT_TRACE_COUNTERS_FILE", "c.json"},
+        {"DMT_TRACE_SAMPLE", "64"},    {"DMT_TRACE_RING", "99"},
+        {"DMT_FAULT", "all"},          {"DMT_FAULT_RATE", "0.25"},
+        {"DMT_FAULT_SEED", "5"},
+    };
+    for (const auto &k : knobs)
+        setenv(k[0], k[1], 1);
+    const SimConfig c = simConfigFromEnv(SimConfig::dmt(6, 2));
+    for (const auto &k : knobs)
+        unsetenv(k[0]);
+
+    EXPECT_EQ(c.watchdog_cycles, 77u);
+    EXPECT_EQ(c.audit_period, 5);
+    EXPECT_EQ(c.crash_file, "pm.json");
+    EXPECT_TRUE(c.trace.enabled && c.trace.ring);
+    EXPECT_EQ(c.trace.chrome_file, "t.json");
+    EXPECT_EQ(c.trace.counters_file, "c.json");
+    EXPECT_EQ(c.trace.sample_period, 64);
+    EXPECT_EQ(c.trace.ring_capacity, 99);
+    EXPECT_TRUE(c.fault.enabled);
+    for (double rate : c.fault.rate)
+        EXPECT_DOUBLE_EQ(rate, 0.25);
+    EXPECT_EQ(c.fault.seed, 5u);
+}
+
+/** The canonical bytes of a direct go run and of an in-process
+ *  daemon's reply to the same job. */
+std::pair<std::string, std::string>
+directAndServed()
+{
+    JobSpec job;
+    job.workload = "go";
+    job.cfg = SimConfig::dmt(6, 2);
+    job.max_retired = 20000;
+    const RunResult direct =
+        runWorkloadJob(job.cfg, job.workload, job.max_retired, {});
+
+    ServeOptions so;
+    so.port = 0;
+    so.pool = 1;
+    Server srv(so);
+    std::string err, raw;
+    EXPECT_TRUE(srv.start(&err)) << err;
+    ServeClient c;
+    JsonValue reply;
+    EXPECT_TRUE(c.connect(srv.port(), &err, 2.0)) << err;
+    EXPECT_TRUE(c.request(runRequestLine(1, job), &reply, &err)) << err;
+    EXPECT_TRUE(extractRawResult(c.lastLine(), &raw)) << c.lastLine();
+    return {direct.jsonString(), raw};
+}
+
+TEST(Hermetic, RunsAndRepliesIgnoreTheEnvironment)
+{
+    // Each knob would change or abort the run if a library read it.
+    const char *const knobs[][2] = {
+        {"DMT_FAULT", "all"},       {"DMT_FAULT_RATE", "0.05"},
+        {"DMT_WATCHDOG", "1"},      {"DMT_AUDIT", "1"},
+        {"DMT_TRACE", "ring"},      {"DMT_SAMPLE", "1000:200:300"},
+        {"DMT_BENCH_INSTR", "2000"},
+    };
+    const auto clean = directAndServed();
+    EXPECT_EQ(clean.first, clean.second);
+    for (const auto &k : knobs)
+        setenv(k[0], k[1], 1);
+    const auto dirty = directAndServed();
+    for (const auto &k : knobs)
+        unsetenv(k[0]);
+    EXPECT_EQ(dirty.first, clean.first) << "runWorkloadJob read the env";
+    EXPECT_EQ(dirty.second, clean.second) << "the daemon read the env";
 }
 
 } // namespace

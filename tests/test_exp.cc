@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cli/env.hh"
+#include "common/log.hh"
 #include "dmt/engine.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
@@ -106,14 +108,20 @@ TEST(PaperConfig, ValidationCatchesNonsense)
     c2.tb_size = 2;
     EXPECT_NE(c2.validate().find("trace buffer"), std::string::npos);
 
-    // The engine turns the first violated rule into a fatal() exit.
+    // The engine throws SimError with the first violated rule; the
+    // library never exits the process.
     const Program prog = buildWorkload("go");
-    EXPECT_DEATH({ DmtEngine e(c, prog); }, "max_threads");
+    try {
+        DmtEngine e(c, prog);
+        ADD_FAILURE() << "an invalid config must not build an engine";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.what(), c.validate());
+    }
 }
 
 TEST(Runner, RespectsBudget)
 {
-    const RunResult r = runWorkload(exp::baseline(), "go", 5000);
+    const RunResult r = runWorkloadJob(exp::baseline(), "go", 5000, {});
     EXPECT_GE(r.retired, 5000u);
     EXPECT_LT(r.retired, 5200u);
     EXPECT_FALSE(r.completed);

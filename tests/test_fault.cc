@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "cli/env.hh"
 #include "dmt/engine.hh"
 #include "fault/injector.hh"
 #include "fuzz_corpus.hh"

@@ -31,21 +31,6 @@ namespace
 /** The signature length: fixed, independent of DMT_BENCH_INSTR. */
 constexpr u64 kGoldenBudget = 60000;
 
-/** Knobs that would perturb the signatures must not leak in from the
- *  caller's environment. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
-            unsetenv(v);
-    }
-} env_sanitizer;
 
 struct Machine
 {
@@ -305,8 +290,8 @@ TEST(Golden, GeneratedPerturbationIsDetected)
 {
     // The comparator must be as airtight on generated workloads as on
     // the suite: one cycle of drift on a gen: spec fails.
-    const RunResult r = runWorkload(SimConfig::dmt(4, 2),
-                                    genPinned()[1].spec, 5000);
+    const RunResult r = runWorkloadJob(SimConfig::dmt(4, 2),
+                                       genPinned()[1].spec, 5000, {});
 
     JsonWriter w;
     signatureOn(w, r);
@@ -326,7 +311,7 @@ TEST(Golden, OneCyclePerturbationIsDetected)
 {
     // The comparator itself must be airtight: serialize a run's own
     // signature, nudge the cycle count by one, and demand a diff.
-    const RunResult r = runWorkload(SimConfig::dmt(4, 2), "go", 5000);
+    const RunResult r = runWorkloadJob(SimConfig::dmt(4, 2), "go", 5000, {});
 
     JsonWriter w;
     signatureOn(w, r);

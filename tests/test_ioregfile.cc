@@ -17,7 +17,7 @@
 
 #include "dmt/engine.hh"
 #include "exp/experiments.hh"
-#include "exp/runner.hh"
+#include "exp/sampled.hh"
 #include "sim/functional.hh"
 #include "workloads/workloads.hh"
 
@@ -162,7 +162,7 @@ TEST(IoRegFile, SpawnSnapshotAndWritebackDelivery)
 
 TEST(IoRegFile, Figure11AccountingIsCoherent)
 {
-    const RunResult r = runWorkload(exp::fig11Dmt(), "gcc", 20000);
+    const RunResult r = runWorkloadJob(exp::fig11Dmt(), "gcc", 20000, {});
     const DmtStats &s = r.stats;
     EXPECT_GT(s.inputs_used.value(), 0u);
     EXPECT_LE(s.inputs_hit.value(), s.inputs_used.value());
@@ -178,14 +178,14 @@ TEST(IoRegFile, SpawnInputStormIsRepairedByFinalCheck)
     // Corrupt value-predicted inputs at spawn: the head-switch
     // comparison against the architectural registers must catch every
     // consumed wrong value and file recovery walks, so the run still
-    // completes with a golden retirement stream (runWorkload panics on
+    // completes with a golden retirement stream (runWorkloadJob panics on
     // any mismatch).
     SimConfig cfg = SimConfig::dmt(4, 2);
     cfg.fault.enabled = true;
     cfg.fault.seed = 3;
     cfg.fault.rate[static_cast<int>(FaultSite::SpawnInput)] = 0.05;
 
-    const RunResult r = runWorkload(cfg, "gcc", 20000);
+    const RunResult r = runWorkloadJob(cfg, "gcc", 20000, {});
     EXPECT_GT(r.stats.recoveries.value(), 0u)
         << "a 5% spawn-input corruption rate must trigger recovery";
     EXPECT_GT(r.retired, 0u);

@@ -13,7 +13,7 @@
 
 #include "dmt/lookahead.hh"
 #include "exp/experiments.hh"
-#include "exp/runner.hh"
+#include "exp/sampled.hh"
 
 namespace dmt
 {
@@ -129,7 +129,7 @@ TEST(Lookahead, BaselineHasExactlyZeroLookahead)
 {
     // "identically zero on a single-threaded machine, which is the
     // paper's point."
-    const RunResult r = runWorkload(SimConfig::baseline(), "go", 8000);
+    const RunResult r = runWorkloadJob(SimConfig::baseline(), "go", 8000, {});
     EXPECT_EQ(r.stats.la_fetch_beyond_mispredict.value(), 0u);
     EXPECT_EQ(r.stats.la_exec_beyond_mispredict.value(), 0u);
     EXPECT_EQ(r.stats.la_fetch_beyond_imiss.value(), 0u);
@@ -141,7 +141,7 @@ TEST(Lookahead, DmtLooksPastMispredictedBranches)
     // The branchy go kernel on the 6-thread machine must exhibit
     // fetch-beyond-mispredict, and executed lookahead can never exceed
     // fetched lookahead (execution follows fetch).
-    const RunResult r = runWorkload(exp::fig89Dmt(), "go", 20000);
+    const RunResult r = runWorkloadJob(exp::fig89Dmt(), "go", 20000, {});
     EXPECT_GT(r.stats.la_fetch_beyond_mispredict.value(), 0u);
     EXPECT_GE(r.stats.la_fetch_beyond_mispredict.value(),
               r.stats.la_exec_beyond_mispredict.value());

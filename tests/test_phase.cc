@@ -40,22 +40,6 @@ namespace dmt
 namespace
 {
 
-/** Knobs that would perturb the deterministic runs below must not
- *  leak in from the caller's environment. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR", "DMT_PHASE_K", "DMT_PHASE_DIMS", "DMT_PHASE_SEED"})
-            unsetenv(v);
-    }
-} env_sanitizer;
-
 /** The phase spec used by the determinism/golden/daemon tests. */
 SampleParams
 phaseParams(const std::string &spec)
@@ -386,7 +370,7 @@ TEST(PhaseSampled, CpiBracketsFullDetail)
     const SimConfig cfg = SimConfig::dmt(6, 2);
 
     clearAllCaches();
-    const RunResult full = runWorkload(cfg, spec, 2000000);
+    const RunResult full = runWorkloadJob(cfg, spec, 2000000, {});
     ASSERT_TRUE(full.completed);
     ASSERT_GT(full.retired, 200000u) << "workload too short to sample";
     const double full_cpi = static_cast<double>(full.cycles) /

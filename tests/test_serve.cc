@@ -5,8 +5,8 @@
  * protocol's strict no-fatal() validation, the content-addressed
  * result cache with single-flight dedup, and finally a live daemon on
  * an ephemeral port proving the headline contract — cached, queued and
- * freshly computed answers are byte-identical to direct runWorkload()
- * calls.
+ * freshly computed answers are byte-identical to direct
+ * runWorkloadJob() calls.
  */
 
 #include <gtest/gtest.h>
@@ -270,30 +270,30 @@ TEST(Protocol, RejectsWhatValidateRejects)
 
 TEST(Protocol, BudgetDefaultsMatchLocalRuns)
 {
-    setenv("DMT_BENCH_INSTR", "4321", 1);
+    constexpr u64 kDefault = 4321; // ServeOptions::default_budget
     Request req;
     std::string err;
     ASSERT_TRUE(parseRequest(
-        "{\"op\":\"run\",\"job\":{\"workload\":\"go\"}}", &req, &err))
+        "{\"op\":\"run\",\"job\":{\"workload\":\"go\"}}", &req, &err,
+        kDefault))
         << err;
     EXPECT_EQ(req.job.max_retired, 4321u)
-        << "detailed default is benchRunLength()";
+        << "detailed default is the daemon's default budget";
     EXPECT_EQ(req.job.cfg.max_retired, 4321u)
         << "the resolved budget must be folded into the cache identity";
 
     ASSERT_TRUE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
                              "\"go\",\"sample\":\"1000:100:200\"}}",
-                             &req, &err))
+                             &req, &err, kDefault))
         << err;
     EXPECT_EQ(req.job.max_retired, 4321u)
-        << "sampled default is DMT_BENCH_INSTR";
-    unsetenv("DMT_BENCH_INSTR");
+        << "sampled default is the daemon's default budget";
 
     ASSERT_TRUE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
                              "\"go\",\"sample\":\"1000:100:200\"}}",
                              &req, &err));
     EXPECT_EQ(req.job.max_retired, 0u)
-        << "sampled with no knob = whole program";
+        << "sampled with no default budget = whole program";
 }
 
 TEST(Protocol, ExtractRawResult)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/env.hh"
 #include "common/json.hh"
 #include "exp/experiments.hh"
 #include "exp/sweep.hh"
@@ -32,13 +33,13 @@ someWorkloads()
     return w;
 }
 
-/** Serial reference: plain runWorkload(), no pool involved. */
+/** Serial reference: plain runWorkloadJob(), no pool involved. */
 std::vector<std::string>
 serialJson(const SimConfig &cfg)
 {
     std::vector<std::string> docs;
     for (const std::string &w : someWorkloads())
-        docs.push_back(runWorkload(cfg, w, kBudget).jsonString());
+        docs.push_back(runWorkloadJob(cfg, w, kBudget, {}).jsonString());
     return docs;
 }
 
@@ -167,8 +168,10 @@ TEST(Sweep, RespectsDmtJobsEnv)
 {
     setenv("DMT_JOBS", "3", 1);
     EXPECT_EQ(sweepJobs(), 3);
-    SweepRunner runner;
+    SweepRunner runner(sweepJobs());
     EXPECT_EQ(runner.poolWidth(), 3);
+    EXPECT_EQ(SweepRunner().poolWidth(), hardwareJobs())
+        << "width 0 is the host's cores; the library reads no DMT_JOBS";
     unsetenv("DMT_JOBS");
     EXPECT_GE(sweepJobs(), 1);
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <map>
 
+#include "cli/env.hh"
 #include "common/json.hh"
 #include "dmt/engine.hh"
 #include "trace/chrome_sink.hh"

@@ -19,7 +19,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/env.hh"
+#include "cli/env.hh"
 #include "common/rng.hh"
 #include "sim/functional.hh"
 #include "sim/functional_core.hh"
@@ -31,22 +31,6 @@ namespace dmt
 {
 namespace
 {
-
-/** Knobs that would perturb the differential runs below must not leak
- *  in from the caller's environment. */
-const struct EnvSanitizer
-{
-    EnvSanitizer()
-    {
-        for (const char *v :
-             {"DMT_FAULT", "DMT_FAULT_RATE", "DMT_FAULT_SEED",
-              "DMT_TRACE", "DMT_TRACE_FILE", "DMT_TRACE_COUNTERS_FILE",
-              "DMT_TRACE_SAMPLE", "DMT_TRACE_RING", "DMT_WATCHDOG",
-              "DMT_AUDIT", "DMT_BENCH_INSTR", "DMT_SAMPLE",
-              "DMT_CKPT_DIR"})
-            unsetenv(v);
-    }
-} env_sanitizer;
 
 /** Seeds per family (same knob as the conformance sweep). */
 int
