@@ -252,13 +252,10 @@ benchMain()
         const TranslationStats &xs = xlat.xstats;
         std::fprintf(
             stderr,
-            "translation cache: %llu block(s) translated (%llu "
-            "retranslation(s), %llu eviction(s)), %llu chain hit(s) / "
-            "%llu miss(es), %llu indirect hit(s) / %llu miss(es), "
-            "%llu block(s) executed\n",
+            "translation cache: %llu block(s) translated, %llu chain "
+            "hit(s) / %llu miss(es), %llu indirect hit(s) / %llu "
+            "miss(es), %llu block(s) executed\n",
             static_cast<unsigned long long>(xs.blocks_translated),
-            static_cast<unsigned long long>(xs.retranslations),
-            static_cast<unsigned long long>(xs.evictions),
             static_cast<unsigned long long>(xs.chain_hits),
             static_cast<unsigned long long>(xs.chain_misses),
             static_cast<unsigned long long>(xs.indirect_hits),
@@ -314,8 +311,6 @@ benchMain()
     w.key("cache");
     w.beginObject();
     w.key("blocks_translated").value(xlat.xstats.blocks_translated);
-    w.key("retranslations").value(xlat.xstats.retranslations);
-    w.key("evictions").value(xlat.xstats.evictions);
     w.key("chain_hits").value(xlat.xstats.chain_hits);
     w.key("chain_misses").value(xlat.xstats.chain_misses);
     w.key("indirect_hits").value(xlat.xstats.indirect_hits);

@@ -41,7 +41,6 @@ class Gshare
         return ((history << 1) | (taken ? 1u : 0u)) & history_mask;
     }
 
-    int historyBits() const { return history_bits; }
     void reset();
 
   private:

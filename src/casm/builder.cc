@@ -251,12 +251,6 @@ AsmBuilder::la(LogReg rd, Label data_label)
     emit({Opcode::ORI, rd, rd, 0, 0});
 }
 
-void
-AsmBuilder::laAddr(LogReg rd, Addr addr)
-{
-    li(rd, addr);
-}
-
 void AsmBuilder::move(LogReg rd, LogReg rs) { add(rd, rs, reg::zero); }
 void AsmBuilder::nop() { emit(makeNop()); }
 void AsmBuilder::halt() { emit(makeHalt()); }

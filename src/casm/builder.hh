@@ -130,7 +130,6 @@ class AsmBuilder
 
     void li(LogReg rd, u32 value);
     void la(LogReg rd, Label data_label);
-    void laAddr(LogReg rd, Addr addr);
     void move(LogReg rd, LogReg rs);
     void nop();
     void halt();

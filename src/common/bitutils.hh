@@ -57,18 +57,6 @@ floorLog2(u64 value)
     return result;
 }
 
-/** Fold a 32-bit value down to @p bits_out bits by xor-folding. */
-constexpr u32
-foldXor(u32 value, int bits_out)
-{
-    u32 result = 0;
-    while (value != 0) {
-        result ^= value & ((1u << bits_out) - 1u);
-        value >>= bits_out;
-    }
-    return result;
-}
-
 } // namespace dmt
 
 #endif // DMT_COMMON_BITUTILS_HH

@@ -95,7 +95,6 @@ class JsonValue
                       std::string *err = nullptr);
 
     Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
 
     bool asBool() const;
     double asNumber() const;

@@ -1,6 +1,5 @@
 #include "common/log.hh"
 
-#include <atomic>
 #include <cstdio>
 
 namespace dmt
@@ -8,10 +7,6 @@ namespace dmt
 
 namespace
 {
-
-// Read from sweep worker threads; atomic so a harness toggling
-// quietness while a pool is running stays well-defined.
-std::atomic<bool> quietFlag{false};
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)
@@ -78,8 +73,6 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (quietFlag)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
@@ -89,8 +82,6 @@ warn(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (quietFlag)
-        return;
     va_list ap;
     va_start(ap, fmt);
     vreport("info", fmt, ap);
@@ -113,18 +104,6 @@ panicAssert(const char *cond, const char *file, int line, const char *fmt,
     std::fprintf(stderr, "panic: %s\n", msg.c_str());
     std::fflush(stderr);
     throw SimError(std::move(msg));
-}
-
-void
-setLogQuiet(bool quiet)
-{
-    quietFlag = quiet;
-}
-
-bool
-logQuiet()
-{
-    return quietFlag;
 }
 
 } // namespace dmt

@@ -79,12 +79,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Suppress warn()/inform() output (used by quiet benchmark runs). */
-void setLogQuiet(bool quiet);
-
-/** @return true when warn()/inform() are suppressed. */
-bool logQuiet();
-
 /** Implementation helper for DMT_ASSERT; never call directly. */
 [[noreturn]] void panicAssert(const char *cond, const char *file, int line,
                               const char *fmt, ...)

@@ -22,8 +22,7 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
       prf(cfg_.physRegCount()),
       lsq(cfg_.lqSize(), cfg_.sqSize(), cfg_.max_threads),
       tree(cfg_.max_threads),
-      spawn_pred(cfg_.spawn_table_bits, cfg_.max_threads,
-                 cfg_.min_thread_size),
+      spawn_pred(kSpawnTableBits, cfg_.max_threads, kMinThreadSize),
       df_pred(),
       fus(cfg_.unlimited_fus, cfg_.fus, cfg_.lat_div)
 {

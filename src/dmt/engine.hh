@@ -113,9 +113,6 @@ class DmtEngine : public OrderOracle
     /** Cache hierarchy (for cache statistics). */
     const MemHierarchy &hierarchy() const { return hier; }
 
-    /** Number of currently active thread contexts. */
-    int activeThreads() const { return tree.size(); }
-
     /** Telemetry front door (sink injection, ring readback). */
     Tracer &tracer() { return tracer_; }
 
@@ -134,6 +131,19 @@ class DmtEngine : public OrderOracle
     friend class EngineInspector;   // white-box testing hook
     friend class InvariantAuditor;  // structural invariant sweeps
     friend class Postmortem;        // crash-dump state snapshotter
+
+    // ---- fixed machine parameters (no configuration varies them) ------
+    /** log2 of the thread-selection counter table. */
+    static constexpr int kSpawnTableBits = 12;
+    /** Threads below this retired size reset their selection counter. */
+    static constexpr int kMinThreadSize = 12;
+    /** Minimum speculative-overlap fraction before counter reset. */
+    static constexpr double kMinOverlapFrac = 0.10;
+    /** Cycles from fetch to dispatch (decode+rename depth). */
+    static constexpr int kFrontendDepth = 3;
+    /** Recovery re-dispatch width into the rename unit (per thread —
+     *  each trace buffer has its own recovery pipe). */
+    static constexpr int kRecoveryDispatchWidth = 4;
 
     // ---- pipeline stages (one file each) --------------------------------
     void doWriteback();

@@ -720,7 +720,7 @@ DmtEngine::doRecovery()
     for (ThreadId tid : order) {
         ThreadContext &t = ctx(tid);
         if (t.active && t.recov.busy()) {
-            int budget = cfg.recovery_dispatch_width;
+            int budget = kRecoveryDispatchWidth;
             recoveryStepThread(t, budget);
         }
     }

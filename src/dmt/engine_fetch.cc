@@ -66,7 +66,7 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
         fi.inst = inst;
         fi.pc = t.pc;
         fi.fetch_cycle = now_;
-        fi.ready_cycle = now_ + static_cast<Cycle>(cfg.frontend_depth);
+        fi.ready_cycle = now_ + static_cast<Cycle>(kFrontendDepth);
         fi.imiss_episode = t.pending_imiss_episode;
         t.pending_imiss_episode = 0;
 

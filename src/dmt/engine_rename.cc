@@ -121,10 +121,6 @@ DmtEngine::allocateContext(ThreadContext &parent)
     const ThreadId lowest = tree.last();
     if (lowest == parent.id)
         return kNoThread;
-    if (now_ - ctx(lowest).spawn_cycle
-        < static_cast<Cycle>(cfg.preempt_min_age)) {
-        return kNoThread; // damp preemption thrash
-    }
     DMT_ASSERT(tree.leaf(lowest), "order-list tail has children");
     squashThread(ctx(lowest));
     return lowest;
@@ -144,7 +140,6 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
     c.start_pc = c.pc = start_pc;
     c.spawn_point_pc = entry.pc;
     c.is_loop_thread = is_loop;
-    c.spawn_cycle = now_;
     c.was_spawned = true;
 
     // Sequencing state: cleared history, RAS copied from the spawner at
@@ -266,15 +261,6 @@ DmtEngine::trySpawn(ThreadContext &parent, TBEntry &entry,
 
     if (!prog.validTextAddr(start))
         return;
-    if (cfg.max_same_start > 0) {
-        int same = 0;
-        for (ThreadId tid : tree.order()) {
-            if (ctx(tid).start_pc == start)
-                ++same;
-        }
-        if (same >= cfg.max_same_start)
-            return;
-    }
     bool selected = spawn_pred.selected(start);
     // Fault injection: flip the thread-selection decision.  A spurious
     // spawn is cleaned up by join validation / the thread-misprediction

@@ -367,13 +367,13 @@ DmtEngine::fullyRetireThread(ThreadContext &t)
             : static_cast<double>(t.exec_while_spec)
                   / static_cast<double>(t.exec_total);
         const bool too_small =
-            t.retired_count < static_cast<u64>(cfg.min_thread_size);
+            t.retired_count < static_cast<u64>(kMinThreadSize);
         // Threads that repeatedly went down wrong data-dependent
         // paths (divergence repairs) or whose inputs kept needing
         // repair (recovery walks) slowed execution down even if they
         // joined: distant speculation over serial memory state is the
         // classic case.
-        const bool useful = joined && overlap >= cfg.min_overlap_frac
+        const bool useful = joined && overlap >= kMinOverlapFrac
             && t.divergence_repairs <= 2
             && t.recoveries_started
                    <= 2 + t.retired_count / 64;

@@ -36,13 +36,6 @@ struct RecoveryRequest
     /** Mispredicted loads to re-issue (sorted trace-buffer ids). */
     std::vector<u64> load_roots;
 
-    bool
-    isLoadRoot(u64 id) const
-    {
-        return std::binary_search(load_roots.begin(), load_roots.end(),
-                                  id);
-    }
-
     /** Field-wise copy that reuses load_roots capacity. */
     void
     assignFrom(const RecoveryRequest &o)

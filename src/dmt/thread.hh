@@ -133,7 +133,6 @@ struct ThreadContext
     u32 watched_succ_key = 0;
 
     // Statistics.
-    Cycle spawn_cycle = 0;
     bool was_spawned = false; ///< false only for the initial thread
     u64 retired_count = 0;
     u64 exec_while_spec = 0;
@@ -179,7 +178,6 @@ struct ThreadContext
         successor_watch_base = 0;
         successor_watch_armed = false;
         watched_succ_key = 0;
-        spawn_cycle = 0;
         was_spawned = false;
         retired_count = 0;
         exec_while_spec = 0;

@@ -102,17 +102,6 @@ conformsOnRef(const SimConfig &cfg, const Program &prog,
 
 } // namespace
 
-bool
-conformsOn(const SimConfig &cfg, const std::string &workload,
-           u64 max_steps, std::string *detail, u64 *cycles)
-{
-    const Program prog = buildWorkload(workload);
-    FunctionalFinal ref;
-    if (!runReference(prog, max_steps, &ref, detail))
-        return false;
-    return conformsOnRef(cfg, prog, ref, detail, cycles);
-}
-
 ConformanceReport
 checkConformance(const std::string &workload,
                  const ConformanceOptions &opts)

@@ -55,18 +55,6 @@ struct ConformanceReport
 };
 
 /**
- * Run @p workload (suite name or gen: spec) functionally and on one
- * detailed machine @p cfg; require completion, a clean golden checker,
- * and instruction-exact final state (retired count, all 32 registers,
- * OUT stream, memory pages).  Returns false with @p detail on the
- * first divergence.  @p cycles (optional) receives the machine's
- * cycle count.
- */
-bool conformsOn(const SimConfig &cfg, const std::string &workload,
-                u64 max_steps, std::string *detail,
-                u64 *cycles = nullptr);
-
-/**
  * Full differential check of @p workload across the paper's two
  * machines — baseline superscalar and dmt6 (2 fetch ports) — plus an
  * optional fault-storm leg on the DMT machine.

@@ -1,17 +1,12 @@
 #include "exp/phase.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/log.hh"
 #include "common/rng.hh"
-#include "common/strutil.hh"
 #include "sim/functional_core.hh"
-#include "workloads/workloads.hh"
 
 namespace dmt
 {
@@ -382,71 +377,6 @@ clusterPhases(const std::vector<IntervalBbv> &bbvs,
     for (size_t i = 0; i < n; ++i)
         pa.assignment[i] = remap[fit.assign[i]];
     return pa;
-}
-
-// ---- process-wide analysis cache ---------------------------------------
-
-namespace
-{
-
-std::mutex g_phase_m;
-std::map<std::string, std::shared_ptr<const PhaseAnalysis>> g_phase;
-u64 g_phase_hits = 0;
-u64 g_phase_builds = 0;
-
-} // namespace
-
-std::shared_ptr<const PhaseAnalysis>
-phaseAnalysisFor(const std::string &workload,
-                 const PhaseParams &params, u64 budget)
-{
-    const std::string key = strprintf(
-        "%s|%llu|%llu|%llu|%llu|%llu", workload.c_str(),
-        static_cast<unsigned long long>(params.interval),
-        static_cast<unsigned long long>(params.max_k),
-        static_cast<unsigned long long>(params.dims),
-        static_cast<unsigned long long>(params.seed),
-        static_cast<unsigned long long>(budget));
-    // Build under the lock: concurrent sweep cells asking for the same
-    // analysis should wait for one profile, not race N of them.
-    std::lock_guard<std::mutex> lock(g_phase_m);
-    std::shared_ptr<const PhaseAnalysis> &slot = g_phase[key];
-    if (slot) {
-        ++g_phase_hits;
-        return slot;
-    }
-    const Program prog = buildWorkload(workload);
-    auto pa = std::make_shared<PhaseAnalysis>();
-    u64 covered = 0;
-    bool completed = false;
-    const std::vector<IntervalBbv> bbvs =
-        collectBbvs(prog, params.interval, budget, &covered,
-                    &completed);
-    *pa = clusterPhases(bbvs, params);
-    pa->covered = covered;
-    pa->completed = completed;
-    ++g_phase_builds;
-    slot = std::move(pa);
-    return slot;
-}
-
-void
-clearPhaseCache()
-{
-    std::lock_guard<std::mutex> lock(g_phase_m);
-    g_phase.clear();
-    g_phase_hits = 0;
-    g_phase_builds = 0;
-}
-
-PhaseCacheCounters
-phaseCacheCounters()
-{
-    std::lock_guard<std::mutex> lock(g_phase_m);
-    PhaseCacheCounters c;
-    c.hits = g_phase_hits;
-    c.builds = g_phase_builds;
-    return c;
 }
 
 } // namespace dmt

@@ -103,16 +103,18 @@ PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
 /**
  * Cached end-to-end analysis for @p workload (a canonical suite /
  * gen: name) bounded by @p budget stream instructions (0 = to HALT).
- * Results are process-wide shared (immutable) and keyed by (workload,
- * params, budget), so sweep cells over the same workload pay for
- * profiling once — mirroring the sampled checkpoint cache.
+ * The analysis lives in the workload's sampled-path entry
+ * (exp/sampled.cc), beside its checkpoint chain: it is profiled once
+ * per (params, budget) from that entry's Program, under that entry's
+ * lock, and shared (immutable) by every sweep cell over the workload.
+ * clearCheckpointCache() drops it together with the entry.
  */
 std::shared_ptr<const PhaseAnalysis>
 phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
                  u64 budget);
 
-/** Drop every cached phase analysis and zero the counters (test hook,
- *  companion to clearCheckpointCache()). */
+/** Drop every cached phase analysis (checkpoints stay) and zero the
+ *  counters below (test hook, companion to clearCheckpointCache()). */
 void clearPhaseCache();
 
 /** Process-lifetime accounting for the shared phase-analysis cache. */

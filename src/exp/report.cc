@@ -12,15 +12,6 @@ namespace dmt
 {
 
 u64
-fnv1aHash(std::string_view bytes, u64 seed)
-{
-    u64 h = seed;
-    for (const char c : bytes)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    return h;
-}
-
-u64
 canonicalHash(const RunResult &r)
 {
     return fnv1aHash(r.jsonString());

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/record.hh"
 #include "common/types.hh"
 
 namespace dmt
@@ -27,15 +28,10 @@ struct SimConfig;
 // stable identity for "this exact result" / "this exact machine".  The
 // contract: hash the *canonical JSON* form (jsonOn through JsonWriter),
 // which already excludes host-timing fields (wall_s, minstr_per_s,
-// func_wall_s), with FNV-1a — the same digest family checkpoints use
-// for program images.  Equal hashes ⇔ byte-identical canonical
-// documents (modulo 64-bit collisions, irrelevant at cache scale).
-
-/** FNV-1a offset basis (matches ArchState::kOutHashInit). */
-constexpr u64 kFnvBasis = 0xcbf29ce484222325ull;
-
-/** FNV-1a over @p bytes, chained from @p seed. */
-u64 fnv1aHash(std::string_view bytes, u64 seed = kFnvBasis);
+// func_wall_s), with fnv1aHash (common/record.hh) — the same digest
+// checkpoints use for program images.  Equal hashes ⇔ byte-identical
+// canonical documents (modulo 64-bit collisions, irrelevant at cache
+// scale).
 
 /** Canonical digest of a RunResult (over jsonString()). */
 u64 canonicalHash(const RunResult &r);

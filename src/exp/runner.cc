@@ -50,8 +50,6 @@ SampleSummary::jsonOn(JsonWriter &w, bool include_timing) const
     if (include_timing) {
         w.key("func_wall_s").value(func_wall_s);
         w.key("ff_blocks_translated").value(ff_blocks_translated);
-        w.key("ff_retranslations").value(ff_retranslations);
-        w.key("ff_evictions").value(ff_evictions);
         w.key("ff_chain_hits").value(ff_chain_hits);
     }
     w.key("cpi_mean").value(cpi_mean);

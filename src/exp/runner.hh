@@ -81,8 +81,6 @@ struct SampleSummary
      *  diagnostics: excluded from the canonical JSON because they
      *  depend on checkpoint-cache state, not on the inputs. */
     u64 ff_blocks_translated = 0;
-    u64 ff_retranslations = 0;
-    u64 ff_evictions = 0;
     u64 ff_chain_hits = 0;
     /** Per-interval CPI statistics; ci95 = 1.96 * sd / sqrt(n).  In
      *  phase mode the mean is phase-weight weighted and sd/ci95 use

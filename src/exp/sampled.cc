@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -15,7 +16,6 @@
 #include "common/strutil.hh"
 #include "dmt/engine.hh"
 #include "sim/checkpoint.hh"
-#include "sim/translated_core.hh"
 #include "sim/functional_core.hh"
 #include "workloads/workloads.hh"
 
@@ -148,53 +148,61 @@ namespace
 {
 
 /**
- * Per-workload checkpoint chain.  One functional cursor advances
- * through the program; every sampled position it reaches is captured
- * as a Checkpoint and kept (shared_ptr, immutable) so concurrent sweep
- * cells and later invocations reuse it.  Heap-allocated so the Program
- * the cursor references has a stable address.
+ * Everything the sampled path keeps for one workload: its Program, the
+ * checkpoint chain one functional cursor lays down through it, and the
+ * phase analyses profiled from it.  Checkpoints and analyses are
+ * immutable once built (shared_ptr), so concurrent sweep cells and
+ * later runs share them.  Heap-allocated so the Program the cursor
+ * references has a stable address.
  */
-struct WorkloadCkpts
+struct WorkloadEntry
 {
+    explicit WorkloadEntry(const std::string &workload)
+        : prog(buildWorkload(workload)),
+          prog_hash(Checkpoint::programHash(prog)), cursor(prog)
+    {
+    }
+
+    const Program prog;
+    const u64 prog_hash;
+    /** Guards every member below. */
     std::mutex m;
-    Program prog;
-    u64 prog_hash = 0;
-    std::unique_ptr<FunctionalCore> cursor;
+    FunctionalCore cursor;
     std::map<u64, std::shared_ptr<const Checkpoint>> by_pos;
     /** Retired position of HALT once the cursor has seen it. */
     u64 halt_pos = ~u64{0};
+    /** Keyed by (interval, max_k, dims, seed, budget). */
+    std::map<std::array<u64, 5>, std::shared_ptr<const PhaseAnalysis>>
+        analyses;
 };
 
+/** Lock order: g_cache_m before any entry's m, never the reverse. */
 std::mutex g_cache_m;
-std::map<std::string, std::unique_ptr<WorkloadCkpts>> g_cache;
+std::map<std::string, std::shared_ptr<WorkloadEntry>> g_cache;
 /** On-disk checkpoint directory ("" = memory only); g_cache_m guards
  *  it. */
 std::string g_ckpt_dir;
 
-// Shared-cache accounting (monotonic until clearCheckpointCache()).
+// Shared-cache accounting (monotonic until clearCheckpointCache() /
+// clearPhaseCache()).
 std::atomic<u64> g_ckpt_mem_hits{0};
 std::atomic<u64> g_ckpt_disk_hits{0};
 std::atomic<u64> g_ckpt_builds{0};
+std::atomic<u64> g_phase_hits{0};
+std::atomic<u64> g_phase_builds{0};
 
-WorkloadCkpts &
+std::shared_ptr<WorkloadEntry>
 entryFor(const std::string &workload)
 {
     std::lock_guard<std::mutex> lock(g_cache_m);
-    std::unique_ptr<WorkloadCkpts> &slot = g_cache[workload];
-    if (!slot) {
-        slot = std::make_unique<WorkloadCkpts>();
-        slot->prog = buildWorkload(workload);
-        slot->prog_hash = Checkpoint::programHash(slot->prog);
-        slot->cursor = std::make_unique<FunctionalCore>(slot->prog);
+    auto it = g_cache.find(workload);
+    if (it == g_cache.end()) {
+        it = g_cache
+                 .emplace(workload,
+                          std::make_shared<WorkloadEntry>(workload))
+                 .first;
     }
-    return *slot;
-}
-
-std::string
-ckptPath(const std::string &dir, const std::string &workload, u64 pos)
-{
-    return strprintf("%s/%s-%llu.ckpt", dir.c_str(), workload.c_str(),
-                     static_cast<unsigned long long>(pos));
+    return it->second;
 }
 
 /** The checkpoint directory, created (one level) on first use.
@@ -212,236 +220,361 @@ ckptDir()
     return dir;
 }
 
-/**
- * Architectural checkpoint at exactly @p pos retired instructions.
- * Order of preference: in-memory cache, checkpoint-directory file,
- * advancing the functional cursor (rewinding it from the nearest
- * earlier checkpoint when a caller asks for a position behind it).
- *
- * @return nullptr when the program HALTs at or before @p pos; then
- *         @p halt_pos_out receives the halt position.  @p ff_wall
- *         accumulates host seconds spent fast-forwarding and
- *         @p ff_stats the translation-cache activity of this call.
- */
-std::shared_ptr<const Checkpoint>
-checkpointAt(WorkloadCkpts &e, const std::string &workload, u64 pos,
-             double *ff_wall, TranslationStats *ff_stats,
-             u64 *halt_pos_out,
-             std::chrono::steady_clock::time_point deadline = {})
+/** Phase analysis of @p e's program, profiled once per key. */
+std::shared_ptr<const PhaseAnalysis>
+analysisOf(WorkloadEntry &e, const PhaseParams &params, u64 budget)
 {
+    // Build under the entry lock: concurrent sweep cells asking for
+    // the same analysis wait for one profile instead of racing N.
     std::lock_guard<std::mutex> lock(e.m);
-    if (pos >= e.halt_pos) {
-        *halt_pos_out = e.halt_pos;
-        return nullptr;
+    std::shared_ptr<const PhaseAnalysis> &slot =
+        e.analyses[{params.interval, params.max_k, params.dims,
+                    params.seed, budget}];
+    if (slot) {
+        g_phase_hits.fetch_add(1, std::memory_order_relaxed);
+        return slot;
     }
-    auto it = e.by_pos.find(pos);
-    if (it != e.by_pos.end()) {
-        g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-    }
-
-    const std::string dir = ckptDir();
-    if (!dir.empty()) {
-        auto ck = std::make_shared<Checkpoint>();
-        std::string err;
-        if (Checkpoint::load(ckptPath(dir, workload, pos), e.prog_hash,
-                             ck.get(), &err)) {
-            DMT_ASSERT(ck->instr_count == pos,
-                       "checkpoint file position mismatch");
-            e.by_pos[pos] = ck;
-            g_ckpt_disk_hits.fetch_add(1, std::memory_order_relaxed);
-            return ck;
-        }
-    }
-
-    FunctionalCore &core = *e.cursor;
-    if (core.instrCount() > pos) {
-        // The cursor is past the request; restart it from the nearest
-        // earlier checkpoint (or the program entry).
-        auto best = e.by_pos.upper_bound(pos);
-        if (best != e.by_pos.begin()) {
-            --best;
-            const Checkpoint &from = *best->second;
-            core.restore(from.state, from.mem, from.instr_count);
-        } else {
-            core.reset();
-        }
-    }
-    // With a deadline armed, fast-forward in bounded chunks (a few
-    // tens of host milliseconds each) so a long skip cannot blow past
-    // the caller's wall-clock budget between checks.
-    const bool armed = deadline.time_since_epoch().count() != 0;
-    constexpr u64 kDeadlineChunk = u64{1} << 22;
-    const TranslationStats xs_before = core.translationStats();
-    const auto t0 = std::chrono::steady_clock::now();
-    while (core.instrCount() < pos && !core.halted()) {
-        u64 gap = pos - core.instrCount();
-        if (armed && gap > kDeadlineChunk)
-            gap = kDeadlineChunk;
-        core.run(gap);
-        if (armed && std::chrono::steady_clock::now() >= deadline) {
-            panic("deadline expired during functional fast-forward of "
-                  "%s at position %llu",
-                  workload.c_str(),
-                  static_cast<unsigned long long>(core.instrCount()));
-        }
-    }
-    *ff_wall += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    *ff_stats += core.translationStats() - xs_before;
-    if (core.halted()) {
-        e.halt_pos = core.instrCount();
-        *halt_pos_out = e.halt_pos;
-        return nullptr;
-    }
-
-    auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
-    e.by_pos[pos] = ck;
-    g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-    if (!dir.empty())
-        ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
-    return ck;
+    u64 covered = 0;
+    bool completed = false;
+    const std::vector<IntervalBbv> bbvs = collectBbvs(
+        e.prog, params.interval, budget, &covered, &completed);
+    auto pa = std::make_shared<PhaseAnalysis>(clusterPhases(bbvs, params));
+    pa->covered = covered;
+    pa->completed = completed;
+    g_phase_builds.fetch_add(1, std::memory_order_relaxed);
+    slot = std::move(pa);
+    return slot;
 }
 
-} // namespace
-
-void
-clearCheckpointCache()
+std::string
+ckptPath(const std::string &dir, const std::string &workload, u64 pos)
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    g_cache.clear();
-    g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
-    g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
-    g_ckpt_builds.store(0, std::memory_order_relaxed);
+    return strprintf("%s/%s-%llu.ckpt", dir.c_str(), workload.c_str(),
+                     static_cast<unsigned long long>(pos));
 }
 
-void
-setCheckpointDir(std::string dir)
+/** What one window added to its run. */
+struct Window
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    g_ckpt_dir = std::move(dir);
-}
+    u64 end = 0;            ///< stream position after the window
+    bool completed = false; ///< the program HALTed at or before end
+    u64 cycles = 0;         ///< measured cycles
+    u64 retired = 0;        ///< measured instructions (0: unmeasured)
 
-CheckpointCacheCounters
-checkpointCacheCounters()
-{
-    CheckpointCacheCounters c;
-    c.mem_hits = g_ckpt_mem_hits.load(std::memory_order_relaxed);
-    c.disk_hits = g_ckpt_disk_hits.load(std::memory_order_relaxed);
-    c.builds = g_ckpt_builds.load(std::memory_order_relaxed);
-    return c;
-}
+    bool measured() const { return retired > 0; }
 
-namespace
-{
+    double
+    cpi() const
+    {
+        return static_cast<double>(cycles) / static_cast<double>(retired);
+    }
+};
 
 /**
- * Phase-aware placement: one warm+measure window per phase
- * representative found by the (cached) BBV profile, CPI aggregated by
- * phase weight.  Window execution and checkpoint handling are shared
- * with the uniform path; only the placement and the aggregation
- * differ.
+ * One sampled run.  The two placements (uniform, phase) decide only
+ * where windows start and how their CPIs aggregate; checkpoint lookup,
+ * the golden-checked window itself, the stat merge and the final
+ * coverage and telemetry stamp live here once.
  */
-RunResult
-runPhaseSampled(const SimConfig &cfg, const std::string &workload,
-                const SampleParams &params, u64 budget)
+struct SampledRun
 {
-    WorkloadCkpts &e = entryFor(workload);
+    SampledRun(const SimConfig &cfg_, const std::string &workload_,
+               const SampleParams &params_)
+        : cfg(cfg_), workload(workload_), params(params_),
+          dir(ckptDir()), e(entryFor(workload_)),
+          wall_start(std::chrono::steady_clock::now())
+    {
+        r.workload = workload;
+        r.sampling.enabled = true;
+        r.sampling.warm = params.warm;
+        r.sampling.measure = params.measure;
+    }
 
-    const auto wall_start = std::chrono::steady_clock::now();
+    /**
+     * Architectural checkpoint at exactly @p pos retired instructions.
+     * Order of preference: in-memory cache, checkpoint-directory file,
+     * advancing the functional cursor (rewinding it from the nearest
+     * earlier checkpoint when a caller asks for a position behind it).
+     *
+     * @return nullptr when the program HALTs at or before @p pos; then
+     *         @p halt_pos_out receives the halt position.
+     */
+    std::shared_ptr<const Checkpoint>
+    checkpointAt(u64 pos, u64 *halt_pos_out)
+    {
+        std::lock_guard<std::mutex> lock(e->m);
+        if (pos >= e->halt_pos) {
+            *halt_pos_out = e->halt_pos;
+            return nullptr;
+        }
+        auto it = e->by_pos.find(pos);
+        if (it != e->by_pos.end()) {
+            g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
+            return it->second;
+        }
+
+        if (!dir.empty()) {
+            auto ck = std::make_shared<Checkpoint>();
+            std::string err;
+            if (Checkpoint::load(ckptPath(dir, workload, pos),
+                                 e->prog_hash, ck.get(), &err)) {
+                DMT_ASSERT(ck->instr_count == pos,
+                           "checkpoint file position mismatch");
+                e->by_pos[pos] = ck;
+                g_ckpt_disk_hits.fetch_add(1, std::memory_order_relaxed);
+                return ck;
+            }
+        }
+
+        FunctionalCore &core = e->cursor;
+        if (core.instrCount() > pos) {
+            // The cursor is past the request; restart it from the
+            // nearest earlier checkpoint (or the program entry).
+            auto best = e->by_pos.upper_bound(pos);
+            if (best != e->by_pos.begin()) {
+                --best;
+                const Checkpoint &from = *best->second;
+                core.restore(from.state, from.mem, from.instr_count);
+            } else {
+                core.reset();
+            }
+        }
+        // With a deadline armed, fast-forward in bounded chunks (a few
+        // tens of host milliseconds each) so a long skip cannot blow
+        // past the caller's wall-clock budget between checks.
+        const bool armed = cfg.hasDeadline();
+        constexpr u64 kDeadlineChunk = u64{1} << 22;
+        const TranslationStats xs_before = core.translationStats();
+        const auto t0 = std::chrono::steady_clock::now();
+        while (core.instrCount() < pos && !core.halted()) {
+            u64 gap = pos - core.instrCount();
+            if (armed && gap > kDeadlineChunk)
+                gap = kDeadlineChunk;
+            core.run(gap);
+            if (armed && std::chrono::steady_clock::now() >= cfg.deadline) {
+                panic("deadline expired during functional fast-forward "
+                      "of %s at position %llu",
+                      workload.c_str(),
+                      static_cast<unsigned long long>(core.instrCount()));
+            }
+        }
+        ff_wall += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        ff_stats += core.translationStats() - xs_before;
+        if (core.halted()) {
+            e->halt_pos = core.instrCount();
+            *halt_pos_out = e->halt_pos;
+            return nullptr;
+        }
+
+        auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
+        e->by_pos[pos] = ck;
+        g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
+        if (!dir.empty())
+            ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
+        return ck;
+    }
+
+    /**
+     * Run one warm + measure window resumed at stream position
+     * @p start, golden-checked, and fold its measurement (if any) into
+     * the result.  A program that HALTs before @p start runs nothing:
+     * coverage extends to HALT.
+     */
+    Window
+    window(u64 start)
+    {
+        const char *what = params.phaseMode() ? "phase" : "sampled";
+        // Small detailed windows may finish under the engine's own
+        // deadline-check granule, so re-check between windows too.
+        if (cfg.hasDeadline()
+            && std::chrono::steady_clock::now() >= cfg.deadline) {
+            panic("deadline expired between %s windows of %s at "
+                  "position %llu",
+                  what, workload.c_str(),
+                  static_cast<unsigned long long>(start));
+        }
+
+        Window w;
+        u64 halt_pos = 0;
+        const std::shared_ptr<const Checkpoint> ck =
+            checkpointAt(start, &halt_pos);
+        if (!ck) {
+            w.end = halt_pos;
+            w.completed = true;
+            return w;
+        }
+
+        SimConfig wcfg = cfg;
+        wcfg.warmup_retired = params.warm;
+        wcfg.max_retired = params.warm + params.measure;
+        DmtEngine engine(wcfg, e->prog, ck.get());
+        engine.run();
+        if (!engine.goldenOk()) {
+            panic("golden mismatch on %s (%s window at %llu): %s",
+                  workload.c_str(), what,
+                  static_cast<unsigned long long>(start),
+                  engine.goldenError().c_str());
+        }
+        w.end = start + engine.retiredTotal();
+        w.completed = engine.programCompleted();
+        detailed_retired += engine.retiredTotal();
+
+        // A window the program ended during warmup contributes coverage
+        // but no measurement (its stat block never detached).
+        if (engine.measurementActive()
+            && engine.stats().retired.value() > 0) {
+            const DmtStats &ws = engine.stats();
+            SampleInterval iv;
+            iv.pos = start;
+            iv.cycles = ws.cycles.value();
+            iv.retired = ws.retired.value();
+            iv.spawned = ws.threads_spawned.value();
+            iv.squashed = ws.squashed_insts.value();
+            iv.recoveries = ws.recoveries.value();
+            r.sampling.records.push_back(iv);
+            ++r.sampling.intervals;
+            r.cycles += iv.cycles;
+            r.retired += iv.retired;
+            r.stats.merge(ws);
+            w.cycles = iv.cycles;
+            w.retired = iv.retired;
+        }
+        return w;
+    }
+
+    /** Stamp coverage, fast-forward telemetry and host timing once the
+     *  placement has set the CPI estimate and r.ipc. */
+    RunResult
+    finish(u64 covered, bool completed)
+    {
+        r.sampling.covered = covered;
+        // Stream-derived (not host-work-derived) so the canonical JSON
+        // is identical whether checkpoints came from cache or fresh
+        // runs.
+        r.sampling.functional_instr =
+            covered > detailed_retired ? covered - detailed_retired : 0;
+        r.sampling.func_wall_s = ff_wall;
+        r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
+        r.sampling.ff_chain_hits = ff_stats.chain_hits;
+        r.completed = completed;
+        r.wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+        // The headline throughput is stream coverage per wall second —
+        // the "paper-scale at functional speed" number.
+        r.minstr_per_s = r.wall_s > 0.0
+            ? static_cast<double>(covered) / r.wall_s / 1e6
+            : 0.0;
+        return std::move(r);
+    }
+
+    const SimConfig &cfg;
+    const std::string &workload;
+    const SampleParams &params;
+    /** Read once, before any entry lock is taken (lock order). */
+    const std::string dir;
+    const std::shared_ptr<WorkloadEntry> e;
+    const std::chrono::steady_clock::time_point wall_start;
+    /** Host seconds spent fast-forwarding and profiling. */
     double ff_wall = 0.0;
     TranslationStats ff_stats;
-
+    /** Instructions run in detail, warm and measure alike. */
+    u64 detailed_retired = 0;
     RunResult r;
-    r.workload = workload;
-    r.sampling.enabled = true;
+};
+
+/** Uniform placement: one window every params.skip instructions; CPI
+ *  is the plain mean over measured windows. */
+RunResult
+runUniform(SampledRun &run, u64 budget)
+{
+    const SampleParams &params = run.params;
+    RunResult &r = run.r;
+    r.sampling.skip = params.skip;
+
+    std::vector<double> cpis;
+    u64 pos = 0; // stream position traversed
+    bool completed = false;
+    while ((params.max_intervals == 0
+            || r.sampling.intervals < params.max_intervals)
+           && (budget == 0 || pos < budget)) {
+        const Window w = run.window(pos + params.skip);
+        pos = w.end;
+        completed = w.completed;
+        if (w.measured())
+            cpis.push_back(w.cpi());
+        if (completed)
+            break;
+    }
+
+    const size_t n = cpis.size();
+    if (n > 0) {
+        double sum = 0.0;
+        for (double c : cpis)
+            sum += c;
+        r.sampling.cpi_mean = sum / static_cast<double>(n);
+        if (n > 1) {
+            double var = 0.0;
+            for (double c : cpis) {
+                const double d = c - r.sampling.cpi_mean;
+                var += d * d;
+            }
+            r.sampling.cpi_sd =
+                std::sqrt(var / static_cast<double>(n - 1));
+            r.sampling.cpi_ci95 = 1.96 * r.sampling.cpi_sd
+                / std::sqrt(static_cast<double>(n));
+        }
+    }
+    r.ipc = r.cycles > 0 ? static_cast<double>(r.retired)
+                               / static_cast<double>(r.cycles)
+                         : 0.0;
+    return run.finish(pos, completed);
+}
+
+/** Phase placement: one window per phase representative of the
+ *  (cached) BBV profile; CPI is weighted by phase. */
+RunResult
+runPhases(SampledRun &run, u64 budget)
+{
+    const SampleParams &params = run.params;
+    RunResult &r = run.r;
     r.sampling.mode = "phase";
-    r.sampling.warm = params.warm;
-    r.sampling.measure = params.measure;
     r.sampling.phase_interval = params.phase.interval;
     r.sampling.phase_max_k = params.phase.max_k;
     r.sampling.phase_dims = params.phase.dims;
     r.sampling.phase_seed = params.phase.seed;
 
-    // The profile pass is cached process-wide (like the checkpoint
-    // chain); its wall clock lands in the fast-forward bucket.
+    // The profile's wall clock lands in the fast-forward bucket.
     const auto prof_start = std::chrono::steady_clock::now();
     const std::shared_ptr<const PhaseAnalysis> pa =
-        phaseAnalysisFor(workload, params.phase, budget);
-    ff_wall += std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - prof_start)
-                   .count();
-
+        analysisOf(*run.e, params.phase, budget);
+    run.ff_wall += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - prof_start)
+                       .count();
     r.sampling.phase_k = pa->k;
     r.sampling.phase_intervals = pa->assignment.size();
+
     bool completed = pa->completed;
-    u64 detailed_retired = 0;
-
     for (const PhaseInfo &ph : pa->phases) {
-        if (cfg.hasDeadline()
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired between phase windows of %s "
-                  "(phase %u)",
-                  workload.c_str(), ph.id);
-        }
-
-        const u64 start = ph.rep * params.phase.interval;
-        u64 halt_pos = 0;
-        const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats,
-                         &halt_pos, cfg.deadline);
-
         PhaseCpi row;
         row.id = ph.id;
         row.rep = ph.rep;
-        row.pos = start;
+        row.pos = ph.rep * params.phase.interval;
         row.weight = ph.weight;
         row.members = ph.members;
-
         // A representative can sit past HALT only if profiling and the
         // checkpoint cursor disagree — which the bit-identity contract
         // rules out — but stay graceful: the phase goes unmeasured and
         // the aggregate renormalizes over the measured ones.
-        if (ck) {
-            SimConfig wcfg = cfg;
-            wcfg.warmup_retired = params.warm;
-            wcfg.max_retired = params.warm + params.measure;
-
-            DmtEngine engine(wcfg, e.prog, ck.get());
-            engine.run();
-            if (!engine.goldenOk()) {
-                panic("golden mismatch on %s (phase window at %llu): %s",
-                      workload.c_str(),
-                      static_cast<unsigned long long>(start),
-                      engine.goldenError().c_str());
-            }
-            completed = completed || engine.programCompleted();
-            const u64 win_retired = engine.retiredTotal();
-            detailed_retired += win_retired;
-
-            if (engine.measurementActive()
-                && engine.stats().retired.value() > 0) {
-                const DmtStats &ws = engine.stats();
-                row.measured = true;
-                row.cycles = ws.cycles.value();
-                row.retired = ws.retired.value();
-                row.cpi = static_cast<double>(row.cycles)
-                    / static_cast<double>(row.retired);
-
-                SampleInterval iv;
-                iv.pos = start;
-                iv.cycles = row.cycles;
-                iv.retired = row.retired;
-                iv.spawned = ws.threads_spawned.value();
-                iv.squashed = ws.squashed_insts.value();
-                iv.recoveries = ws.recoveries.value();
-                r.sampling.records.push_back(iv);
-                ++r.sampling.intervals;
-                r.cycles += row.cycles;
-                r.retired += row.retired;
-                r.stats.merge(ws);
-            }
+        const Window w = run.window(row.pos);
+        completed = completed || w.completed;
+        if (w.measured()) {
+            row.measured = true;
+            row.cycles = w.cycles;
+            row.retired = w.retired;
+            row.cpi = w.cpi();
         }
         r.sampling.phases.push_back(row);
     }
@@ -480,29 +613,10 @@ runPhaseSampled(const SimConfig &cfg, const std::string &workload,
                 1.96 * r.sampling.cpi_sd / std::sqrt(n);
         }
     }
-
-    r.sampling.covered = pa->covered;
-    // Stream-derived (not host-work-derived) so the canonical JSON is
-    // identical whether checkpoints came from cache or fresh runs.
-    r.sampling.functional_instr = pa->covered > detailed_retired
-        ? pa->covered - detailed_retired
-        : 0;
-    r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
-    r.sampling.ff_retranslations = ff_stats.retranslations;
-    r.sampling.ff_evictions = ff_stats.evictions;
-    r.sampling.ff_chain_hits = ff_stats.chain_hits;
-    r.completed = completed;
     // The headline IPC is the weighted estimate — the whole point of
     // phase weighting — not the unweighted window sum.
     r.ipc = r.sampling.cpi_mean > 0.0 ? 1.0 / r.sampling.cpi_mean : 0.0;
-    r.wall_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    r.minstr_per_s = r.wall_s > 0.0
-        ? static_cast<double>(pa->covered) / r.wall_s / 1e6
-        : 0.0;
-    return r;
+    return run.finish(pa->covered, completed);
 }
 
 } // namespace
@@ -513,137 +627,64 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
 {
     DMT_ASSERT(params.enabled(),
                "runWorkloadSampled needs a measure window");
+    SampledRun run(cfg, workload, params);
+    return params.phaseMode() ? runPhases(run, budget)
+                              : runUniform(run, budget);
+}
 
-    if (params.phaseMode())
-        return runPhaseSampled(cfg, workload, params, budget);
+std::shared_ptr<const PhaseAnalysis>
+phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
+                 u64 budget)
+{
+    return analysisOf(*entryFor(workload), params, budget);
+}
 
-    WorkloadCkpts &e = entryFor(workload);
+void
+clearCheckpointCache()
+{
+    std::lock_guard<std::mutex> lock(g_cache_m);
+    g_cache.clear();
+    g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
+    g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
+    g_ckpt_builds.store(0, std::memory_order_relaxed);
+}
 
-    const auto wall_start = std::chrono::steady_clock::now();
-    double ff_wall = 0.0;
-    TranslationStats ff_stats;
-
-    RunResult r;
-    r.workload = workload;
-    r.sampling.enabled = true;
-    r.sampling.skip = params.skip;
-    r.sampling.warm = params.warm;
-    r.sampling.measure = params.measure;
-
-    std::vector<double> cpis;
-    u64 pos = 0;                    // stream position traversed
-    u64 detailed_retired = 0;       // instructions run in detail
-    bool completed = false;
-
-    while (true) {
-        if (params.max_intervals > 0
-            && r.sampling.intervals >= params.max_intervals) {
-            break;
-        }
-        if (budget > 0 && pos >= budget)
-            break;
-
-        // Small detailed windows may finish under the engine's own
-        // deadline-check granule, so re-check between intervals too.
-        if (cfg.hasDeadline()
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired between sampled intervals of %s "
-                  "at position %llu",
-                  workload.c_str(),
-                  static_cast<unsigned long long>(pos));
-        }
-
-        const u64 start = pos + params.skip;
-        u64 halt_pos = 0;
-        const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(e, workload, start, &ff_wall, &ff_stats,
-                         &halt_pos, cfg.deadline);
-        if (!ck) {
-            // Program ends inside this skip: coverage extends to HALT.
-            pos = halt_pos;
-            completed = true;
-            break;
-        }
-
-        SimConfig wcfg = cfg;
-        wcfg.warmup_retired = params.warm;
-        wcfg.max_retired = params.warm + params.measure;
-
-        DmtEngine engine(wcfg, e.prog, ck.get());
-        engine.run();
-        if (!engine.goldenOk()) {
-            panic("golden mismatch on %s (sampled window at %llu): %s",
-                  workload.c_str(), static_cast<unsigned long long>(start),
-                  engine.goldenError().c_str());
-        }
-
-        completed = engine.programCompleted();
-        const u64 win_retired = engine.retiredTotal();
-        detailed_retired += win_retired;
-        pos = start + win_retired;
-
-        // A window the program ended during warmup contributes coverage
-        // but no measurement (its stat block never detached).
-        if (engine.measurementActive()
-            && engine.stats().retired.value() > 0) {
-            const DmtStats &ws = engine.stats();
-            SampleInterval iv;
-            iv.pos = start;
-            iv.cycles = ws.cycles.value();
-            iv.retired = ws.retired.value();
-            iv.spawned = ws.threads_spawned.value();
-            iv.squashed = ws.squashed_insts.value();
-            iv.recoveries = ws.recoveries.value();
-            r.sampling.records.push_back(iv);
-            ++r.sampling.intervals;
-            r.cycles += iv.cycles;
-            r.retired += iv.retired;
-            r.stats.merge(ws);
-            cpis.push_back(static_cast<double>(iv.cycles)
-                           / static_cast<double>(iv.retired));
-        }
-        if (completed)
-            break;
+void
+clearPhaseCache()
+{
+    std::lock_guard<std::mutex> lock(g_cache_m);
+    for (auto &[name, e] : g_cache) {
+        std::lock_guard<std::mutex> entry_lock(e->m);
+        e->analyses.clear();
     }
+    g_phase_hits.store(0, std::memory_order_relaxed);
+    g_phase_builds.store(0, std::memory_order_relaxed);
+}
 
-    const size_t n = cpis.size();
-    if (n > 0) {
-        double sum = 0.0;
-        for (double c : cpis)
-            sum += c;
-        r.sampling.cpi_mean = sum / static_cast<double>(n);
-        if (n > 1) {
-            double var = 0.0;
-            for (double c : cpis) {
-                const double d = c - r.sampling.cpi_mean;
-                var += d * d;
-            }
-            r.sampling.cpi_sd =
-                std::sqrt(var / static_cast<double>(n - 1));
-            r.sampling.cpi_ci95 = 1.96 * r.sampling.cpi_sd
-                / std::sqrt(static_cast<double>(n));
-        }
-    }
+void
+setCheckpointDir(std::string dir)
+{
+    std::lock_guard<std::mutex> lock(g_cache_m);
+    g_ckpt_dir = std::move(dir);
+}
 
-    r.sampling.covered = pos;
-    r.sampling.functional_instr = pos - detailed_retired;
-    r.sampling.func_wall_s = ff_wall;
-    r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
-    r.sampling.ff_retranslations = ff_stats.retranslations;
-    r.sampling.ff_evictions = ff_stats.evictions;
-    r.sampling.ff_chain_hits = ff_stats.chain_hits;
-    r.completed = completed;
-    r.ipc = r.cycles > 0 ? static_cast<double>(r.retired)
-                               / static_cast<double>(r.cycles)
-                         : 0.0;
-    r.wall_s = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    // In sampled mode the headline throughput is stream coverage per
-    // wall second — the "paper-scale at functional speed" number.
-    r.minstr_per_s = r.wall_s > 0.0
-        ? static_cast<double>(pos) / r.wall_s / 1e6 : 0.0;
-    return r;
+CheckpointCacheCounters
+checkpointCacheCounters()
+{
+    CheckpointCacheCounters c;
+    c.mem_hits = g_ckpt_mem_hits.load(std::memory_order_relaxed);
+    c.disk_hits = g_ckpt_disk_hits.load(std::memory_order_relaxed);
+    c.builds = g_ckpt_builds.load(std::memory_order_relaxed);
+    return c;
+}
+
+PhaseCacheCounters
+phaseCacheCounters()
+{
+    PhaseCacheCounters c;
+    c.hits = g_phase_hits.load(std::memory_order_relaxed);
+    c.builds = g_phase_builds.load(std::memory_order_relaxed);
+    return c;
 }
 
 } // namespace dmt

@@ -13,6 +13,11 @@
  * the RunResult.  Per-interval CPI feeds a mean +- 95% confidence
  * interval so the aggregate comes with an error bar.
  *
+ * The cache holds one entry per workload: its Program, its checkpoint
+ * chain and its phase analyses (exp/phase.hh), built under that
+ * entry's lock.  Both placements run every window through one code
+ * path; only where windows start and how their CPIs aggregate differ.
+ *
  * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
  * 0 or omitted = run to program end / budget).  setCheckpointDir()
@@ -98,9 +103,10 @@ RunResult runWorkloadSampled(const SimConfig &cfg,
                              const SampleParams &params, u64 budget = 0);
 
 /**
- * Drop every in-memory checkpoint (test hook; on-disk checkpoint
- * files are left alone so persistence can be exercised separately).
- * Also zeroes the cache counters below.
+ * Drop every per-workload entry — checkpoints and phase analyses alike
+ * (test hook; on-disk checkpoint files are left alone so persistence
+ * can be exercised separately).  Zeroes the checkpoint counters below;
+ * the phase counters belong to clearPhaseCache().
  */
 void clearCheckpointCache();
 
@@ -108,6 +114,7 @@ void clearCheckpointCache();
  * Persist sampled-run checkpoints under @p dir (created, one level, on
  * first use) and look there before fast-forwarding; "" (the default)
  * keeps the cache memory-only.  Process-wide, like the cache itself.
+ * A file that fails its integrity check is rebuilt and rewritten.
  */
 void setCheckpointDir(std::string dir);
 

@@ -42,7 +42,6 @@ struct Instruction
 
     bool isLoad() const { return info().isLoad; }
     bool isStore() const { return info().isStore; }
-    bool isMem() const { return isLoad() || isStore(); }
     bool isCondBranch() const { return info().isCondBranch; }
     bool isJump() const { return info().isJump; }
     bool isControl() const { return isCondBranch() || isJump(); }

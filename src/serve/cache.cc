@@ -1,12 +1,11 @@
 #include "serve/cache.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
-#include <vector>
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "common/record.hh"
 #include "exp/report.hh"
 #include "exp/sampled.hh"
 #include "uarch/config.hh"
@@ -20,23 +19,6 @@ namespace
 /** Durable-entry format version; a change rejects (and rewrites) every
  *  older file rather than misreading it. */
 constexpr char kResMagic[8] = {'D', 'M', 'T', 'R', 'E', 'S', '0', '1'};
-
-void
-putU64LE(std::string *buf, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool
-readU64LE(const u8 *p, u64 *v)
-{
-    u64 out = 0;
-    for (int i = 0; i < 8; ++i)
-        out |= static_cast<u64>(p[i]) << (8 * i);
-    *v = out;
-    return true;
-}
 
 std::string
 entryPath(const std::string &dir, u64 key)
@@ -70,34 +52,7 @@ ResultCache::ResultCache(size_t max_entries, std::string dir)
 bool
 ResultCache::spillDisk(u64 key, const ComputedResult &res) const
 {
-    // Layout: magic | key | payload length | payload | FNV-1a(payload).
-    // The footer (not a header field) is the torn-write guard: a crash
-    // mid-write leaves a file whose digest cannot match.
-    std::string buf;
-    buf.reserve(40 + res.json.size());
-    buf.append(kResMagic, sizeof(kResMagic));
-    putU64LE(&buf, key);
-    putU64LE(&buf, static_cast<u64>(res.json.size()));
-    buf.append(res.json);
-    putU64LE(&buf, fnv1aHash(res.json));
-
-    const std::string path = entryPath(dir_, key);
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("result cache: cannot write %s", tmp.c_str());
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed
-        || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("result cache: failed to persist %s", path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return writeRecord(entryPath(dir_, key), kResMagic, key, res.json);
 }
 
 bool
@@ -105,46 +60,25 @@ ResultCache::loadDisk(u64 key, ComputedResult *out, bool *rejected) const
 {
     *rejected = false;
     const std::string path = entryPath(dir_, key);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    std::string payload, why;
+    switch (readRecord(path, kResMagic, key, &payload, &why)) {
+      case RecordRead::Missing:
         return false; // plain miss: nothing durable for this key
-
-    std::vector<u8> buf;
-    u8 chunk[65536];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        buf.insert(buf.end(), chunk, chunk + n);
-    std::fclose(f);
-
-    // Every rejection deletes the file: the entry will be recomputed
-    // and rewritten, so a corrupt file can never wedge its key.
-    const auto reject = [&](const char *why) {
-        warn("result cache: rejecting %s (%s)", path.c_str(), why);
+      case RecordRead::Rejected:
+        // Every rejection deletes the file: the entry will be
+        // recomputed and rewritten, so a corrupt file can never wedge
+        // its key.
+        warn("result cache: rejecting %s (%s)", path.c_str(),
+             why.c_str());
         std::remove(path.c_str());
         *rejected = true;
         return false;
-    };
-
-    if (buf.size() < 32)
-        return reject("truncated header");
-    if (std::memcmp(buf.data(), kResMagic, sizeof(kResMagic)) != 0)
-        return reject("bad magic/version");
-    u64 stored_key = 0, len = 0, footer = 0;
-    readU64LE(buf.data() + 8, &stored_key);
-    readU64LE(buf.data() + 16, &len);
-    if (stored_key != key)
-        return reject("key mismatch");
-    if (buf.size() != 32 + len)
-        return reject("torn or oversized payload");
-    const char *payload = reinterpret_cast<const char *>(buf.data() + 24);
-    readU64LE(buf.data() + 24 + len, &footer);
-    const u64 digest = fnv1aHash(std::string_view(payload, len));
-    if (digest != footer)
-        return reject("integrity footer mismatch");
-
+      case RecordRead::Ok:
+        break;
+    }
     out->ok = true;
-    out->json.assign(payload, len);
-    out->hash = digest;
+    out->hash = fnv1aHash(payload);
+    out->json = std::move(payload);
     out->error.clear();
     return true;
 }

@@ -1,11 +1,7 @@
 #include "sim/checkpoint.hh"
 
-#include <cstdio>
-#include <cstring>
-#include <vector>
-
 #include "casm/program.hh"
-#include "common/log.hh"
+#include "common/record.hh"
 #include "sim/functional_core.hh"
 
 namespace dmt
@@ -14,68 +10,14 @@ namespace dmt
 namespace
 {
 
-constexpr char kMagic[8] = {'D', 'M', 'T', 'C', 'K', 'P', 'T', '1'};
+/** Record magic: the format version.  A change rejects (and rebuilds)
+ *  every older file rather than misreading it. */
+constexpr char kMagic[8] = {'D', 'M', 'T', 'C', 'K', 'P', 'T', '2'};
 
-void
-putU32(std::vector<u8> *buf, u32 v)
+std::string_view
+bytesOf(const void *data, size_t n)
 {
-    for (int i = 0; i < 4; ++i)
-        buf->push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<u8> *buf, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf->push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-/** Bounds-checked little-endian reader over a loaded file. */
-struct ByteReader
-{
-    const u8 *p;
-    size_t left;
-
-    bool
-    take(void *dst, size_t n)
-    {
-        if (left < n)
-            return false;
-        std::memcpy(dst, p, n);
-        p += n;
-        left -= n;
-        return true;
-    }
-
-    bool
-    u32At(u32 *v)
-    {
-        u8 b[4];
-        if (!take(b, 4))
-            return false;
-        *v = static_cast<u32>(b[0]) | static_cast<u32>(b[1]) << 8
-            | static_cast<u32>(b[2]) << 16 | static_cast<u32>(b[3]) << 24;
-        return true;
-    }
-
-    bool
-    u64At(u64 *v)
-    {
-        u32 lo, hi;
-        if (!u32At(&lo) || !u32At(&hi))
-            return false;
-        *v = static_cast<u64>(hi) << 32 | lo;
-        return true;
-    }
-};
-
-u64
-fnv1a(u64 h, const void *data, size_t n)
-{
-    const u8 *p = static_cast<const u8 *>(data);
-    for (size_t i = 0; i < n; ++i)
-        h = (h ^ p[i]) * 0x100000001b3ull;
-    return h;
+    return {static_cast<const char *>(data), n};
 }
 
 } // namespace
@@ -87,14 +29,13 @@ Checkpoint::programHash(const Program &prog)
     for (const Instruction &inst : prog.text) {
         const u8 fields[4] = {static_cast<u8>(inst.op), inst.rd, inst.rs,
                               inst.rt};
-        h = fnv1a(h, fields, sizeof(fields));
+        h = fnv1aHash(bytesOf(fields, sizeof(fields)), h);
         const u32 imm = static_cast<u32>(inst.imm);
-        h = fnv1a(h, &imm, sizeof(imm));
+        h = fnv1aHash(bytesOf(&imm, sizeof(imm)), h);
     }
-    if (!prog.data.empty())
-        h = fnv1a(h, prog.data.data(), prog.data.size());
+    h = fnv1aHash(bytesOf(prog.data.data(), prog.data.size()), h);
     const u32 entry = prog.entry;
-    return fnv1a(h, &entry, sizeof(entry));
+    return fnv1aHash(bytesOf(&entry, sizeof(entry)), h);
 }
 
 Checkpoint
@@ -111,76 +52,54 @@ Checkpoint::capture(const FunctionalCore &core)
 bool
 Checkpoint::save(const std::string &path) const
 {
-    std::vector<u8> buf;
+    // The program hash is the record key, so it is not repeated here.
+    std::string buf;
     buf.reserve(256 + mem.numPages() * (MainMemory::kPageSize + 4));
-    buf.insert(buf.end(), kMagic, kMagic + sizeof(kMagic));
-    putU64(&buf, prog_hash);
-    putU64(&buf, instr_count);
-    putU32(&buf, state.pc);
-    putU32(&buf, state.halted ? 1 : 0);
+    putLe64(&buf, instr_count);
+    putLe32(&buf, state.pc);
+    putLe32(&buf, state.halted ? 1 : 0);
     for (const u32 r : state.regs)
-        putU32(&buf, r);
-    putU64(&buf, state.out_count);
-    putU64(&buf, state.out_hash);
-    putU32(&buf, static_cast<u32>(state.output.size()));
+        putLe32(&buf, r);
+    putLe64(&buf, state.out_count);
+    putLe64(&buf, state.out_hash);
+    putLe32(&buf, static_cast<u32>(state.output.size()));
     for (const u32 v : state.output)
-        putU32(&buf, v);
-    putU32(&buf, static_cast<u32>(mem.numPages()));
+        putLe32(&buf, v);
+    putLe32(&buf, static_cast<u32>(mem.numPages()));
     mem.forEachPage([&](u32 idx, const u8 *bytes) {
-        putU32(&buf, idx);
-        buf.insert(buf.end(), bytes, bytes + MainMemory::kPageSize);
+        putLe32(&buf, idx);
+        buf.append(bytesOf(bytes, MainMemory::kPageSize));
     });
-
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("checkpoint: cannot write %s", tmp.c_str());
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("checkpoint: failed to persist %s", path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return writeRecord(path, kMagic, prog_hash, buf);
 }
 
 bool
 Checkpoint::load(const std::string &path, u64 expect_prog_hash,
                  Checkpoint *out, std::string *err)
 {
-    const auto fail = [&](const char *why) {
+    const auto fail = [&](const std::string &why) {
         if (err)
-            *err = std::string(path) + ": " + why;
+            *err = path + ": " + why;
         return false;
     };
 
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    std::string buf, why;
+    switch (readRecord(path, kMagic, expect_prog_hash, &buf, &why)) {
+      case RecordRead::Missing:
         return fail("cannot open");
-    std::vector<u8> buf;
-    u8 chunk[65536];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        buf.insert(buf.end(), chunk, chunk + n);
-    std::fclose(f);
+      case RecordRead::Rejected:
+        return fail(why);
+      case RecordRead::Ok:
+        break;
+    }
 
-    ByteReader rd{buf.data(), buf.size()};
-    char magic[8];
-    if (!rd.take(magic, sizeof(magic))
-        || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return fail("bad magic/version");
-
+    ByteReader rd{reinterpret_cast<const u8 *>(buf.data()), buf.size()};
     Checkpoint ck;
+    ck.prog_hash = expect_prog_hash;
     u32 halted = 0, out_n = 0, page_n = 0;
-    if (!rd.u64At(&ck.prog_hash) || !rd.u64At(&ck.instr_count)
-        || !rd.u32At(&ck.state.pc) || !rd.u32At(&halted))
+    if (!rd.u64At(&ck.instr_count) || !rd.u32At(&ck.state.pc)
+        || !rd.u32At(&halted))
         return fail("truncated header");
-    if (ck.prog_hash != expect_prog_hash)
-        return fail("program hash mismatch (stale checkpoint)");
     ck.state.halted = halted != 0;
     for (u32 &r : ck.state.regs) {
         if (!rd.u32At(&r))

@@ -6,13 +6,15 @@
  * everything a detailed DmtEngine (or another FunctionalCore) needs to
  * resume mid-stream, so the fast-forward cost of a paper-scale prefix
  * is paid once per workload and shared across every sweep cell, and —
- * through the binary save/load format and DMT_CKPT_DIR — across
- * simulator invocations.
+ * through the binary save/load format and a checkpoint directory —
+ * across simulator invocations.
  *
- * The on-disk format is guarded by a magic/version header and a hash
- * of the program image (text, data, entry): a checkpoint taken against
- * a different program version refuses to load rather than silently
- * resuming nonsense state.
+ * A saved checkpoint is one checksummed record (common/record.hh): a
+ * magic/version, the hash of the program image (text, data, entry) as
+ * the record key, and an FNV-1a footer over the payload.  A file taken
+ * against a different program version, torn by a crash or corrupted
+ * by a single flipped bit refuses to load, so the caller rebuilds the
+ * checkpoint instead of silently resuming nonsense state.
  */
 
 #ifndef DMT_SIM_CHECKPOINT_HH
@@ -53,10 +55,11 @@ struct Checkpoint
     bool save(const std::string &path) const;
 
     /**
-     * Load a checkpoint, validating magic, version and program hash.
-     * @return false when the file is missing, torn, of a different
-     *         format version, or taken against a different program;
-     *         @p err (optional) receives the reason.
+     * Load a checkpoint, validating magic, version, program hash and
+     * the payload's integrity footer.
+     * @return false when the file is missing, torn, corrupted, of a
+     *         different format version, or taken against a different
+     *         program; @p err (optional) receives the reason.
      */
     static bool load(const std::string &path, u64 expect_prog_hash,
                      Checkpoint *out, std::string *err = nullptr);

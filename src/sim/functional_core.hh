@@ -13,13 +13,12 @@
  * the stateful facade every fast-forward consumer (checkpoint
  * generation, sampled runs, BBV profiling, the serve daemon) uses:
  * architectural state, memory, instruction count, BBV hook and
- * checkpoint capture.
+ * checkpoint capture.  It owns one TranslatedCore, whose translation
+ * cache is bounded by the program: at most one block per text index.
  */
 
 #ifndef DMT_SIM_FUNCTIONAL_CORE_HH
 #define DMT_SIM_FUNCTIONAL_CORE_HH
-
-#include <memory>
 
 #include "casm/program.hh"
 #include "sim/arch_state.hh"
@@ -77,9 +76,6 @@ class FunctionalCore
     /** No-op kept only because dmtbench/layers.cc still calls it. */
     void setMode(FfMode) {}
 
-    /** Rebind the translation-cache bound (drops cached blocks). */
-    void setCacheBound(u32 max_blocks);
-
     /**
      * Attach (or detach, with nullptr) a BBV collector: subsequent
      * run() calls report every taken control transfer to it under the
@@ -89,11 +85,10 @@ class FunctionalCore
      */
     void setBbv(BbvCollector *bbv) { bbv_ = bbv; }
 
-    /** Translation telemetry accumulated since construction (or the
-     *  last setCacheBound()). */
+    /** Translation telemetry accumulated since construction. */
     TranslationStats translationStats() const
     {
-        return translated_->stats();
+        return translated_.stats();
     }
 
   private:
@@ -102,7 +97,9 @@ class FunctionalCore
     MainMemory mem_;
     u64 instr_count_ = 0;
     BbvCollector *bbv_ = nullptr;
-    std::unique_ptr<TranslatedCore> translated_;
+    /** Its blocks outlive reset() and restore(): they hold no
+     *  architectural state. */
+    TranslatedCore translated_;
 };
 
 } // namespace dmt

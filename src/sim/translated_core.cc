@@ -7,9 +7,9 @@
  *                   capped / text-end blocks with a budget-free
  *                   fall-through transfer
  *   TAKE          — chained block→block transfer straight through
- *                   pre-resolved pointers (eviction severs stale
- *                   links, so no liveness check runs here), expanded
- *                   per handler for per-site branch-target history
+ *                   pre-resolved pointers (blocks are never dropped,
+ *                   so no liveness check runs here), expanded per
+ *                   handler for per-site branch-target history
  *   chain_miss    — out-of-line cache lookup that installs the chain
  *                   link for next time
  *
@@ -30,10 +30,8 @@
 
 #include "sim/translated_core.hh"
 
-#include <algorithm>
 #include <cstring>
 
-#include "common/log.hh"
 #include "sim/bbv.hh"
 
 namespace dmt
@@ -43,8 +41,6 @@ TranslationStats &
 TranslationStats::operator+=(const TranslationStats &o)
 {
     blocks_translated += o.blocks_translated;
-    retranslations += o.retranslations;
-    evictions += o.evictions;
     chain_hits += o.chain_hits;
     chain_misses += o.chain_misses;
     indirect_hits += o.indirect_hits;
@@ -59,8 +55,6 @@ TranslationStats::operator-(const TranslationStats &o) const
 {
     TranslationStats d;
     d.blocks_translated = blocks_translated - o.blocks_translated;
-    d.retranslations = retranslations - o.retranslations;
-    d.evictions = evictions - o.evictions;
     d.chain_hits = chain_hits - o.chain_hits;
     d.chain_misses = chain_misses - o.chain_misses;
     d.indirect_hits = indirect_hits - o.indirect_hits;
@@ -144,30 +138,9 @@ st16(u8 *p, u16 v)
 
 } // namespace
 
-TranslatedCore::TranslatedCore(const Program &prog, u32 max_blocks)
-    : prog_(prog), max_blocks_(max_blocks < 1 ? 1 : max_blocks),
-      idx2block_(prog.text.size()),
-      ever_translated_(prog.text.size(), 0)
+TranslatedCore::TranslatedCore(const Program &prog)
+    : prog_(prog), idx2block_(prog.text.size())
 {
-}
-
-void
-TranslatedCore::invalidateAll()
-{
-    for (u32 i = 0; i < slots_.size(); ++i) {
-        if (!slots_[i].live)
-            continue;
-        Block &b = slots_[i];
-        b.live = false;
-        ++b.gen;
-        b.code.clear();
-        b.code.shrink_to_fit();
-        b.exits.clear();
-        b.exits.shrink_to_fit();
-        free_slots_.push_back(i);
-    }
-    std::fill(idx2block_.begin(), idx2block_.end(), TargetRef{});
-    live_blocks_ = 0;
 }
 
 u32
@@ -179,82 +152,15 @@ TranslatedCore::addExit(Block *b, Addr target)
     return static_cast<u32>(b->exits.size() - 1);
 }
 
-void
-TranslatedCore::evictOne()
-{
-    // Least-recently-entered block.  The linear scan is acceptable:
-    // evictions happen only at the cache bound, and the bound is tiny
-    // exactly when someone (a test) wants eviction churn.
-    u32 victim = kNoBlock;
-    u64 oldest = ~u64{0};
-    for (u32 i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].live && slots_[i].last_used < oldest) {
-            oldest = slots_[i].last_used;
-            victim = i;
-        }
-    }
-    DMT_ASSERT(victim != kNoBlock,
-               "translation cache eviction with no live blocks");
-    Block &b = slots_[victim];
-    idx2block_[(b.start_pc - Program::kTextBase) >> 2] = TargetRef{};
-    b.live = false;
-    ++b.gen;
-    b.code.clear();
-    b.code.shrink_to_fit();
-    b.exits.clear();
-    b.exits.shrink_to_fit();
-    // Sever every chain link into the victim.  Paying a full exit walk
-    // here (rare: only at the cache bound) is what lets chained
-    // transfers in the dispatch loop jump through raw pointers with no
-    // liveness check at all.
-    for (Block &s : slots_) {
-        if (!s.live)
-            continue;
-        for (Exit &e : s.exits) {
-            if (e.slot == victim) {
-                e.code = nullptr;
-                e.exits = nullptr;
-                e.entry = nullptr;
-                e.slot = kNoBlock;
-            }
-        }
-    }
-    free_slots_.push_back(victim);
-    --live_blocks_;
-    ++stats_.evictions;
-}
-
-u32
+const TranslatedCore::TargetRef &
 TranslatedCore::lookupOrTranslate(u32 start_idx)
 {
-    const u32 slot = idx2block_[start_idx].slot;
-    if (slot != kNoBlock) {
-        slots_[slot].last_used = ++use_clock_;
-        return slot;
-    }
-    return translate(start_idx);
-}
+    TargetRef &ref = idx2block_[start_idx];
+    if (ref.code)
+        return ref;
 
-u32
-TranslatedCore::translate(u32 start_idx)
-{
-    if (live_blocks_ >= max_blocks_)
-        evictOne();
-
-    u32 slot;
-    if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-    } else {
-        slot = static_cast<u32>(slots_.size());
-        slots_.emplace_back();
-    }
-
-    Block &b = slots_[slot];
-    b.live = true;
-    b.start_pc = Program::kTextBase + static_cast<Addr>(start_idx) * 4;
-    b.last_used = ++use_clock_;
-
+    blocks_.emplace_back();
+    Block &b = blocks_.back();
     const size_t text_size = prog_.text.size();
     u32 idx = start_idx;
     bool open = true;
@@ -358,14 +264,9 @@ TranslatedCore::translate(u32 start_idx)
         }
     }
 
-    idx2block_[start_idx] = TargetRef{b.code.data(), b.exits.data(),
-                                      b.code.front().handler, slot};
-    ++live_blocks_;
+    ref = TargetRef{b.code.data(), b.exits.data(), b.code.front().handler};
     ++stats_.blocks_translated;
-    if (ever_translated_[start_idx])
-        ++stats_.retranslations;
-    ever_translated_[start_idx] = 1;
-    return slot;
+    return ref;
 }
 
 // ---- memory fast path --------------------------------------------------
@@ -408,16 +309,14 @@ TranslatedCore::writePage(MainMemory &mem, Addr ea)
 #define OP_SYNTH_JAL_INLINE L_JAL_INLINE:
 #define DISPATCH() goto *up->handler
 
-/** Enter a cached block by slot index (lookup / resolve paths).  LRU
- *  touches happen only in lookupOrTranslate, keeping transfers free of
- *  member read-modify-writes. */
-#define ENTER_SLOT(slot_expr)                                          \
+/** Enter a cached block through its table entry (lookup / resolve
+ *  paths). */
+#define ENTER_BLOCK(ref_expr)                                          \
     do {                                                               \
-        cur_slot = (slot_expr);                                        \
-        const Block &b_ = slots[cur_slot];                             \
+        const TargetRef &r_ = (ref_expr);                              \
         ++n_blocks;                                                    \
-        up = b_.code.data();                                           \
-        exits = b_.exits.data();                                       \
+        up = r_.code;                                                  \
+        exits = r_.exits;                                              \
     } while (0)
 
 /** Dispatch into a block whose first-handler label was cached at
@@ -426,13 +325,12 @@ TranslatedCore::writePage(MainMemory &mem, Addr ea)
  *  host-mispredicted transfer redirects one load-latency sooner. */
 #define DISPATCH_ENTRY(e) goto *(e)
 
-/** Enter a block through a chained exit and dispatch: four loads off
- *  one Exit and an indirect jump, no table indexing and no liveness
- *  check (eviction severed any stale link). */
+/** Enter a block through a chained exit and dispatch: three loads
+ *  off one Exit and an indirect jump, no table indexing and no
+ *  liveness check (a link never goes stale). */
 #define ENTER_CHAIN()                                                  \
     do {                                                               \
         const void *entry_ = ex->entry;                                \
-        cur_slot = ex->slot;                                           \
         ++n_blocks;                                                    \
         up = ex->code;                                                 \
         exits = ex->exits;                                             \
@@ -559,7 +457,6 @@ bbvSlowTransfer(BbvCollector *bbv, u64 room, u32 cur_key, u32 key,
             const TargetRef &tr_ = i2b[ioff_ >> 2];                    \
             if (tr_.code) {                                            \
                 ++n_ind_hits;                                          \
-                cur_slot = tr_.slot;                                   \
                 ++n_blocks;                                            \
                 up = tr_.code;                                         \
                 exits = tr_.exits;                                     \
@@ -613,15 +510,11 @@ TranslatedCore::run(ArchState &state, MainMemory &mem, u64 max_instr,
     const MicroOp *up = nullptr;
     const Exit *exits = nullptr;
     Exit *ex = nullptr;
-    u32 cur_slot = kNoBlock;
     Addr target = state.pc;
 
     // Hot-path state staged in locals so the dispatch loop performs no
-    // member read-modify-writes; flushed at `done`.  The slot array
-    // pointer must be re-read after any lookupOrTranslate() call
-    // (translation may grow the vector); the idx2block_ table never
-    // resizes, so its pointer is stable.
-    const Block *slots = slots_.data();
+    // member read-modify-writes; flushed at `done`.  The idx2block_
+    // table never resizes, so its pointer is stable.
     const TargetRef *i2b = idx2block_.data();
     const Addr text_base = Program::kTextBase;
     const u32 text_bytes = static_cast<u32>(prog_.text.size()) * 4;
@@ -657,12 +550,7 @@ TranslatedCore::run(ArchState &state, MainMemory &mem, u64 max_instr,
         halted = true;
         goto done;
     }
-    {
-        const u32 slot =
-            lookupOrTranslate((target - Program::kTextBase) >> 2);
-        slots = slots_.data();
-        ENTER_SLOT(slot);
-    }
+    ENTER_BLOCK(lookupOrTranslate((target - Program::kTextBase) >> 2));
     DISPATCH();
 
     OP(ADD) regs[up->rd] = regs[up->rs] + regs[up->rt]; NEXT();
@@ -901,23 +789,14 @@ resolve_exit:
         goto done;
     }
     {
-        // Translation below may evict the very block `ex` lives in;
-        // re-reach the exit through its slot generation before
-        // installing the chain link.
-        const u32 src_slot = cur_slot;
-        const u32 src_gen = slots_[src_slot].gen;
-        const u32 exit_idx = static_cast<u32>(ex - exits);
-        const u32 slot =
+        // Translating the target never moves the exit table `ex` lives
+        // in, so the chain link installs straight through it.
+        const TargetRef &tr =
             lookupOrTranslate((target - Program::kTextBase) >> 2);
-        slots = slots_.data();
-        if (slots_[src_slot].gen == src_gen) {
-            Exit &live_exit = slots_[src_slot].exits[exit_idx];
-            live_exit.code = slots_[slot].code.data();
-            live_exit.exits = slots_[slot].exits.data();
-            live_exit.entry = slots_[slot].code.front().handler;
-            live_exit.slot = slot;
-        }
-        ENTER_SLOT(slot);
+        ex->code = tr.code;
+        ex->exits = tr.exits;
+        ex->entry = tr.entry;
+        ENTER_BLOCK(tr);
     }
     DISPATCH();
 
@@ -946,7 +825,7 @@ done:
 #undef OP_SYNTH_JAL_INLINE
 #undef DISPATCH
 #undef DISPATCH_ENTRY
-#undef ENTER_SLOT
+#undef ENTER_BLOCK
 #undef ENTER_CHAIN
 #undef NEXT
 #undef NEXT_JUMP

@@ -18,15 +18,14 @@
  * and executed by a computed-goto dispatch loop (a GNU extension that
  * GCC and Clang both support).
  *
- * Translations live in a cache keyed by block start PC and bounded by
- * kDefaultCacheBlocks (LRU eviction by entry epoch; evicting a block
- * bumps its slot generation, which lazily invalidates every chain link
- * into it).  Direct block→block successors — jump targets, taken-branch
- * side exits, fall-throughs — are chained on first use so hot loops
- * run block to block with zero per-instruction dispatch overhead;
- * indirect transfers (JR/JALR) resolve through a flat PC-indexed
- * block table — one bounds check and one load, monomorphic or
- * megamorphic alike.
+ * Translations live in a cache keyed by block start index in the text
+ * segment and are never dropped: a core holds at most one block per
+ * text instruction, so the cache is bounded by the program it runs.
+ * Direct block→block successors — jump targets, taken-branch side
+ * exits, fall-throughs — are chained on first use so hot loops run
+ * block to block with zero per-instruction dispatch overhead; indirect
+ * transfers (JR/JALR) resolve through a flat PC-indexed block table —
+ * one bounds check and one load, monomorphic or megamorphic alike.
  *
  * Determinism contract: execution is bit-for-bit identical to stepping
  * functionalStep() the same distance — registers, sparse-page memory
@@ -55,9 +54,7 @@ class BbvCollector;
 /** Translation-cache and dispatch telemetry. */
 struct TranslationStats
 {
-    u64 blocks_translated = 0; ///< translate() calls (incl. retranslations)
-    u64 retranslations = 0;    ///< translations of a previously evicted PC
-    u64 evictions = 0;
+    u64 blocks_translated = 0; ///< translate() calls
     u64 chain_hits = 0;     ///< direct-exit transfers through a live link
     u64 chain_misses = 0;   ///< direct-exit transfers needing a lookup
     u64 indirect_hits = 0;   ///< JR/JALR flat-table dispatches
@@ -78,15 +75,12 @@ struct TranslationStats
 class TranslatedCore
 {
   public:
-    /** Default translation-cache bound (blocks). */
-    static constexpr u32 kDefaultCacheBlocks = 8192;
     /** Superblock length cap (instructions) before a fall-through
      *  transfer closes the block. */
     static constexpr u32 kMaxBlockLen = 256;
 
     /** Bind to @p prog (kept by reference — must outlive the core). */
-    explicit TranslatedCore(const Program &prog,
-                            u32 max_blocks = kDefaultCacheBlocks);
+    explicit TranslatedCore(const Program &prog);
 
     /**
      * Execute up to @p max_instr instructions from state.pc, exactly
@@ -107,13 +101,6 @@ class TranslatedCore
             BbvCollector *bbv = nullptr);
 
     const TranslationStats &stats() const { return stats_; }
-
-    /** Blocks currently cached (bounded by the cache limit). */
-    size_t cachedBlocks() const { return live_blocks_; }
-
-    /** Drop every translation (invalidation hook; chains die with the
-     *  generation bump, re-execution retranslates on demand). */
-    void invalidateAll();
 
   private:
     /** One pre-resolved execution record (see translated_core.cc). */
@@ -136,10 +123,10 @@ class TranslatedCore
 
     /** One control-flow edge out of a block.  A chained transfer jumps
      *  straight through pre-resolved pointers into the target block
-     *  (code == nullptr means unchained); eviction severs every link
-     *  into the victim by walking live exits, so the hot path carries
-     *  no generation check.  Pointers into a Block's vectors stay
-     *  valid across slots_ growth because vector moves keep the heap
+     *  (code == nullptr means unchained); blocks are never dropped, so
+     *  a link stays valid for the life of the core and the hot path
+     *  carries no liveness check.  Pointers into a Block's vectors stay
+     *  valid across blocks_ growth because vector moves keep the heap
      *  buffers, and translated blocks are never resized in place. */
     struct alignas(32) Exit
     {
@@ -153,42 +140,14 @@ class TranslatedCore
          *  where branch-heavy guests spend their time. */
         const void *entry = nullptr;
         Addr target_pc = 0; ///< folded target
-        u32 slot = ~u32{0}; ///< chained target slot
-    }; // exactly 32 bytes, aligned: a taken transfer touches one line
+    }; // 32 bytes, aligned: a taken transfer touches one line
 
     struct Block
     {
-        Addr start_pc = 0;
-        u32 gen = 0;    ///< bumped on eviction: guards in-flight exit
-                        ///< pointers across translate() in run()
-        bool live = false;
-        u64 last_used = 0;
         std::vector<MicroOp> code;
         std::vector<Exit> exits;
     };
 
-    static constexpr u32 kNoBlock = ~u32{0};
-    static constexpr u32 kNoPage = ~u32{0};
-    static constexpr u32 kTlbEntries = 16;
-    static constexpr Addr kPageMask = MainMemory::kPageSize - 1;
-
-    u32 lookupOrTranslate(u32 start_idx);
-    u32 translate(u32 start_idx);
-    void evictOne();
-    u32 addExit(Block *b, Addr target);
-
-    const u8 *readPage(const MainMemory &mem, Addr ea);
-    u8 *writePage(MainMemory &mem, Addr ea);
-
-    const Program &prog_;
-    u32 max_blocks_;
-    /** Handler label table exported by run() before the first
-     *  translation (computed labels are function-scope). */
-    const void *const *labels_ = nullptr;
-    std::vector<Block> slots_;
-    std::vector<u32> free_slots_;
-    u32 live_blocks_ = 0;
-    u64 use_clock_ = 0;
     /** Pre-resolved entry pointers for one translated block, ready to
      *  load straight into the dispatch cursors. */
     struct alignas(32) TargetRef
@@ -196,18 +155,33 @@ class TranslatedCore
         const MicroOp *code = nullptr; ///< null: not translated
         const Exit *exits = nullptr;
         const void *entry = nullptr; ///< code[0]'s handler (see Exit)
-        u32 slot = ~u32{0};
     }; // 32 bytes: an indirect dispatch loads exactly one line
 
+    static constexpr u32 kNoPage = ~u32{0};
+    static constexpr u32 kTlbEntries = 16;
+    static constexpr Addr kPageMask = MainMemory::kPageSize - 1;
+
+    /** Entry pointers of the block starting at text index
+     *  @p start_idx, translated on first use. */
+    const TargetRef &lookupOrTranslate(u32 start_idx);
+    u32 addExit(Block *b, Addr target);
+
+    const u8 *readPage(const MainMemory &mem, Addr ea);
+    u8 *writePage(MainMemory &mem, Addr ea);
+
+    const Program &prog_;
+    /** Handler label table exported by run() before the first
+     *  translation (computed labels are function-scope). */
+    const void *const *labels_ = nullptr;
+    /** Translated blocks, at most one per text index. */
+    std::vector<Block> blocks_;
     /** Block start index (PC-derived) → entry pointers, code == null
      *  when absent.  A flat text-sized table rather than a hash map:
      *  lookups sit on the indirect-jump miss path (where they make a
      *  predictor miss almost as cheap as a hit), and text segments are
      *  small.  The program image is immutable for the life of the
-     *  core, so start-PC keying is content keying; invalidateAll() is
-     *  the hook for anything that would break that assumption. */
+     *  core, so start-PC keying is content keying. */
     std::vector<TargetRef> idx2block_;
-    std::vector<u8> ever_translated_;
     TranslationStats stats_;
 
     /** Direct-mapped page-pointer caches, rebuilt per run() so a

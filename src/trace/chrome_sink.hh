@@ -44,8 +44,6 @@ class ChromeSink : public TraceSink
     /** The complete document text (for tests; valid any time). */
     std::string document() const;
 
-    u64 eventsWritten() const { return events_written; }
-
   private:
     struct Track
     {

@@ -36,13 +36,6 @@ class CountersSink : public TraceSink
     /** Serialize the document so far (for tests; valid any time). */
     void jsonOn(JsonWriter &w) const;
 
-    u64 eventCount(TraceEventKind kind) const
-    {
-        return counts[static_cast<size_t>(kind)];
-    }
-
-    size_t numSamples() const { return samples.size(); }
-
   private:
     std::string path;
     int period;

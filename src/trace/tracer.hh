@@ -86,8 +86,6 @@ class Tracer
     /** The ring sink, when one is configured (else nullptr). */
     RingSink *ring() const { return ring_; }
 
-    int samplePeriod() const { return sample_period_; }
-
   private:
     bool enabled_ = false;
     bool finished_ = false;

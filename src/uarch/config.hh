@@ -54,24 +54,10 @@ struct SimConfig
      *  value known to be stale.  Extension over the paper's
      *  update-and-recover behaviour. */
     bool dataflow_sync = false;
-    /** log2 of the thread-selection counter table. */
-    int spawn_table_bits = 12;
-    /** Threads below this retired size reset their selection counter. */
-    int min_thread_size = 12;
-    /** Minimum speculative-overlap fraction before counter reset. */
-    double min_overlap_frac = 0.10;
     /** Memory dependence throttle (store-set flavoured extension; the
      *  paper speculates all loads aggressively): loads whose PC keeps
      *  getting violated wait until all earlier stores have executed. */
     bool memdep_sync = true;
-    /** Maximum concurrent threads with the same start PC (0 =
-     *  unlimited).  Bounds how many iterations/unwind levels of the
-     *  same static continuation speculate at once. */
-    int max_same_start = 0;
-    /** Pre-emption hysteresis: the order-list tail is only evicted for
-     *  a new thread once it is at least this many cycles old (damps
-     *  spawn cascades thrashing freshly created contexts). */
-    int preempt_min_age = 0;
 
     // ---- fetch --------------------------------------------------------
     int fetch_ports = 1;
@@ -81,8 +67,6 @@ struct SimConfig
     // ---- pipeline -----------------------------------------------------
     /** Active instructions in the execution pipeline (level-1 window). */
     int window_size = 128;
-    /** Cycles from fetch to dispatch (decode+rename depth). */
-    int frontend_depth = 3;
     /** Early/final retirement width (per cycle). */
     int retire_width = 4;
     /** Unlimited execution units (Figures 4 and 5). */
@@ -107,9 +91,6 @@ struct SimConfig
     int tb_latency = 4;
     /** Instructions read per cycle during recovery walk; 0 = ideal. */
     int tb_read_block = 4;
-    /** Recovery re-dispatch width into the rename unit (per thread —
-     *  each trace buffer has its own recovery pipe). */
-    int recovery_dispatch_width = 4;
     /** 0: fetch never stalls for recovery; 1: stalls during an active
      *  walk; 2: stalls whenever recovery work is queued. */
     int recovery_fetch_stall = 0;

@@ -30,10 +30,6 @@ class FuPool
      */
     bool tryIssue(OpClass cls, Cycle now);
 
-    /** Remaining ALU slots this cycle (for tests). */
-    int aluSlotsLeft() const { return alu_left; }
-    int memSlotsLeft() const { return mem_left; }
-
   private:
     bool unlimited;
     FuParams params;

@@ -27,6 +27,7 @@
 #include "common/log.hh"
 #include "dmt/engine.hh"
 #include "exp/sampled.hh"
+#include "golden_file.hh"
 #include "sim/checkpoint.hh"
 #include "sim/functional.hh"
 #include "sim/functional_core.hh"
@@ -303,6 +304,57 @@ TEST(Sampled, DeterministicAcrossCacheStates)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Sampled, CorruptCheckpointFileIsRebuiltNotResumed)
+{
+    // One flipped payload byte in a checkpoint file must not load: the
+    // integrity footer rejects the file, and a sampled rerun over the
+    // directory rebuilds that checkpoint and reproduces the cold run.
+    SampleParams p;
+    p.skip = 50000;
+    p.warm = 500;
+    p.measure = 1500;
+    p.max_intervals = 3;
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+
+    const std::string dir = "ckpt_test_corrupt";
+    std::filesystem::remove_all(dir);
+    setCheckpointDir(dir);
+    clearCheckpointCache();
+    const RunResult cold = runWorkloadSampled(cfg, "compress", p);
+
+    // The second window's checkpoint; byte 104 lies in its registers.
+    const std::string path = dir + "/compress-102000.ckpt";
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        bytes = buf.str();
+    }
+    ASSERT_GT(bytes.size(), 104u) << path;
+    bytes[104] = static_cast<char>(bytes[104] ^ 0x01);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<long>(bytes.size()));
+    }
+    Checkpoint back;
+    std::string err;
+    EXPECT_FALSE(Checkpoint::load(
+        path, Checkpoint::programHash(buildWorkload("compress")), &back,
+        &err));
+
+    clearCheckpointCache();
+    const RunResult rerun = runWorkloadSampled(cfg, "compress", p);
+    const CheckpointCacheCounters c = checkpointCacheCounters();
+    setCheckpointDir("");
+    clearCheckpointCache();
+
+    EXPECT_EQ(cold.jsonString(), rerun.jsonString());
+    EXPECT_EQ(c.disk_hits, 2u);
+    EXPECT_EQ(c.builds, 1u) << "the corrupt checkpoint must be rebuilt";
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Sampled, CoversWholeProgramAndStopsAtHalt)
 {
     SampleParams p;
@@ -325,19 +377,6 @@ TEST(Sampled, CoversWholeProgramAndStopsAtHalt)
     clearCheckpointCache();
 }
 
-std::string
-sampledGoldenPath()
-{
-    return std::string(DMT_GOLDEN_DIR) + "/sampled_go.json";
-}
-
-bool
-updateRequested()
-{
-    const char *v = std::getenv("DMT_UPDATE_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
-
 TEST(Sampled, GoldenSignature)
 {
     // Pin the whole sampled pipeline — functional fast-forward,
@@ -354,25 +393,8 @@ TEST(Sampled, GoldenSignature)
     const RunResult r =
         runWorkloadSampled(SimConfig::dmt(6, 2), "go", p);
     clearCheckpointCache();
-    const std::string got = r.jsonString() + "\n";
-
-    if (updateRequested()) {
-        std::ofstream out(sampledGoldenPath());
-        ASSERT_TRUE(out.good()) << sampledGoldenPath();
-        out << got;
-        GTEST_SKIP() << "sampled signature regenerated in "
-                     << sampledGoldenPath();
-    }
-
-    std::ifstream in(sampledGoldenPath());
-    ASSERT_TRUE(in.good()) << sampledGoldenPath()
-                           << " missing; regenerate with "
-                              "DMT_UPDATE_GOLDEN=1";
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), got)
-        << "sampled run drifted from tests/golden/sampled_go.json; "
-           "if intentional, regenerate with DMT_UPDATE_GOLDEN=1";
+    checkGoldenBytes(std::string(DMT_GOLDEN_DIR) + "/sampled_go.json",
+                     r.jsonString() + "\n");
 }
 
 TEST(Sampled, GeneratedFamilyCpiBracketsFullDetail)

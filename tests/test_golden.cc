@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +19,7 @@
 #include "common/json.hh"
 #include "exp/experiments.hh"
 #include "exp/sweep.hh"
+#include "golden_file.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -30,7 +29,6 @@ namespace
 
 /** The signature length: fixed, independent of DMT_BENCH_INSTR. */
 constexpr u64 kGoldenBudget = 60000;
-
 
 struct Machine
 {
@@ -96,63 +94,58 @@ diffSignature(const JsonValue &want, const RunResult &got)
 }
 
 std::string
-goldenPath(const std::string &workload)
+goldenPath(const std::string &stem)
 {
-    return std::string(DMT_GOLDEN_DIR) + "/" + workload + ".json";
+    return std::string(DMT_GOLDEN_DIR) + "/" + stem + ".json";
 }
 
-bool
-updateRequested()
+/** A workload pinned to a golden signature file. */
+struct Pinned
 {
-    const char *v = std::getenv("DMT_UPDATE_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
+    const char *key;  ///< golden file stem (tests/golden/<key>.json)
+    const char *spec; ///< suite name or canonical gen: workload spec
+};
 
-TEST(Golden, SuiteMatchesCheckedInSignatures)
+/** Run every pinned workload on both machines, then regenerate or
+ *  compare its signature file. */
+void
+checkSignatures(const std::vector<Pinned> &pinned)
 {
-    const auto &suite = workloadSuite();
     const std::vector<Machine> mach = machines();
 
     SweepRunner runner;
-    for (const WorkloadInfo &w : suite)
+    for (const Pinned &p : pinned)
         for (const Machine &m : mach)
-            runner.add(m.cfg, w.name, kGoldenBudget,
-                       std::string(w.name) + "/" + m.key);
+            runner.add(m.cfg, p.spec, kGoldenBudget,
+                       std::string(p.key) + "/" + m.key);
     const auto &cells = runner.run();
     for (const SweepCell &cell : cells)
         ASSERT_TRUE(cell.ok) << cell.error;
 
-    if (updateRequested()) {
-        for (size_t wi = 0; wi < suite.size(); ++wi) {
-            JsonWriter w;
-            w.beginObject();
-            w.key("workload").value(suite[wi].name);
-            w.key("max_retired").value(kGoldenBudget);
-            for (size_t mi = 0; mi < mach.size(); ++mi) {
-                w.key(mach[mi].key);
-                signatureOn(w, cells[wi * mach.size() + mi].result);
-            }
-            w.endObject();
-            std::ofstream out(goldenPath(suite[wi].name));
-            ASSERT_TRUE(out.good()) << goldenPath(suite[wi].name);
-            out << w.str() << "\n";
+    std::vector<GoldenFile> files;
+    for (size_t pi = 0; pi < pinned.size(); ++pi) {
+        JsonWriter w;
+        w.beginObject();
+        w.key("workload").value(pinned[pi].spec);
+        w.key("max_retired").value(kGoldenBudget);
+        for (size_t mi = 0; mi < mach.size(); ++mi) {
+            w.key(mach[mi].key);
+            signatureOn(w, cells[pi * mach.size() + mi].result);
         }
-        GTEST_SKIP() << "golden signatures regenerated in "
-                     << DMT_GOLDEN_DIR;
+        w.endObject();
+        files.push_back({goldenPath(pinned[pi].key), w.str() + "\n"});
     }
 
-    for (size_t wi = 0; wi < suite.size(); ++wi) {
-        const std::string path = goldenPath(suite[wi].name);
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good())
-            << path << " missing; regenerate with DMT_UPDATE_GOLDEN=1";
-        std::ostringstream buf;
-        buf << in.rdbuf();
-
+    checkGoldenFiles(files, [&](size_t pi, const std::string &text) {
+        const std::string &path = files[pi].path;
         JsonValue doc;
         std::string err;
-        ASSERT_TRUE(JsonValue::parse(buf.str(), &doc, &err))
+        ASSERT_TRUE(JsonValue::parse(text, &doc, &err))
             << path << ": " << err;
+        const JsonValue *spec = doc.find("workload");
+        ASSERT_NE(spec, nullptr) << path;
+        ASSERT_EQ(spec->asString(), pinned[pi].spec)
+            << path << " pins a different spec";
         const JsonValue *budget = doc.find("max_retired");
         ASSERT_NE(budget, nullptr) << path;
         ASSERT_EQ(static_cast<u64>(budget->asNumber()), kGoldenBudget)
@@ -162,18 +155,26 @@ TEST(Golden, SuiteMatchesCheckedInSignatures)
             const JsonValue *sig = doc.find(mach[mi].key);
             ASSERT_NE(sig, nullptr)
                 << path << " has no '" << mach[mi].key << "' signature";
-            const auto diffs =
-                diffSignature(*sig, cells[wi * mach.size() + mi].result);
+            const auto diffs = diffSignature(
+                *sig, cells[pi * mach.size() + mi].result);
             std::ostringstream os;
             for (const std::string &d : diffs)
                 os << "\n  " << d;
             EXPECT_TRUE(diffs.empty())
-                << suite[wi].name << "/" << mach[mi].key
+                << pinned[pi].key << "/" << mach[mi].key
                 << " drifted from its golden signature:" << os.str()
                 << "\nIf intentional, regenerate with "
                    "DMT_UPDATE_GOLDEN=1.";
         }
-    }
+    });
+}
+
+TEST(Golden, SuiteMatchesCheckedInSignatures)
+{
+    std::vector<Pinned> pinned;
+    for (const WorkloadInfo &w : workloadSuite())
+        pinned.push_back({w.name, w.name});
+    checkSignatures(pinned);
 }
 
 // ---- generated-family signatures ---------------------------------------
@@ -182,13 +183,7 @@ TEST(Golden, SuiteMatchesCheckedInSignatures)
  *  generator's emission and the machines' timing on it are both under
  *  regression control.  File names are the spec with ':'/'=' made
  *  filesystem-tame. */
-struct PinnedGen
-{
-    const char *key;  ///< golden file stem (tests/golden/<key>.json)
-    const char *spec; ///< canonical gen: workload spec
-};
-
-std::vector<PinnedGen>
+std::vector<Pinned>
 genPinned()
 {
     return {
@@ -216,74 +211,7 @@ genPinned()
 
 TEST(Golden, GeneratedFamiliesMatchCheckedInSignatures)
 {
-    const std::vector<PinnedGen> pinned = genPinned();
-    const std::vector<Machine> mach = machines();
-
-    SweepRunner runner;
-    for (const PinnedGen &p : pinned)
-        for (const Machine &m : mach)
-            runner.add(m.cfg, p.spec, kGoldenBudget,
-                       std::string(p.key) + "/" + m.key);
-    const auto &cells = runner.run();
-    for (const SweepCell &cell : cells)
-        ASSERT_TRUE(cell.ok) << cell.error;
-
-    if (updateRequested()) {
-        for (size_t pi = 0; pi < pinned.size(); ++pi) {
-            JsonWriter w;
-            w.beginObject();
-            w.key("workload").value(pinned[pi].spec);
-            w.key("max_retired").value(kGoldenBudget);
-            for (size_t mi = 0; mi < mach.size(); ++mi) {
-                w.key(mach[mi].key);
-                signatureOn(w, cells[pi * mach.size() + mi].result);
-            }
-            w.endObject();
-            std::ofstream out(goldenPath(pinned[pi].key));
-            ASSERT_TRUE(out.good()) << goldenPath(pinned[pi].key);
-            out << w.str() << "\n";
-        }
-        GTEST_SKIP() << "generated-family signatures regenerated in "
-                     << DMT_GOLDEN_DIR;
-    }
-
-    for (size_t pi = 0; pi < pinned.size(); ++pi) {
-        const std::string path = goldenPath(pinned[pi].key);
-        std::ifstream in(path);
-        ASSERT_TRUE(in.good())
-            << path << " missing; regenerate with DMT_UPDATE_GOLDEN=1";
-        std::ostringstream buf;
-        buf << in.rdbuf();
-
-        JsonValue doc;
-        std::string err;
-        ASSERT_TRUE(JsonValue::parse(buf.str(), &doc, &err))
-            << path << ": " << err;
-        const JsonValue *spec = doc.find("workload");
-        ASSERT_NE(spec, nullptr) << path;
-        ASSERT_EQ(spec->asString(), pinned[pi].spec)
-            << path << " pins a different spec";
-        const JsonValue *budget = doc.find("max_retired");
-        ASSERT_NE(budget, nullptr) << path;
-        ASSERT_EQ(static_cast<u64>(budget->asNumber()), kGoldenBudget)
-            << path << " was generated at a different run length";
-
-        for (size_t mi = 0; mi < mach.size(); ++mi) {
-            const JsonValue *sig = doc.find(mach[mi].key);
-            ASSERT_NE(sig, nullptr)
-                << path << " has no '" << mach[mi].key << "' signature";
-            const auto diffs = diffSignature(
-                *sig, cells[pi * mach.size() + mi].result);
-            std::ostringstream os;
-            for (const std::string &d : diffs)
-                os << "\n  " << d;
-            EXPECT_TRUE(diffs.empty())
-                << pinned[pi].key << "/" << mach[mi].key
-                << " drifted from its golden signature:" << os.str()
-                << "\nIf intentional, regenerate with "
-                   "DMT_UPDATE_GOLDEN=1.";
-        }
-    }
+    checkSignatures(genPinned());
 }
 
 TEST(Golden, GeneratedPerturbationIsDetected)

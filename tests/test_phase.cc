@@ -17,16 +17,14 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "common/log.hh"
 #include "exp/phase.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
+#include "golden_file.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -397,19 +395,6 @@ TEST(PhaseSampled, CpiBracketsFullDetail)
     clearAllCaches();
 }
 
-std::string
-phaseGoldenPath()
-{
-    return std::string(DMT_GOLDEN_DIR) + "/phase_go.json";
-}
-
-bool
-updateRequested()
-{
-    const char *v = std::getenv("DMT_UPDATE_GOLDEN");
-    return v && *v && std::string(v) != "0";
-}
-
 TEST(PhaseSampled, GoldenSignature)
 {
     // Pin the whole phase pipeline — BBV profile, projection,
@@ -422,25 +407,8 @@ TEST(PhaseSampled, GoldenSignature)
     const RunResult r =
         runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 400000);
     clearAllCaches();
-    const std::string got = r.jsonString() + "\n";
-
-    if (updateRequested()) {
-        std::ofstream out(phaseGoldenPath());
-        ASSERT_TRUE(out.good()) << phaseGoldenPath();
-        out << got;
-        GTEST_SKIP() << "phase signature regenerated in "
-                     << phaseGoldenPath();
-    }
-
-    std::ifstream in(phaseGoldenPath());
-    ASSERT_TRUE(in.good()) << phaseGoldenPath()
-                           << " missing; regenerate with "
-                              "DMT_UPDATE_GOLDEN=1";
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), got)
-        << "phase-sampled run drifted from tests/golden/phase_go.json; "
-           "if intentional, regenerate with DMT_UPDATE_GOLDEN=1";
+    checkGoldenBytes(std::string(DMT_GOLDEN_DIR) + "/phase_go.json",
+                     r.jsonString() + "\n");
 }
 
 // ---- daemon byte-identity ----------------------------------------------

@@ -7,8 +7,7 @@
  * conformance harness use — the same distance: registers, PC, halt
  * flag, OUT stream (exact vector, count and hash), sparse memory pages
  * and executed-instruction count, for every conformance scenario, for
- * arbitrary mid-block budget stops, across checkpoint restore and
- * across tiny-cache eviction churn.
+ * arbitrary mid-block budget stops and across checkpoint restore.
  *
  * Scenario count mirrors tests/test_conformance.cc: all generator
  * families x DMT_CONF_SEEDS seeds (default 15; CI smoke uses 2).
@@ -103,26 +102,18 @@ struct Oracle
 
 /** Every observable architectural fact the engine must reproduce. */
 void
-expectSameState(const Oracle &ref, const ArchState &st,
-                const MainMemory &mem, u64 instr_count,
+expectSameState(const Oracle &ref, const FunctionalCore &core,
                 const std::string &ctx)
 {
-    EXPECT_EQ(ref.instr_count, instr_count) << ctx;
+    const ArchState &st = core.state();
+    EXPECT_EQ(ref.instr_count, core.instrCount()) << ctx;
     EXPECT_EQ(ref.state.pc, st.pc) << ctx;
     EXPECT_EQ(ref.state.halted, st.halted) << ctx;
     EXPECT_EQ(ref.state.regs, st.regs) << ctx;
     EXPECT_EQ(ref.state.output, st.output) << ctx;
     EXPECT_EQ(ref.state.out_count, st.out_count) << ctx;
     EXPECT_EQ(ref.state.out_hash, st.out_hash) << ctx;
-    EXPECT_TRUE(ref.mem == mem) << ctx;
-}
-
-void
-expectSameState(const Oracle &ref, const FunctionalCore &core,
-                const std::string &ctx)
-{
-    expectSameState(ref, core.state(), core.memory(), core.instrCount(),
-                    ctx);
+    EXPECT_TRUE(ref.mem == core.memory()) << ctx;
 }
 
 /** Run @p core (engine or oracle) to HALT under the safety cap. */
@@ -214,37 +205,6 @@ TEST(Translated, SuiteKernelsBitIdentical)
 
 // ---- translation-cache behaviour --------------------------------------
 
-TEST(Translated, TinyCacheEvictsAndRetranslatesExactly)
-{
-    // A 2-block cache on a call-tree workload forces constant eviction
-    // and retranslation churn; results must not change.
-    const Program prog = buildWorkload("gen:calltree:7");
-    Oracle ref(prog);
-    FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setCacheBound(2);
-
-    runToHalt(ref, "calltree reference");
-    runToHalt(xlat, "calltree tiny cache");
-    expectSameState(ref, xlat, "tiny-cache eviction churn");
-
-    const TranslationStats xs = xlat.translationStats();
-    EXPECT_GT(xs.evictions, 0u);
-    EXPECT_GT(xs.retranslations, 0u);
-    EXPECT_GT(xs.blocks_translated, xs.retranslations);
-}
-
-TEST(Translated, CacheBoundOneStillExact)
-{
-    // The degenerate bound: every block transfer is a miss.
-    const Program prog = buildWorkload("gen:branchy:3:trips=40");
-    Oracle ref(prog);
-    FunctionalCore xlat(prog, /*stream_output=*/false);
-    xlat.setCacheBound(1);
-    runToHalt(ref, "branchy reference");
-    runToHalt(xlat, "branchy bound-1");
-    expectSameState(ref, xlat, "cache bound 1");
-}
-
 TEST(Translated, IndirectStressReturnsAndPtrchase)
 {
     // Deep call trees return through JR — the inline next-block
@@ -281,31 +241,6 @@ TEST(Translated, HotLoopChainsBlocks)
     // (every miss is a one-time chain installation).
     EXPECT_GT(xs.chain_hits, 10 * xs.chain_misses);
     EXPECT_GT(xs.blocks_executed, xs.blocks_translated);
-}
-
-TEST(Translated, InvalidateAllRetranslatesExactly)
-{
-    const Program prog = buildWorkload("gen:loopnest:3:trips=50");
-
-    // Reference: uninterrupted oracle run.
-    Oracle ref(prog);
-    runToHalt(ref, "loopnest reference");
-
-    // Drive TranslatedCore directly and invalidate mid-run.
-    ArchState state;
-    state.reset(prog);
-    state.stream_output = false;
-    MainMemory mem;
-    mem.loadProgram(prog);
-    TranslatedCore core(prog);
-    u64 executed = 0;
-    executed += core.run(state, mem, 1000);
-    core.invalidateAll();
-    EXPECT_EQ(core.cachedBlocks(), 0u);
-    while (!state.halted && executed < kRunCap)
-        executed += core.run(state, mem, kRunCap - executed);
-    ASSERT_TRUE(state.halted);
-    expectSameState(ref, state, mem, executed, "invalidated mid-run");
 }
 
 // ---- checkpoint pipeline -----------------------------------------------
