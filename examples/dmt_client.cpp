@@ -14,7 +14,7 @@
  *
  * `run` key=value pairs: `max_retired`, `sample` (skip:warm:measure
  * spec string) and `priority` are job-level; every other key is a
- * config override (exactly the keys SimConfig::jsonOn() emits, plus
+ * config override (a SimConfig::forEachJobField() key, plus
  * `machine=dmt|baseline`).  Values `true`/`false` are booleans,
  * anything else must be a number.
  *

@@ -114,22 +114,22 @@ StatGroup::StatGroup(std::string name)
 }
 
 void
-StatGroup::addCounter(const std::string &name, const Counter *c,
-                      const std::string &desc)
+StatGroup::add(const std::string &name, const Counter *c,
+               const std::string &desc)
 {
     counters.push_back({name, c, desc});
 }
 
 void
-StatGroup::addAverage(const std::string &name, const Average *a,
-                      const std::string &desc)
+StatGroup::add(const std::string &name, const Average *a,
+               const std::string &desc)
 {
     averages.push_back({name, a, desc});
 }
 
 void
-StatGroup::addHistogram(const std::string &name, const Histogram *h,
-                        const std::string &desc)
+StatGroup::add(const std::string &name, const Histogram *h,
+               const std::string &desc)
 {
     histograms.push_back({name, h, desc});
 }

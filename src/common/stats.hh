@@ -90,19 +90,21 @@ class Histogram
 
 /**
  * Named collection of stats for reporting.  Members register themselves
- * through add*() and are formatted by dump().
+ * through add() and are formatted by dump() and jsonOn(), which list
+ * counters, then averages, then histograms, each in registration
+ * order.
  */
 class StatGroup
 {
   public:
     explicit StatGroup(std::string name);
 
-    void addCounter(const std::string &name, const Counter *c,
-                    const std::string &desc);
-    void addAverage(const std::string &name, const Average *a,
-                    const std::string &desc);
-    void addHistogram(const std::string &name, const Histogram *h,
-                      const std::string &desc);
+    void add(const std::string &name, const Counter *c,
+             const std::string &desc);
+    void add(const std::string &name, const Average *a,
+             const std::string &desc);
+    void add(const std::string &name, const Histogram *h,
+             const std::string &desc);
 
     /** Format all registered stats, one per line. */
     std::string dump() const;

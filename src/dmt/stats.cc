@@ -3,171 +3,128 @@
 namespace dmt
 {
 
+namespace
+{
+
+/**
+ * Every stat, in report order: name, member, description.  Both
+ * registerAll() and merge() walk this one list, so no stat can be
+ * reported without being merged across sampled windows.
+ */
+template <typename Visit>
+void
+forEachStat(Visit &&v)
+{
+    v("cycles", &DmtStats::cycles, "simulated cycles");
+    v("retired", &DmtStats::retired, "finally retired instructions");
+    v("early_retired", &DmtStats::early_retired,
+      "instructions cleared from the pipeline");
+    v("dispatched", &DmtStats::dispatched,
+      "instructions dispatched (normal path)");
+    v("issued", &DmtStats::issued, "instructions issued to FUs");
+    v("squashed_insts", &DmtStats::squashed_insts,
+      "dispatched instructions squashed");
+
+    v("threads_spawned", &DmtStats::threads_spawned,
+      "speculative threads created");
+    v("threads_squashed", &DmtStats::threads_squashed,
+      "speculative threads squashed");
+    v("threads_joined", &DmtStats::threads_joined,
+      "threads that retired after joining");
+    v("spawns_suppressed", &DmtStats::spawns_suppressed,
+      "spawns vetoed by the selection predictor");
+    v("thread_size", &DmtStats::thread_size,
+      "retired instructions per spawned thread");
+    v("thread_overlap", &DmtStats::thread_overlap,
+      "fraction executed while speculative");
+    v("active_threads", &DmtStats::active_threads,
+      "thread contexts active per cycle");
+    v("thread_size_hist", &DmtStats::thread_size_hist,
+      "retired instructions per thread");
+
+    v("cond_branches", &DmtStats::cond_branches,
+      "conditional branches resolved");
+    v("cond_mispredicts", &DmtStats::cond_mispredicts,
+      "conditional branches mispredicted");
+    v("indirect_jumps", &DmtStats::indirect_jumps, "indirect jumps resolved");
+    v("indirect_mispredicts", &DmtStats::indirect_mispredicts,
+      "indirect jumps mispredicted");
+    v("late_divergences", &DmtStats::late_divergences,
+      "recovery-time branch direction flips");
+
+    v("loads_issued", &DmtStats::loads_issued, "loads executed");
+    v("stores_issued", &DmtStats::stores_issued, "stores executed");
+    v("fwd_same_thread", &DmtStats::fwd_same_thread,
+      "store-to-load forwards within a thread");
+    v("fwd_cross_thread", &DmtStats::fwd_cross_thread,
+      "store-to-load forwards across threads");
+    v("load_stalls_partial", &DmtStats::load_stalls_partial,
+      "loads stalled on partial store overlap");
+    v("lsq_violations", &DmtStats::lsq_violations,
+      "memory-order violations detected");
+
+    v("recoveries", &DmtStats::recoveries, "selective recovery walks");
+    v("recovery_dispatches", &DmtStats::recovery_dispatches,
+      "instructions re-dispatched by recovery");
+    v("recovery_walk_hist", &DmtStats::recovery_walk_hist,
+      "trace-buffer entries read per recovery walk");
+    v("df_corrections", &DmtStats::df_corrections,
+      "dataflow-predicted input corrections");
+    v("df_matches", &DmtStats::df_matches,
+      "last-modifier watch matches at dispatch");
+    v("df_deliveries", &DmtStats::df_deliveries,
+      "input values delivered via dataflow prediction");
+    v("inputs_used", &DmtStats::inputs_used, "live thread input registers");
+    v("inputs_valid_at_spawn", &DmtStats::inputs_valid_at_spawn,
+      "inputs available at the spawn point");
+    v("inputs_same_later", &DmtStats::inputs_same_later,
+      "inputs written after spawn with the same value");
+    v("inputs_df_correct", &DmtStats::inputs_df_correct,
+      "inputs corrected by dataflow prediction");
+    v("inputs_hit", &DmtStats::inputs_hit,
+      "inputs needing no final-check recovery");
+
+    v("la_fetch_beyond_mispredict", &DmtStats::la_fetch_beyond_mispredict,
+      "retired instructions fetched beyond an unresolved mispredicted branch");
+    v("la_exec_beyond_mispredict", &DmtStats::la_exec_beyond_mispredict,
+      "retired instructions executed beyond an unresolved mispredicted "
+      "branch");
+    v("la_fetch_beyond_imiss", &DmtStats::la_fetch_beyond_imiss,
+      "retired instructions fetched during an earlier thread's ICache miss");
+    v("la_exec_beyond_imiss", &DmtStats::la_exec_beyond_imiss,
+      "retired instructions executed during an earlier thread's ICache miss");
+
+    v("st_headswitch", &DmtStats::st_headswitch,
+      "cycles stalled on head-switch validation");
+    v("st_recovery", &DmtStats::st_recovery,
+      "cycles stalled on head recovery");
+    v("st_incomplete", &DmtStats::st_incomplete,
+      "cycles stalled on an unexecuted oldest entry");
+    v("st_empty", &DmtStats::st_empty,
+      "cycles with an empty head trace buffer");
+
+    v("icache_misses", &DmtStats::icache_misses, "L1I misses");
+    v("icache_accesses", &DmtStats::icache_accesses, "L1I accesses");
+    v("dcache_misses", &DmtStats::dcache_misses, "L1D misses");
+    v("dcache_accesses", &DmtStats::dcache_accesses, "L1D accesses");
+}
+
+} // namespace
+
 void
 DmtStats::merge(const DmtStats &other)
 {
-    cycles.merge(other.cycles);
-    retired.merge(other.retired);
-    early_retired.merge(other.early_retired);
-    dispatched.merge(other.dispatched);
-    issued.merge(other.issued);
-    squashed_insts.merge(other.squashed_insts);
-
-    threads_spawned.merge(other.threads_spawned);
-    threads_squashed.merge(other.threads_squashed);
-    threads_joined.merge(other.threads_joined);
-    spawns_suppressed.merge(other.spawns_suppressed);
-    thread_size.merge(other.thread_size);
-    thread_overlap.merge(other.thread_overlap);
-    active_threads.merge(other.active_threads);
-    thread_size_hist.merge(other.thread_size_hist);
-
-    cond_branches.merge(other.cond_branches);
-    cond_mispredicts.merge(other.cond_mispredicts);
-    indirect_jumps.merge(other.indirect_jumps);
-    indirect_mispredicts.merge(other.indirect_mispredicts);
-    late_divergences.merge(other.late_divergences);
-
-    loads_issued.merge(other.loads_issued);
-    stores_issued.merge(other.stores_issued);
-    fwd_same_thread.merge(other.fwd_same_thread);
-    fwd_cross_thread.merge(other.fwd_cross_thread);
-    load_stalls_partial.merge(other.load_stalls_partial);
-    lsq_violations.merge(other.lsq_violations);
-
-    recoveries.merge(other.recoveries);
-    recovery_dispatches.merge(other.recovery_dispatches);
-    recovery_walk_hist.merge(other.recovery_walk_hist);
-    df_corrections.merge(other.df_corrections);
-    df_matches.merge(other.df_matches);
-    df_deliveries.merge(other.df_deliveries);
-    inputs_used.merge(other.inputs_used);
-    inputs_valid_at_spawn.merge(other.inputs_valid_at_spawn);
-    inputs_same_later.merge(other.inputs_same_later);
-    inputs_df_correct.merge(other.inputs_df_correct);
-    inputs_hit.merge(other.inputs_hit);
-
-    la_fetch_beyond_mispredict.merge(other.la_fetch_beyond_mispredict);
-    la_exec_beyond_mispredict.merge(other.la_exec_beyond_mispredict);
-    la_fetch_beyond_imiss.merge(other.la_fetch_beyond_imiss);
-    la_exec_beyond_imiss.merge(other.la_exec_beyond_imiss);
-
-    st_headswitch.merge(other.st_headswitch);
-    st_recovery.merge(other.st_recovery);
-    st_incomplete.merge(other.st_incomplete);
-    st_empty.merge(other.st_empty);
-
-    icache_misses.merge(other.icache_misses);
-    icache_accesses.merge(other.icache_accesses);
-    dcache_misses.merge(other.dcache_misses);
-    dcache_accesses.merge(other.dcache_accesses);
+    forEachStat([&](const char *, auto member, const char *) {
+        (this->*member).merge(other.*member);
+    });
 }
 
 void
 DmtStats::registerAll(StatGroup &group) const
 {
-    group.addCounter("cycles", &cycles, "simulated cycles");
-    group.addCounter("retired", &retired, "finally retired instructions");
-    group.addCounter("early_retired", &early_retired,
-                     "instructions cleared from the pipeline");
-    group.addCounter("dispatched", &dispatched,
-                     "instructions dispatched (normal path)");
-    group.addCounter("issued", &issued, "instructions issued to FUs");
-    group.addCounter("squashed_insts", &squashed_insts,
-                     "dispatched instructions squashed");
-
-    group.addCounter("threads_spawned", &threads_spawned,
-                     "speculative threads created");
-    group.addCounter("threads_squashed", &threads_squashed,
-                     "speculative threads squashed");
-    group.addCounter("threads_joined", &threads_joined,
-                     "threads that retired after joining");
-    group.addCounter("spawns_suppressed", &spawns_suppressed,
-                     "spawns vetoed by the selection predictor");
-    group.addAverage("thread_size", &thread_size,
-                     "retired instructions per spawned thread");
-    group.addAverage("thread_overlap", &thread_overlap,
-                     "fraction executed while speculative");
-    group.addAverage("active_threads", &active_threads,
-                     "thread contexts active per cycle");
-    group.addHistogram("thread_size_hist", &thread_size_hist,
-                       "retired instructions per thread");
-
-    group.addCounter("cond_branches", &cond_branches,
-                     "conditional branches resolved");
-    group.addCounter("cond_mispredicts", &cond_mispredicts,
-                     "conditional branches mispredicted");
-    group.addCounter("indirect_jumps", &indirect_jumps,
-                     "indirect jumps resolved");
-    group.addCounter("indirect_mispredicts", &indirect_mispredicts,
-                     "indirect jumps mispredicted");
-    group.addCounter("late_divergences", &late_divergences,
-                     "recovery-time branch direction flips");
-
-    group.addCounter("loads_issued", &loads_issued, "loads executed");
-    group.addCounter("stores_issued", &stores_issued, "stores executed");
-    group.addCounter("fwd_same_thread", &fwd_same_thread,
-                     "store-to-load forwards within a thread");
-    group.addCounter("fwd_cross_thread", &fwd_cross_thread,
-                     "store-to-load forwards across threads");
-    group.addCounter("load_stalls_partial", &load_stalls_partial,
-                     "loads stalled on partial store overlap");
-    group.addCounter("lsq_violations", &lsq_violations,
-                     "memory-order violations detected");
-
-    group.addCounter("recoveries", &recoveries,
-                     "selective recovery walks");
-    group.addCounter("recovery_dispatches", &recovery_dispatches,
-                     "instructions re-dispatched by recovery");
-    group.addHistogram("recovery_walk_hist", &recovery_walk_hist,
-                       "trace-buffer entries read per recovery walk");
-    group.addCounter("df_corrections", &df_corrections,
-                     "dataflow-predicted input corrections");
-    group.addCounter("df_matches", &df_matches,
-                     "last-modifier watch matches at dispatch");
-    group.addCounter("df_deliveries", &df_deliveries,
-                     "input values delivered via dataflow prediction");
-    group.addCounter("inputs_used", &inputs_used,
-                     "live thread input registers");
-    group.addCounter("inputs_valid_at_spawn", &inputs_valid_at_spawn,
-                     "inputs available at the spawn point");
-    group.addCounter("inputs_same_later", &inputs_same_later,
-                     "inputs written after spawn with the same value");
-    group.addCounter("inputs_df_correct", &inputs_df_correct,
-                     "inputs corrected by dataflow prediction");
-    group.addCounter("inputs_hit", &inputs_hit,
-                     "inputs needing no final-check recovery");
-
-    group.addCounter("la_fetch_beyond_mispredict",
-                     &la_fetch_beyond_mispredict,
-                     "retired instructions fetched beyond an unresolved "
-                     "mispredicted branch");
-    group.addCounter("la_exec_beyond_mispredict",
-                     &la_exec_beyond_mispredict,
-                     "retired instructions executed beyond an unresolved "
-                     "mispredicted branch");
-    group.addCounter("la_fetch_beyond_imiss", &la_fetch_beyond_imiss,
-                     "retired instructions fetched during an earlier "
-                     "thread's ICache miss");
-    group.addCounter("la_exec_beyond_imiss", &la_exec_beyond_imiss,
-                     "retired instructions executed during an earlier "
-                     "thread's ICache miss");
-
-    group.addCounter("st_headswitch", &st_headswitch,
-                     "cycles stalled on head-switch validation");
-    group.addCounter("st_recovery", &st_recovery,
-                     "cycles stalled on head recovery");
-    group.addCounter("st_incomplete", &st_incomplete,
-                     "cycles stalled on an unexecuted oldest entry");
-    group.addCounter("st_empty", &st_empty,
-                     "cycles with an empty head trace buffer");
-
-    group.addCounter("icache_misses", &icache_misses, "L1I misses");
-    group.addCounter("icache_accesses", &icache_accesses,
-                     "L1I accesses");
-    group.addCounter("dcache_misses", &dcache_misses, "L1D misses");
-    group.addCounter("dcache_accesses", &dcache_accesses,
-                     "L1D accesses");
+    forEachStat([&](const char *name, auto member, const char *desc) {
+        group.add(name, &(this->*member), desc);
+    });
 }
 
 } // namespace dmt

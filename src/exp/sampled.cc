@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/env.hh"
@@ -25,9 +26,50 @@ namespace dmt
 namespace
 {
 
-/** Phase spec bounds. */
-constexpr u64 kPhaseMaxK = 64;
-constexpr u64 kPhaseMaxDims = 256;
+constexpr u64 kUnbounded = ~u64{0};
+
+/**
+ * One sample-spec field: the name its range message uses, where it
+ * lives, and its range.  A spec lists a mode's fields in order; the
+ * first three are required and omitted trailing fields keep their
+ * SampleParams defaults.
+ */
+struct SpecField
+{
+    const char *name;
+    u64 &(*at)(SampleParams &);
+    u64 lo = 0;
+    u64 hi = kUnbounded;
+};
+
+constexpr SpecField kUniformFields[] = {
+    {"skip", [](SampleParams &p) -> u64 & { return p.skip; }},
+    {"warm", [](SampleParams &p) -> u64 & { return p.warm; }},
+    {"sample measure window",
+     [](SampleParams &p) -> u64 & { return p.measure; }, 1},
+    {"intervals", [](SampleParams &p) -> u64 & { return p.max_intervals; }},
+};
+
+constexpr SpecField kPhaseFields[] = {
+    {"phase interval length",
+     [](SampleParams &p) -> u64 & { return p.phase.interval; }, 1},
+    {"warm", [](SampleParams &p) -> u64 & { return p.warm; }},
+    {"sample measure window",
+     [](SampleParams &p) -> u64 & { return p.measure; }, 1},
+    {"phase maxk", [](SampleParams &p) -> u64 & { return p.phase.max_k; },
+     1, 64},
+    {"phase dims", [](SampleParams &p) -> u64 & { return p.phase.dims; },
+     1, 256},
+    {"seed", [](SampleParams &p) -> u64 & { return p.phase.seed; }},
+};
+
+std::span<const SpecField>
+specFields(const SampleParams &p)
+{
+    if (p.phaseMode())
+        return kPhaseFields;
+    return kUniformFields;
+}
 
 } // namespace
 
@@ -36,110 +78,59 @@ SampleParams::canonicalSpec() const
 {
     if (!enabled())
         return "off";
-    if (phaseMode()) {
-        // Every field explicit: two specs that behave identically must
-        // render identically (cache keys), regardless of which
-        // trailing fields the user spelled out.
-        return strprintf("phase:%llu:%llu:%llu:%llu:%llu:%llu",
-                         static_cast<unsigned long long>(phase.interval),
-                         static_cast<unsigned long long>(warm),
-                         static_cast<unsigned long long>(measure),
-                         static_cast<unsigned long long>(phase.max_k),
-                         static_cast<unsigned long long>(phase.dims),
-                         static_cast<unsigned long long>(phase.seed));
+    // Every field explicit: two specs that behave identically must
+    // render identically (cache keys), regardless of which trailing
+    // fields the user spelled out.
+    SampleParams p = *this; // the field accessors take a mutable spec
+    std::string s = phaseMode() ? "phase" : "";
+    for (const SpecField &f : specFields(p)) {
+        if (!s.empty())
+            s += ':';
+        s += std::to_string(f.at(p));
     }
-    return strprintf("%llu:%llu:%llu:%llu",
-                     static_cast<unsigned long long>(skip),
-                     static_cast<unsigned long long>(warm),
-                     static_cast<unsigned long long>(measure),
-                     static_cast<unsigned long long>(max_intervals));
+    return s;
 }
 
 bool
 SampleParams::parse(std::string_view spec, SampleParams *out,
                     std::string *err)
 {
+    std::string scratch;
+    std::string &e = err ? *err : scratch;
     *out = SampleParams{};
-    const std::string_view t = trim(spec);
+    std::string_view t = trim(spec);
     if (t.empty())
         return true; // disabled
 
     if (t.rfind("phase:", 0) == 0) {
-        const std::vector<std::string> parts =
-            splitFields(t.substr(6), ":");
-        if (parts.size() < 3 || parts.size() > 6) {
-            if (err)
-                *err = "phase sample spec must be phase:interval:warm:"
-                       "measure[:maxk[:dims[:seed]]]";
-            return false;
-        }
-        u64 v[6] = {0, 0, 0, 0, 0, 0};
-        for (size_t i = 0; i < parts.size(); ++i) {
-            if (!parseU64(parts[i], &v[i])) {
-                if (err)
-                    *err = "bad sample spec field \"" + parts[i] + "\"";
-                return false;
-            }
-        }
         out->mode = Mode::Phase;
-        out->phase.interval = v[0];
-        out->warm = v[1];
-        out->measure = v[2];
-        if (parts.size() > 3)
-            out->phase.max_k = v[3];
-        if (parts.size() > 4)
-            out->phase.dims = v[4];
-        if (parts.size() > 5)
-            out->phase.seed = v[5];
-        if (out->phase.interval == 0) {
-            if (err)
-                *err = "phase interval length must be > 0";
-            return false;
-        }
-        if (out->measure == 0) {
-            if (err)
-                *err = "sample measure window must be > 0";
-            return false;
-        }
-        if (out->phase.max_k < 1 || out->phase.max_k > kPhaseMaxK) {
-            if (err)
-                *err = strprintf("phase maxk must be 1..%llu",
-                                 static_cast<unsigned long long>(
-                                     kPhaseMaxK));
-            return false;
-        }
-        if (out->phase.dims < 1 || out->phase.dims > kPhaseMaxDims) {
-            if (err)
-                *err = strprintf("phase dims must be 1..%llu",
-                                 static_cast<unsigned long long>(
-                                     kPhaseMaxDims));
-            return false;
-        }
-        return true;
+        t.remove_prefix(6);
     }
-
+    const std::span<const SpecField> fields = specFields(*out);
     const std::vector<std::string> parts = splitFields(t, ":");
-    if (parts.size() < 3 || parts.size() > 4) {
-        if (err)
-            *err = "sample spec must be skip:warm:measure[:intervals]";
+    if (parts.size() < 3 || parts.size() > fields.size()) {
+        e = out->phaseMode()
+            ? "phase sample spec must be phase:interval:warm:"
+              "measure[:maxk[:dims[:seed]]]"
+            : "sample spec must be skip:warm:measure[:intervals]";
         return false;
     }
-    u64 v[4] = {0, 0, 0, 0};
     for (size_t i = 0; i < parts.size(); ++i) {
-        if (!parseU64(parts[i], &v[i])) {
-            if (err)
-                *err = "bad sample spec field \"" + parts[i] + "\"";
+        if (!parseU64(parts[i], &fields[i].at(*out))) {
+            e = "bad sample spec field \"" + parts[i] + "\"";
             return false;
         }
     }
-    out->skip = v[0];
-    out->warm = v[1];
-    out->measure = v[2];
-    out->max_intervals = parts.size() == 4 ? v[3] : 0;
-    if (out->measure == 0) {
-        if (err)
-            *err = "sample measure window must be > 0";
-        return false;
+    for (const SpecField &f : fields) {
+        const u64 v = f.at(*out);
+        if (v < f.lo || v > f.hi) {
+            e = f.hi == kUnbounded
+                ? std::string(f.name) + " must be > 0"
+                : strprintf("%s must be %llu..%llu", f.name,
+                            static_cast<unsigned long long>(f.lo),
+                            static_cast<unsigned long long>(f.hi));
+            return false;
+        }
     }
     return true;
 }

@@ -81,7 +81,10 @@ struct SampleParams
      * "phase:interval:warm:measure[:maxk[:dims[:seed]]]" without
      * touching the process: on garbage, returns false and describes
      * the problem in @p err (job-spec parsing needs an error reply,
-     * not an exit).  An empty string parses as disabled.
+     * not an exit).  An empty string parses as disabled.  Each mode's
+     * fields and ranges are one list (src/exp/sampled.cc) that this
+     * and canonicalSpec() both walk; @p out is unspecified after a
+     * failed parse.
      */
     static bool parse(std::string_view spec, SampleParams *out,
                       std::string *err);

@@ -58,29 +58,6 @@ hardwareJobs()
 }
 
 void
-SweepStats::registerAll(StatGroup &group, StatStore &store) const
-{
-    store.jobs += jobs_total;
-    store.failed += jobs_failed;
-    store.retired += retired_total;
-    store.wall.sample(wall_seconds);
-    store.busy.sample(busy_seconds);
-    store.mips.sample(throughput() / 1e6);
-    group.addCounter("sweep_jobs", &store.jobs,
-                     "simulation jobs executed");
-    group.addCounter("sweep_jobs_failed", &store.failed,
-                     "jobs skipped on SimError");
-    group.addCounter("sweep_retired", &store.retired,
-                     "instructions retired across all jobs");
-    group.addAverage("sweep_wall_seconds", &store.wall,
-                     "whole-sweep wall clock");
-    group.addAverage("sweep_busy_seconds", &store.busy,
-                     "summed per-job wall clock");
-    group.addAverage("sweep_mips", &store.mips,
-                     "retired minstrs per wall second");
-}
-
-void
 SweepStats::jsonOn(JsonWriter &w) const
 {
     w.beginObject();

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
 #include "uarch/config.hh"
@@ -81,16 +80,6 @@ struct SweepStats
     {
         return wall_seconds > 0.0 ? busy_seconds / wall_seconds : 0.0;
     }
-
-    /** Register the aggregate numbers on a StatGroup for text dumps.
-     *  The Counter/Average shadows live in @p store (must outlive the
-     *  group). */
-    struct StatStore
-    {
-        Counter jobs, failed, retired;
-        Average wall, busy, mips;
-    };
-    void registerAll(StatGroup &group, StatStore &store) const;
 
     void jsonOn(JsonWriter &w) const;
 };

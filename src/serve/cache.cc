@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/json.hh"
 #include "common/log.hh"
 #include "common/record.hh"
 #include "exp/report.hh"
@@ -29,12 +28,11 @@ entryPath(const std::string &dir, u64 key)
 } // namespace
 
 u64
-resultCacheKey(const SimConfig &cfg, u64 prog_hash,
-               const SampleParams &sample)
+resultCacheKey(const SimConfig &cfg, const std::string &workload,
+               u64 prog_hash, const SampleParams &sample)
 {
-    JsonWriter w;
-    cfg.jsonOn(w);
-    u64 h = fnv1aHash(w.str());
+    u64 h = fnv1aHash("|", canonicalHash(cfg));
+    h = fnv1aHash(workload, h);
     h = fnv1aHash("|", h);
     h = fnv1aHash(hashHex(prog_hash), h);
     h = fnv1aHash("|", h);

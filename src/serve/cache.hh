@@ -3,12 +3,12 @@
  * Content-addressed result cache with single-flight deduplication.
  *
  * Identity: a result is addressed by FNV-1a over the canonical
- * machine-configuration JSON (budget included), the program-image
- * hash of the workload, and the canonical sample spec — exactly the
- * inputs the deterministic engine's output depends on.  Because runs
- * are bit-reproducible (DESIGN.md section 10), a cache hit *is* the
- * simulation: the stored canonical RunResult JSON is byte-identical
- * to what re-running would produce.
+ * machine configuration (budget included), the canonical workload
+ * name, the program-image hash of the workload, and the canonical
+ * sample spec — exactly the inputs the canonical RunResult bytes
+ * depend on.  Because runs are bit-reproducible (DESIGN.md section
+ * 10), a cache hit *is* the simulation: the stored canonical
+ * RunResult JSON is byte-identical to what re-running would produce.
  *
  * Single-flight: when N requests for the same key arrive while none
  * is cached, exactly one computes; the rest block on the in-flight
@@ -52,13 +52,17 @@ struct SampleParams;
 struct SimConfig;
 
 /**
- * The cache key for (machine cfg incl. budget, program image, sample
- * spec).  @p prog_hash is Checkpoint::programHash() of the workload's
- * built image, so two workload names with identical programs share
- * results and a changed generator invalidates naturally.
+ * The cache key for (machine cfg incl. budget, workload, program
+ * image, sample spec).  The RunResult embeds @p workload (the
+ * canonical name), so two gen: specs that build one image still get
+ * their own cells.  @p prog_hash is Checkpoint::programHash() of the
+ * workload's built image, so a changed generator invalidates
+ * naturally.  Durable files written before the workload name joined
+ * the key sit under keys nothing computes any more; they are never
+ * read again.
  */
-u64 resultCacheKey(const SimConfig &cfg, u64 prog_hash,
-                   const SampleParams &sample);
+u64 resultCacheKey(const SimConfig &cfg, const std::string &workload,
+                   u64 prog_hash, const SampleParams &sample);
 
 /** What a compute function returns / a cache entry stores. */
 struct ComputedResult

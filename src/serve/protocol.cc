@@ -1,11 +1,12 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
-#include "common/strutil.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
-#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -14,90 +15,44 @@ namespace dmt
 namespace
 {
 
-/** JSON numbers arrive as doubles; budgets and sizes must be exact
- *  non-negative integers.  (Doubles are exact through 2^53 — far past
- *  any budget worth simulating.) */
+/**
+ * Read a JSON integer into @p out.  JSON numbers arrive as doubles,
+ * exact through 2^53, so the value must be integral and lie in
+ * [lo, hi]; by default that is whatever T holds, capped at 2^53.
+ */
+template <typename T>
 bool
-numAsU64(const JsonValue &v, u64 max_value, u64 *out, std::string *err,
-         const char *what)
+readInt(const JsonValue &v, const std::string &key, T *out,
+        std::string &e,
+        double lo = std::max<double>(std::numeric_limits<T>::lowest(),
+                                     -0x1p53),
+        double hi = std::min<double>(std::numeric_limits<T>::max(),
+                                     0x1p53))
 {
     if (v.type() != JsonValue::Type::Number) {
-        *err = std::string(what) + " must be a number";
+        e = key + " must be a number";
         return false;
     }
     const double d = v.asNumber();
-    if (!(d >= 0.0) || d != std::floor(d)
-        || d > static_cast<double>(max_value)) {
-        *err = std::string(what) + " out of range";
+    if (!(d >= lo && d <= hi) || d != std::floor(d)) {
+        e = key + " out of range";
         return false;
     }
-    *out = static_cast<u64>(d);
-    return true;
-}
-
-bool
-numAsInt(const JsonValue &v, i64 min_value, i64 max_value, int *out,
-         std::string *err, const char *what)
-{
-    if (v.type() != JsonValue::Type::Number) {
-        *err = std::string(what) + " must be a number";
-        return false;
-    }
-    const double d = v.asNumber();
-    if (d != std::floor(d) || d < static_cast<double>(min_value)
-        || d > static_cast<double>(max_value)) {
-        *err = std::string(what) + " out of range";
-        return false;
-    }
-    *out = static_cast<int>(d);
-    return true;
-}
-
-bool
-asBool(const JsonValue &v, bool *out, std::string *err, const char *what)
-{
-    if (v.type() != JsonValue::Type::Bool) {
-        *err = std::string(what) + " must be a boolean";
-        return false;
-    }
-    *out = v.asBool();
+    *out = static_cast<T>(d);
     return true;
 }
 
 /**
- * Strict, never-fatal() workload-name validation: suite names must be
- * known, gen: specs must fully parse (unknown families, malformed or
- * out-of-range knobs, trailing garbage all reject with the parser's
- * structured message).
+ * Apply a job's "config" override object onto @p cfg: "machine"
+ * selects a template, then every other member names a
+ * SimConfig::forEachJobField() field, so a recorded config document
+ * replays as an override.  Only JSON types are checked here; ranges
+ * are SimConfig::validate()'s, which checkJobSpec() applies.
  */
 bool
-validWorkload(const std::string &name, std::string *e)
-{
-    if (isGenSpec(name)) {
-        GenParams p;
-        std::string gerr;
-        if (!parseGenSpec(name, &p, &gerr)) {
-            *e = "workload spec \"" + name + "\": " + gerr;
-            return false;
-        }
-        return true;
-    }
-    for (const WorkloadInfo &w : workloadSuite()) {
-        if (name == w.name)
-            return true;
-    }
-    *e = "unknown workload \"" + name + "\"";
-    return false;
-}
-
-} // namespace
-
-bool
 applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
-                     std::string *err)
+                     std::string &e)
 {
-    std::string scratch;
-    std::string &e = err ? *err : scratch;
     if (obj.type() != JsonValue::Type::Object) {
         e = "config must be an object";
         return false;
@@ -123,73 +78,29 @@ applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
     }
 
     for (const auto &[key, v] : obj.members()) {
+        if (key == "machine")
+            continue; // applied above
+        bool found = false;
         bool ok = true;
-        if (key == "machine") {
-            continue; // handled above
-        } else if (key == "max_threads") {
-            ok = numAsInt(v, 1, 64, &cfg->max_threads, &e, "max_threads");
-        } else if (key == "spawn_on_call") {
-            ok = asBool(v, &cfg->spawn_on_call, &e, "spawn_on_call");
-        } else if (key == "spawn_on_loop") {
-            ok = asBool(v, &cfg->spawn_on_loop, &e, "spawn_on_loop");
-        } else if (key == "value_prediction") {
-            ok = asBool(v, &cfg->value_prediction, &e,
-                        "value_prediction");
-        } else if (key == "dataflow_prediction") {
-            ok = asBool(v, &cfg->dataflow_prediction, &e,
-                        "dataflow_prediction");
-        } else if (key == "fetch_ports") {
-            ok = numAsInt(v, 1, 64, &cfg->fetch_ports, &e, "fetch_ports");
-        } else if (key == "fetch_block") {
-            ok = numAsInt(v, 1, 1024, &cfg->fetch_block, &e,
-                          "fetch_block");
-        } else if (key == "window_size") {
-            ok = numAsInt(v, 1, 1 << 20, &cfg->window_size, &e,
-                          "window_size");
-        } else if (key == "retire_width") {
-            ok = numAsInt(v, 1, 1024, &cfg->retire_width, &e,
-                          "retire_width");
-        } else if (key == "unlimited_fus") {
-            ok = asBool(v, &cfg->unlimited_fus, &e, "unlimited_fus");
-        } else if (key == "phys_regs") {
-            ok = numAsInt(v, 0, 1 << 22, &cfg->phys_regs, &e,
-                          "phys_regs");
-        } else if (key == "tb_size") {
-            ok = numAsInt(v, 8, 1 << 22, &cfg->tb_size, &e, "tb_size");
-        } else if (key == "tb_latency") {
-            ok = numAsInt(v, 0, 1 << 20, &cfg->tb_latency, &e,
-                          "tb_latency");
-        } else if (key == "tb_read_block") {
-            ok = numAsInt(v, 0, 1 << 20, &cfg->tb_read_block, &e,
-                          "tb_read_block");
-        } else if (key == "lq_size") {
-            ok = numAsInt(v, 0, 1 << 22, &cfg->lq_size, &e, "lq_size");
-        } else if (key == "sq_size") {
-            ok = numAsInt(v, 0, 1 << 22, &cfg->sq_size, &e, "sq_size");
-        } else if (key == "lat_mem") {
-            ok = numAsInt(v, 1, 10000, &cfg->lat_mem, &e, "lat_mem");
-        } else if (key == "max_retired") {
-            ok = numAsU64(v, ~u64{0} >> 11, &cfg->max_retired, &e,
-                          "max_retired");
-        } else if (key == "warmup_retired") {
-            ok = numAsU64(v, ~u64{0} >> 11, &cfg->warmup_retired, &e,
-                          "warmup_retired");
-        } else if (key == "watchdog_cycles") {
-            ok = numAsU64(v, ~u64{0} >> 11, &cfg->watchdog_cycles, &e,
-                          "watchdog_cycles");
-        } else if (key == "audit_period") {
-            ok = numAsInt(v, 0, 1 << 30, &cfg->audit_period, &e,
-                          "audit_period");
-        } else if (key == "fault_enabled") {
-            bool fe = false;
-            ok = asBool(v, &fe, &e, "fault_enabled");
-            if (ok && fe) {
-                e = "fault injection is not servable";
-                ok = false;
-            }
-        } else {
+        SimConfig::forEachJobField(
+            *cfg, [&](const char *name, auto &field, auto...) {
+                if (found || key != name)
+                    return;
+                found = true;
+                using T = std::remove_reference_t<decltype(field)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    ok = v.type() == JsonValue::Type::Bool;
+                    if (ok)
+                        field = v.asBool();
+                    else
+                        e = key + " must be a boolean";
+                } else {
+                    ok = readInt(v, key, &field, e);
+                }
+            });
+        if (!found) {
             e = "unknown config key \"" + key + "\"";
-            ok = false;
+            return false;
         }
         if (!ok)
             return false;
@@ -197,17 +108,15 @@ applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
     return true;
 }
 
+/**
+ * The job-level rules on top of SimConfig::validate(): no fault
+ * injection, no warmup_retired alongside sampling.  Every job must
+ * pass this before it can reach a DmtEngine constructor.
+ */
 bool
-checkJobSpec(const JobSpec &job, std::string *err)
+checkJobSpec(const JobSpec &job, std::string &e)
 {
-    std::string scratch;
-    std::string &e = err ? *err : scratch;
     const SimConfig &c = job.cfg;
-
-    if (!validWorkload(job.workload, &e))
-        return false;
-    // The config rules are SimConfig::validate()'s; only the job-level
-    // rules live here.
     if (std::string bad = c.validate(); !bad.empty()) {
         e = std::move(bad);
         return false;
@@ -223,6 +132,8 @@ checkJobSpec(const JobSpec &job, std::string *err)
     }
     return true;
 }
+
+} // namespace
 
 bool
 parseRequest(std::string_view line, Request *out, std::string *err,
@@ -278,7 +189,7 @@ parseRequest(std::string_view line, Request *out, std::string *err,
     JobSpec &job = out->job;
     job.cfg = SimConfig::dmt(6, 2);
     if (const JsonValue *cfgv = jobv->find("config")) {
-        if (!applyConfigOverrides(&job.cfg, *cfgv, &e))
+        if (!applyConfigOverrides(&job.cfg, *cfgv, e))
             return false;
     }
 
@@ -287,20 +198,12 @@ parseRequest(std::string_view line, Request *out, std::string *err,
         e = "job needs a workload name";
         return false;
     }
-    job.workload = w->asString();
-    if (isGenSpec(job.workload)) {
-        // Normalize to the canonical spelling before anything keys on
-        // the name: the result cache stores RunResult bytes (which
-        // embed the workload string), so two spellings of one gen
-        // workload must collapse to one identity here, not later.
-        GenParams gp;
-        std::string gerr;
-        if (!parseGenSpec(job.workload, &gp, &gerr)) {
-            e = "workload spec \"" + job.workload + "\": " + gerr;
-            return false;
-        }
-        job.workload = gp.canonicalSpec();
-    }
+    // Resolve to the canonical spelling before anything keys on the
+    // name: the result cache stores RunResult bytes (which embed the
+    // workload string), so two spellings of one gen workload must
+    // collapse to one identity here, not later.
+    if (!resolveWorkload(w->asString(), &job.workload, &e))
+        return false;
 
     if (const JsonValue *s = jobv->find("sample")) {
         if (s->type() != JsonValue::Type::String) {
@@ -313,7 +216,7 @@ parseRequest(std::string_view line, Request *out, std::string *err,
 
     u64 budget = job.cfg.max_retired; // config override as fallback
     if (const JsonValue *m = jobv->find("max_retired")) {
-        if (!numAsU64(*m, ~u64{0} >> 11, &budget, &e, "max_retired"))
+        if (!readInt(*m, "max_retired", &budget, e))
             return false;
     }
     job.max_retired =
@@ -323,20 +226,17 @@ parseRequest(std::string_view line, Request *out, std::string *err,
     job.cfg.max_retired = job.max_retired;
 
     if (const JsonValue *p = jobv->find("priority")) {
-        int prio = 0;
-        if (!numAsInt(*p, -1000000, 1000000, &prio, &e, "priority"))
+        if (!readInt(*p, "priority", &job.priority, e, -1e6, 1e6))
             return false;
-        job.priority = prio;
     }
 
     if (const JsonValue *d = jobv->find("deadline_ms")) {
         // Cap at one day: a longer "deadline" is a typo, not a budget.
-        if (!numAsU64(*d, 86400000, &job.deadline_ms, &e,
-                      "deadline_ms"))
+        if (!readInt(*d, "deadline_ms", &job.deadline_ms, e, 0, 864e5))
             return false;
     }
 
-    return checkJobSpec(job, &e);
+    return checkJobSpec(job, e);
 }
 
 void

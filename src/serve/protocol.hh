@@ -65,7 +65,7 @@ namespace dmt
 /** One simulation request, fully resolved and validated. */
 struct JobSpec
 {
-    std::string workload;  ///< a workloadSuite() name
+    std::string workload;  ///< canonical: resolveWorkload()'s output
     SimConfig cfg;         ///< machine; cfg.max_retired == budget
     /** Resolved retirement budget (effectiveBudget() already applied,
      *  so identical effective requests share one cache key). */
@@ -88,34 +88,19 @@ struct Request
 };
 
 /**
- * Parse and validate one request line.  A run job that names no
- * budget gets @p default_budget (ServeOptions::default_budget) through
- * effectiveBudget().
+ * Parse and validate one request line.  A run job's "config" object
+ * takes "machine" (a template, applied first) and the keys of
+ * SimConfig::forEachJobField() — exactly what SimConfig::jsonOn()
+ * emits, so a recorded config document replays as an override.  The
+ * workload resolves through resolveWorkload(), and the whole config
+ * must pass SimConfig::validate(), the same check a local run makes.
+ * A run job that names no budget gets @p default_budget
+ * (ServeOptions::default_budget) through effectiveBudget().
  * @retval false with a description in @p err (when given); the caller
  * turns that into an error reply.
  */
 bool parseRequest(std::string_view line, Request *out, std::string *err,
                   u64 default_budget = 0);
-
-/**
- * Apply a job-spec "config" override object onto @p cfg.  Accepts
- * exactly the keys SimConfig::jsonOn() emits (minus the run-control
- * and fault block), so a recorded config document can be replayed as
- * an override.  Unknown keys, wrong types and out-of-range values are
- * rejected through @p err; checkJobSpec() then applies
- * SimConfig::validate() to the whole config.
- */
-bool applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
-                          std::string *err);
-
-/**
- * The daemon-side validity check: SimConfig::validate() plus the
- * job-level rules (a known workload, no fault injection, no
- * warmup_retired alongside sampling), as a rejection instead of the
- * DmtEngine constructor's exit.  Every job must pass this before it
- * can reach a DmtEngine constructor.
- */
-bool checkJobSpec(const JobSpec &job, std::string *err);
 
 /** Serialize @p job as the protocol's "job" object. */
 void jobSpecJsonOn(JsonWriter &w, const JobSpec &job);

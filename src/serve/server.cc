@@ -234,7 +234,7 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     job->id = req.id;
     job->req_hash = req_hash;
     job->spec = std::move(req.job);
-    job->key = resultCacheKey(job->spec.cfg,
+    job->key = resultCacheKey(job->spec.cfg, job->spec.workload,
                               programHashFor(job->spec.workload),
                               job->spec.sample);
     // The deadline clock starts at enqueue: queueing delay counts

@@ -30,25 +30,39 @@ SimConfig::sqSize() const
     return sq_size > 0 ? sq_size : tb_size / 4;
 }
 
+namespace
+{
+
+/** validate()'s per-field rule: an integer field lies in its listed
+ *  range; a flag has none. */
+struct RangeCheck
+{
+    std::string &bad;
+
+    void operator()(const char *, bool) const {}
+
+    template <typename T>
+    void
+    operator()(const char *key, T field, T lo, T hi) const
+    {
+        if (bad.empty() && (field < lo || field > hi))
+            bad = std::string(key) + " out of range";
+    }
+};
+
+} // namespace
+
 std::string
 SimConfig::validate() const
 {
-    if (max_threads < 1 || max_threads > 64)
-        return strprintf("max_threads %d out of range", max_threads);
-    if (fetch_ports < 1 || fetch_block < 1)
-        return "bad fetch configuration";
+    std::string bad;
+    forEachJobField(*this, RangeCheck{bad});
+    if (!bad.empty())
+        return bad;
     if (window_size < fetch_block)
         return "window smaller than one fetch block";
-    if (tb_size < 8)
-        return strprintf("trace buffer too small (%d)", tb_size);
-    if (lqSize() < 1 || sqSize() < 1)
-        return "load/store queues too small";
-    if (tb_latency < 0 || tb_read_block < 0)
-        return "bad trace buffer timing";
-    if (lat_alu < 1 || lat_mul < 1 || lat_div < 1 || lat_mem < 1)
+    if (lat_alu < 1 || lat_mul < 1 || lat_div < 1)
         return "latencies must be at least 1 cycle";
-    if (audit_period < 0)
-        return "audit_period must be >= 0";
     if (max_retired > 0 && warmup_retired >= max_retired) {
         return strprintf(
             "warmup_retired %llu leaves no measurement window before "
@@ -109,30 +123,17 @@ SimConfig::summary() const
 void
 SimConfig::jsonOn(JsonWriter &w) const
 {
+    // The document records what the engine uses: derived sizes, not
+    // their 0 = derive spellings.
+    SimConfig eff = *this;
+    eff.phys_regs = physRegCount();
+    eff.lq_size = lqSize();
+    eff.sq_size = sqSize();
     w.beginObject();
     w.key("machine").value(isDmt() ? "dmt" : "baseline");
-    w.key("max_threads").value(max_threads);
-    w.key("spawn_on_call").value(spawn_on_call);
-    w.key("spawn_on_loop").value(spawn_on_loop);
-    w.key("value_prediction").value(value_prediction);
-    w.key("dataflow_prediction").value(dataflow_prediction);
-    w.key("fetch_ports").value(fetch_ports);
-    w.key("fetch_block").value(fetch_block);
-    w.key("window_size").value(window_size);
-    w.key("retire_width").value(retire_width);
-    w.key("unlimited_fus").value(unlimited_fus);
-    w.key("phys_regs").value(physRegCount());
-    w.key("tb_size").value(tb_size);
-    w.key("tb_latency").value(tb_latency);
-    w.key("tb_read_block").value(tb_read_block);
-    w.key("lq_size").value(lqSize());
-    w.key("sq_size").value(sqSize());
-    w.key("lat_mem").value(lat_mem);
-    w.key("max_retired").value(max_retired);
-    w.key("warmup_retired").value(warmup_retired);
-    w.key("watchdog_cycles").value(watchdog_cycles);
-    w.key("audit_period").value(audit_period);
-    w.key("fault_enabled").value(fault.enabled);
+    forEachJobField(eff, [&](const char *key, const auto &field, auto...) {
+        w.key(key).value(field);
+    });
     w.endObject();
 }
 

@@ -184,8 +184,13 @@ struct SimConfig
     /** Effective per-thread store queue capacity. */
     int sqSize() const;
 
-    /** Check invariants.  @return the first violated rule as a
-     *  message, or an empty string for a valid config. */
+    /**
+     * Check invariants: the range of every job field, then the rules
+     * that span fields.  This is the one validator; the daemon's job
+     * parser (serve/protocol.cc) checks only JSON types and leaves
+     * ranges to it.  @return the first violated rule as a message, or
+     * an empty string for a valid config.
+     */
     std::string validate() const;
 
     /** The paper's baseline: 4-wide superscalar, 128-entry window. */
@@ -197,8 +202,48 @@ struct SimConfig
     /** Human-readable one-line summary. */
     std::string summary() const;
 
-    /** Serialize the headline knobs as a JSON object. */
+    /** Serialize "machine" and then every job field, in list order,
+     *  as a JSON object: the canonical config document. */
     void jsonOn(JsonWriter &w) const;
+
+    /**
+     * The job fields: the knobs a serve job may set, in canonical JSON
+     * order.  Calls @p v (key, field, lo, hi) for an integer field and
+     * @p v (key, field) for a flag.  This one list drives jsonOn(), the
+     * range checks of validate() and the daemon's config parser.  The
+     * fields no job can set (cache geometry, predictor tables,
+     * lat_alu/mul/div, the ablation policies) stay out of it, and so
+     * out of the canonical JSON.
+     */
+    template <typename Config, typename Visit>
+    static void
+    forEachJobField(Config &c, Visit &&v)
+    {
+        // JSON numbers are doubles: counts stay exact below 2^53.
+        constexpr u64 kMaxCount = (u64{1} << 53) - 1;
+        v("max_threads", c.max_threads, 1, 64);
+        v("spawn_on_call", c.spawn_on_call);
+        v("spawn_on_loop", c.spawn_on_loop);
+        v("value_prediction", c.value_prediction);
+        v("dataflow_prediction", c.dataflow_prediction);
+        v("fetch_ports", c.fetch_ports, 1, 64);
+        v("fetch_block", c.fetch_block, 1, 1024);
+        v("window_size", c.window_size, 1, 1 << 20);
+        v("retire_width", c.retire_width, 1, 1024);
+        v("unlimited_fus", c.unlimited_fus);
+        v("phys_regs", c.phys_regs, 0, 1 << 22);
+        v("tb_size", c.tb_size, 8, 1 << 22);
+        v("tb_latency", c.tb_latency, 0, 1 << 20);
+        v("tb_read_block", c.tb_read_block, 0, 1 << 20);
+        v("lq_size", c.lq_size, 0, 1 << 22);
+        v("sq_size", c.sq_size, 0, 1 << 22);
+        v("lat_mem", c.lat_mem, 1, 10000);
+        v("max_retired", c.max_retired, u64{0}, kMaxCount);
+        v("warmup_retired", c.warmup_retired, u64{0}, kMaxCount);
+        v("watchdog_cycles", c.watchdog_cycles, u64{0}, kMaxCount);
+        v("audit_period", c.audit_period, 0, 1 << 30);
+        v("fault_enabled", c.fault.enabled);
+    }
 };
 
 } // namespace dmt

@@ -787,16 +787,4 @@ buildGenWorkload(const std::string &spec)
     return buildGenWorkload(p);
 }
 
-std::string
-canonicalWorkloadName(const std::string &name)
-{
-    if (!isGenSpec(name))
-        return name;
-    GenParams p;
-    std::string err;
-    if (!parseGenSpec(name, &p, &err))
-        fatal("workload spec \"%s\": %s", name.c_str(), err.c_str());
-    return p.canonicalSpec();
-}
-
 } // namespace dmt

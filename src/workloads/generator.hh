@@ -95,9 +95,11 @@ Program buildGenWorkload(const std::string &spec);
 /**
  * Canonical name for any workload addressable by buildWorkload(): gen
  * specs normalize to GenParams::canonicalSpec(); suite names pass
- * through unchanged.  fatal() on a malformed gen spec.  Runner entry
- * points canonicalize before keying caches or stamping RunResults so
- * every spelling of one workload shares one identity.
+ * through unchanged.  The fatal() form of resolveWorkload()
+ * (workloads/workloads.hh), which defines it: unknown names and
+ * malformed specs exit.  Runner entry points canonicalize before
+ * keying caches or stamping RunResults so every spelling of one
+ * workload shares one identity.
  */
 std::string canonicalWorkloadName(const std::string &name);
 

@@ -43,4 +43,37 @@ buildWorkload(const std::string &name)
     fatal("unknown workload '%s'", name.c_str());
 }
 
+bool
+resolveWorkload(const std::string &name, std::string *canonical,
+                std::string *err)
+{
+    if (isGenSpec(name)) {
+        GenParams p;
+        std::string gerr;
+        if (!parseGenSpec(name, &p, &gerr)) {
+            *err = "workload spec \"" + name + "\": " + gerr;
+            return false;
+        }
+        *canonical = p.canonicalSpec();
+        return true;
+    }
+    for (const WorkloadInfo &w : workloadSuite()) {
+        if (name == w.name) {
+            *canonical = name;
+            return true;
+        }
+    }
+    *err = "unknown workload \"" + name + "\"";
+    return false;
+}
+
+std::string
+canonicalWorkloadName(const std::string &name)
+{
+    std::string canonical, err;
+    if (!resolveWorkload(name, &canonical, &err))
+        fatal("%s", err.c_str());
+    return canonical;
+}
+
 } // namespace dmt

@@ -50,6 +50,16 @@ const std::vector<WorkloadInfo> &workloadSuite();
  */
 Program buildWorkload(const std::string &name);
 
+/**
+ * Resolve a workload name without touching the process: a suite name
+ * passes through, a gen: spec becomes its canonicalSpec().  Unknown
+ * names and malformed specs return false with a message in @p err
+ * (the daemon's error reply); canonicalWorkloadName() is the fatal()
+ * form for local paths.
+ */
+bool resolveWorkload(const std::string &name, std::string *canonical,
+                     std::string *err);
+
 // ---- microkernels (tests and examples) --------------------------------
 
 /** Recursive Fibonacci of @p n; OUTs the result. */

@@ -144,7 +144,7 @@ TEST(Stats, GroupDumpContainsEntries)
     Counter c;
     c += 3;
     StatGroup g("unit");
-    g.addCounter("events", &c, "some events");
+    g.add("events", &c, "some events");
     const std::string out = g.dump();
     EXPECT_NE(out.find("unit.events"), std::string::npos);
     EXPECT_NE(out.find("3"), std::string::npos);

@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cli/env.hh"
-#include "common/rng.hh"
 #include "exp/conformance.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -34,46 +32,12 @@
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
+#include "scenarios.hh"
+
 namespace dmt
 {
 namespace
 {
-
-/** Seeds per family (strict parse: garbage in the env is fatal). */
-int
-seedsPerFamily()
-{
-    static const int n = [] {
-        const u64 v = parseEnvU64("DMT_CONF_SEEDS", 0);
-        return v > 0 ? static_cast<int>(v) : 15;
-    }();
-    return n;
-}
-
-/**
- * Scenario knobs, derived deterministically from (family, seed) so the
- * sweep covers the knob space instead of pinning defaults.  Bounded so
- * each program retires a few hundred to a few tens of thousands of
- * instructions — long enough to spawn threads, short enough that a
- * hundred scenarios stay fast.
- */
-GenParams
-scenarioParams(int family_idx, u64 seed)
-{
-    const GenFamilyInfo &fam =
-        genFamilies()[static_cast<size_t>(family_idx)];
-    Rng r(seed * 0x9e3779b97f4a7c15ull
-          + static_cast<u64>(family_idx) * 0x100000001b3ull);
-    GenParams p;
-    p.family = fam.name;
-    p.seed = seed;
-    p.depth = 2 + static_cast<int>(r.below(4));    // 2..5
-    p.trips = 4 + static_cast<int>(r.below(24));   // 4..27
-    p.entropy = static_cast<int>(r.below(101));
-    p.alias = static_cast<int>(r.below(101));
-    p.units = 8 + static_cast<int>(r.below(41));   // 8..48
-    return p;
-}
 
 // ---- the scenario sweep ------------------------------------------------
 

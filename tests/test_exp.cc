@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/env.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "dmt/engine.hh"
 #include "exp/experiments.hh"
@@ -106,7 +107,7 @@ TEST(PaperConfig, ValidationCatchesNonsense)
     EXPECT_NE(c.validate().find("max_threads"), std::string::npos);
     SimConfig c2 = exp::baseline();
     c2.tb_size = 2;
-    EXPECT_NE(c2.validate().find("trace buffer"), std::string::npos);
+    EXPECT_NE(c2.validate().find("tb_size"), std::string::npos);
 
     // The engine throws SimError with the first violated rule; the
     // library never exits the process.
@@ -126,6 +127,43 @@ TEST(Runner, RespectsBudget)
     EXPECT_LT(r.retired, 5200u);
     EXPECT_FALSE(r.completed);
     EXPECT_GT(r.ipc, 0.0);
+}
+
+TEST(Runner, MergeAddsEveryStat)
+{
+    // Sampled runs sum their windows through DmtStats::merge(): every
+    // reported stat must merge, or a sampled run would report one
+    // window's value for it.
+    const RunResult r = runWorkloadJob(exp::fig4Dmt(6), "gcc", 5000, {});
+    RunResult twice = r;
+    twice.stats.merge(r.stats);
+    JsonValue once, doubled;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(r.jsonString(), &once, &err)) << err;
+    ASSERT_TRUE(JsonValue::parse(twice.jsonString(), &doubled, &err));
+    const JsonValue *a = once.find("stats");
+    const JsonValue *b = doubled.find("stats");
+
+    for (const auto &[name, v] : a->find("counters")->members()) {
+        EXPECT_EQ(b->find("counters")->find(name)->asNumber(),
+                  2 * v.asNumber())
+            << name;
+    }
+    for (const auto &[name, v] : a->find("averages")->members()) {
+        const JsonValue *d = b->find("averages")->find(name);
+        EXPECT_DOUBLE_EQ(d->find("mean")->asNumber(),
+                         v.find("mean")->asNumber())
+            << name;
+        EXPECT_EQ(d->find("count")->asNumber(),
+                  2 * v.find("count")->asNumber())
+            << name;
+    }
+    for (const auto &[name, v] : a->find("histograms")->members()) {
+        EXPECT_EQ(b->find("histograms")->find(name)->find("total")
+                      ->asNumber(),
+                  2 * v.find("total")->asNumber())
+            << name;
+    }
 }
 
 TEST(Runner, SpeedupMath)

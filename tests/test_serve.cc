@@ -27,6 +27,7 @@
 
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
@@ -34,7 +35,9 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "sim/checkpoint.hh"
 #include "uarch/config.hh"
+#include "workloads/workloads.hh"
 
 namespace dmt
 {
@@ -207,6 +210,35 @@ TEST(Protocol, RunRequestRoundTrips)
     EXPECT_FALSE(req.job.sample.enabled());
     EXPECT_EQ(canonicalHash(req.job.cfg), canonicalHash(job.cfg))
         << "replaying a recorded config must rebuild the same machine";
+
+    // Every job field off its default, the derived sizes explicit.
+    JobSpec odd = smallJob();
+    SimConfig &c = odd.cfg;
+    c.max_threads = 5;
+    c.spawn_on_call = false;
+    c.spawn_on_loop = false;
+    c.value_prediction = false;
+    c.dataflow_prediction = false;
+    c.fetch_ports = 3;
+    c.fetch_block = 8;
+    c.window_size = 96;
+    c.retire_width = 3;
+    c.unlimited_fus = false;
+    c.phys_regs = 700;
+    c.tb_size = 300;
+    c.tb_latency = 7;
+    c.tb_read_block = 6;
+    c.lq_size = 40;
+    c.sq_size = 30;
+    c.lat_mem = 5;
+    c.max_retired = 3000;
+    c.warmup_retired = 200;
+    c.watchdog_cycles = 123456;
+    c.audit_period = 1000;
+    odd.max_retired = c.max_retired;
+    ASSERT_TRUE(parseRequest(runRequestLine(8, odd), &req, &err)) << err;
+    EXPECT_EQ(canonicalHash(req.job.cfg), canonicalHash(odd.cfg))
+        << runRequestLine(8, odd);
 }
 
 TEST(Protocol, SimpleOpsParse)
@@ -268,6 +300,38 @@ TEST(Protocol, RejectsWhatValidateRejects)
     EXPECT_EQ(err, "window smaller than one fetch block");
 }
 
+TEST(Protocol, DaemonAndLocalShareOneValidator)
+{
+    // One validator: every value the daemon rejects for a range, a
+    // local run rejects too, with the same words.
+    const struct
+    {
+        const char *key;
+        int SimConfig::*field;
+        int value;
+    } cases[] = {
+        {"retire_width", &SimConfig::retire_width, 0},
+        {"lat_mem", &SimConfig::lat_mem, 10001},
+        {"window_size", &SimConfig::window_size, 1 << 21},
+        {"max_threads", &SimConfig::max_threads, 0},
+        {"tb_size", &SimConfig::tb_size, 4},
+    };
+    for (const auto &k : cases) {
+        const std::string line = strprintf(
+            "{\"op\":\"run\",\"job\":{\"workload\":\"go\","
+            "\"config\":{\"%s\":%d}}}",
+            k.key, k.value);
+        Request req;
+        std::string err;
+        EXPECT_FALSE(parseRequest(line, &req, &err)) << line;
+
+        SimConfig local = SimConfig::dmt(6, 2);
+        local.*k.field = k.value;
+        EXPECT_FALSE(local.validate().empty()) << k.key;
+        EXPECT_EQ(err, local.validate()) << k.key;
+    }
+}
+
 TEST(Protocol, BudgetDefaultsMatchLocalRuns)
 {
     constexpr u64 kDefault = 4321; // ServeOptions::default_budget
@@ -310,17 +374,19 @@ TEST(Protocol, ExtractRawResult)
 TEST(Protocol, CacheKeySeparatesComponents)
 {
     const SimConfig cfg = smallDmt();
-    const u64 base = resultCacheKey(cfg, 1, SampleParams{});
-    EXPECT_EQ(base, resultCacheKey(cfg, 1, SampleParams{}));
-    EXPECT_NE(base, resultCacheKey(cfg, 2, SampleParams{}))
+    const u64 base = resultCacheKey(cfg, "go", 1, SampleParams{});
+    EXPECT_EQ(base, resultCacheKey(cfg, "go", 1, SampleParams{}));
+    EXPECT_NE(base, resultCacheKey(cfg, "go", 2, SampleParams{}))
         << "program image is part of the key";
+    EXPECT_NE(base, resultCacheKey(cfg, "li", 1, SampleParams{}))
+        << "the RunResult embeds the workload name, so the key must too";
     SimConfig other = cfg;
     other.fetch_ports = 4;
-    EXPECT_NE(base, resultCacheKey(other, 1, SampleParams{}));
+    EXPECT_NE(base, resultCacheKey(other, "go", 1, SampleParams{}));
     SampleParams sp;
     std::string err;
     ASSERT_TRUE(SampleParams::parse("1000:100:200", &sp, &err));
-    EXPECT_NE(base, resultCacheKey(cfg, 1, sp));
+    EXPECT_NE(base, resultCacheKey(cfg, "go", 1, sp));
 }
 
 // ---- result cache ------------------------------------------------------
@@ -626,8 +692,8 @@ TEST(Deadline, DisarmedByDefaultAndExcludedFromIdentity)
     EXPECT_TRUE(armed.hasDeadline());
     EXPECT_EQ(canonicalHash(cfg), canonicalHash(armed))
         << "the deadline is scheduling state, not machine identity";
-    EXPECT_EQ(resultCacheKey(cfg, 1, SampleParams{}),
-              resultCacheKey(armed, 1, SampleParams{}))
+    EXPECT_EQ(resultCacheKey(cfg, "go", 1, SampleParams{}),
+              resultCacheKey(armed, "go", 1, SampleParams{}))
         << "two budgets for the same cell must share one cache entry";
 }
 
@@ -701,6 +767,25 @@ TEST_F(ServeEndToEnd, ColdCachedAndDirectAnswersAreByteIdentical)
     EXPECT_EQ(warm_reply.find("result_hash")->asString(),
               hashHex(canonicalHash(direct)));
     EXPECT_EQ(server->jobsSimulated(), 1u);
+}
+
+TEST_F(ServeEndToEnd, SpecsSharingAnImageAnswerWithTheirOwnBytes)
+{
+    // ptrchase ignores depth, so these two specs build one program
+    // image; each RunResult still names its own spec.
+    const char *const specs[] = {"gen:ptrchase:1", "gen:ptrchase:1:depth=5"};
+    ASSERT_EQ(Checkpoint::programHash(buildWorkload(specs[0])),
+              Checkpoint::programHash(buildWorkload(specs[1])));
+    ServeClient c = makeClient();
+    i64 id = 1;
+    for (const char *spec : specs) {
+        JobSpec job = smallJob(spec);
+        JsonValue reply;
+        const std::string raw = runJob(c, job, &reply, id++);
+        const RunResult direct = runWorkloadJob(
+            job.cfg, job.workload, job.max_retired, job.sample);
+        EXPECT_EQ(raw, direct.jsonString()) << spec;
+    }
 }
 
 TEST_F(ServeEndToEnd, ConcurrentIdenticalJobsSimulateOnce)
@@ -1011,8 +1096,8 @@ TEST(DeadlineService, ProtocolCarriesDeadlineMs)
     // Not part of the job identity: same cell, different budget.
     JobSpec other = smallJob();
     other.deadline_ms = 9000;
-    EXPECT_EQ(resultCacheKey(req.job.cfg, 1, req.job.sample),
-              resultCacheKey(other.cfg, 1, other.sample));
+    EXPECT_EQ(resultCacheKey(req.job.cfg, "go", 1, req.job.sample),
+              resultCacheKey(other.cfg, "go", 1, other.sample));
 }
 
 // ---- client resilience -------------------------------------------------

@@ -152,13 +152,6 @@ TEST(Sweep, StatsAggregateAcrossJobs)
     EXPECT_GE(st.busy_seconds, 0.0);
     EXPECT_GT(st.throughput(), 0.0);
 
-    StatGroup group("sweep");
-    SweepStats::StatStore store;
-    st.registerAll(group, store);
-    const std::string dump = group.dump();
-    EXPECT_NE(dump.find("sweep_jobs"), std::string::npos);
-    EXPECT_NE(dump.find("sweep_mips"), std::string::npos);
-
     JsonWriter w;
     st.jsonOn(w);
     EXPECT_NE(w.str().find("\"jobs_total\""), std::string::npos);

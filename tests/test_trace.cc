@@ -113,9 +113,9 @@ TEST(StatGroupJson, SerializesCountersAveragesHistograms)
     h.sample(9.0);
 
     StatGroup g("t");
-    g.addCounter("c", &c, "a counter");
-    g.addAverage("a", &a, "an average");
-    g.addHistogram("h", &h, "a histogram");
+    g.add("c", &c, "a counter");
+    g.add("a", &a, "an average");
+    g.add("h", &h, "a histogram");
 
     // The text dump must include the histogram too.
     EXPECT_NE(g.dump().find("t.h"), std::string::npos);

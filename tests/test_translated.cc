@@ -9,8 +9,8 @@
  * and executed-instruction count, for every conformance scenario, for
  * arbitrary mid-block budget stops and across checkpoint restore.
  *
- * Scenario count mirrors tests/test_conformance.cc: all generator
- * families x DMT_CONF_SEEDS seeds (default 15; CI smoke uses 2).
+ * Scenarios come from tests/scenarios.hh, so this sweep and the
+ * conformance sweep cover the same program population.
  */
 
 #include <gtest/gtest.h>
@@ -18,49 +18,18 @@
 #include <cstdlib>
 #include <string>
 
-#include "cli/env.hh"
-#include "common/rng.hh"
 #include "sim/functional.hh"
 #include "sim/functional_core.hh"
 #include "sim/translated_core.hh"
 #include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
+#include "scenarios.hh"
+
 namespace dmt
 {
 namespace
 {
-
-/** Seeds per family (same knob as the conformance sweep). */
-int
-seedsPerFamily()
-{
-    static const int n = [] {
-        const u64 v = parseEnvU64("DMT_CONF_SEEDS", 0);
-        return v > 0 ? static_cast<int>(v) : 15;
-    }();
-    return n;
-}
-
-/** Scenario knobs, identical derivation to test_conformance.cc so the
- *  two sweeps cover the same program population. */
-GenParams
-scenarioParams(int family_idx, u64 seed)
-{
-    const GenFamilyInfo &fam =
-        genFamilies()[static_cast<size_t>(family_idx)];
-    Rng r(seed * 0x9e3779b97f4a7c15ull
-          + static_cast<u64>(family_idx) * 0x100000001b3ull);
-    GenParams p;
-    p.family = fam.name;
-    p.seed = seed;
-    p.depth = 2 + static_cast<int>(r.below(4));    // 2..5
-    p.trips = 4 + static_cast<int>(r.below(24));   // 4..27
-    p.entropy = static_cast<int>(r.below(101));
-    p.alias = static_cast<int>(r.below(101));
-    p.units = 8 + static_cast<int>(r.below(41));   // 8..48
-    return p;
-}
 
 /** Safety cap: every scenario program retires far less than this. */
 constexpr u64 kRunCap = u64{1} << 24;
