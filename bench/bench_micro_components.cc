@@ -62,12 +62,11 @@ BM_TraceBufferAppend(benchmark::State &state)
             tb.reset(512);
             state.ResumeTiming();
         }
-        TBEntry e;
-        e.inst = Instruction{Opcode::ADD,
-                             static_cast<LogReg>(rng.below(32)),
-                             static_cast<LogReg>(rng.below(32)),
-                             static_cast<LogReg>(rng.below(32)), 0};
-        benchmark::DoNotOptimize(tb.append(e));
+        const Instruction inst{Opcode::ADD,
+                               static_cast<LogReg>(rng.below(32)),
+                               static_cast<LogReg>(rng.below(32)),
+                               static_cast<LogReg>(rng.below(32)), 0};
+        benchmark::DoNotOptimize(tb.append(inst, 0x400000).id);
     }
 }
 BENCHMARK(BM_TraceBufferAppend);

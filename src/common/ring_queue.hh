@@ -10,8 +10,9 @@
  * Slots are never destroyed on pop — pop_front()/pop_back() just move
  * the indexes, and push_back() assigns into the reused slot.  For
  * element types that own capacity this means the slot's capacity is
- * recycled; for flat types it is simply cheap.  clear() likewise keeps
- * the buffer.
+ * recycled; for flat types it is simply cheap.  emplace_back()
+ * value-initializes the reused slot and hands it out for filling in
+ * place.  clear() likewise keeps the buffer.
  */
 
 #ifndef DMT_COMMON_RING_QUEUE_HH
@@ -89,6 +90,24 @@ class RingQueue
             grow();
         buf_[slot(count_)] = std::move(v);
         ++count_;
+    }
+
+    /**
+     * Reset the next slot to a value-initialized T and return it, so a
+     * fat element is filled where it lives instead of being built on
+     * the stack and copied in.  The reset copies a constant fresh T
+     * (plain vector moves), so T must be a literal type.
+     */
+    T &
+    emplace_back()
+    {
+        static constexpr T kFresh{};
+        if (count_ == buf_.size())
+            grow();
+        T &v = buf_[slot(count_)];
+        v = kFresh;
+        ++count_;
+        return v;
     }
 
     void

@@ -197,7 +197,7 @@ class DmtEngine : public OrderOracle
     void earlyRetireThread(ThreadContext &t, int width);
     void finalRetireHead();
     bool finalRetireEntry(ThreadContext &t, TBEntry &entry);
-    void lateDivergenceFlush(ThreadContext &t, const TBEntry &entry);
+    void lateDivergenceFlush(ThreadContext &t, Addr target);
     void headSwitch(ThreadContext &t);
     void fullyRetireThread(ThreadContext &t);
     void noteRetiredForPredictors(const TBEntry &entry);

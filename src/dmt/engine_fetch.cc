@@ -62,7 +62,7 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
 
         const Instruction &inst = prog.fetch(t.pc);
 
-        FetchedInst fi;
+        FetchedInst &fi = t.fq.emplace_back();
         fi.inst = inst;
         fi.pc = t.pc;
         fi.fetch_cycle = now_;
@@ -74,7 +74,6 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
                   t.pc);
 
         if (inst.isHalt()) {
-            t.fq.push_back(fi);
             t.fetched_halt = true;
             return;
         }
@@ -82,8 +81,11 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
         if (inst.isControl()) {
             fi.bstate_before = t.bstate;
             fi.has_bstate = true;
+            fi.pred = bpu.predict(inst, t.pc, t.bstate);
+        } else {
+            // predict()'s answer for anything else: fall through.
+            fi.pred.target = t.pc + 4;
         }
-        fi.pred = bpu.predict(inst, t.pc, t.bstate);
         // Fault injection: flip a conditional-branch prediction.  The
         // thread fetches down the wrong path until the branch executes;
         // the ordinary checkpoint-restore misprediction machinery (a
@@ -94,7 +96,6 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
             fi.pred.target = fi.pred.taken ? inst.branchTarget(t.pc)
                                            : t.pc + 4;
         }
-        t.fq.push_back(fi);
 
         if (fi.pred.taken) {
             t.pc = fi.pred.target;

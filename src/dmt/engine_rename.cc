@@ -303,19 +303,15 @@ DmtEngine::dispatchOne(ThreadContext &t, const FetchedInst &fi)
     if (inst.isStore() && lsq.sqFull(t.id))
         return false;
 
-    TBEntry proto;
-    proto.inst = inst;
-    proto.pc = fi.pc;
-    proto.predicted_taken = fi.pred.taken;
-    proto.predicted_target = fi.pred.target;
-    proto.history_used = fi.pred.history_used;
-    proto.trace_next_pc = inst.isControl() && fi.pred.taken
+    TBEntry &entry = t.tb.append(inst, fi.pc);
+    const u64 id = entry.id;
+    entry.predicted_taken = fi.pred.taken;
+    entry.predicted_target = fi.pred.target;
+    entry.history_used = fi.pred.history_used;
+    entry.trace_next_pc = inst.isControl() && fi.pred.taken
         ? fi.pred.target : fi.pc + 4;
-    proto.fetch_cycle = fi.fetch_cycle;
-    proto.imiss_episode = fi.imiss_episode;
-
-    const u64 id = t.tb.append(proto);
-    TBEntry &entry = t.tb.at(id);
+    entry.fetch_cycle = fi.fetch_cycle;
+    entry.imiss_episode = fi.imiss_episode;
 
     if (inst.isLoad()) {
         entry.lq_id = lsq.allocLoad(t.id, t.gen, id);

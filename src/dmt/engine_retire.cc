@@ -310,7 +310,7 @@ DmtEngine::finalRetireEntry(ThreadContext &t, TBEntry &entry)
 }
 
 void
-DmtEngine::lateDivergenceFlush(ThreadContext &t, const TBEntry &entry)
+DmtEngine::lateDivergenceFlush(ThreadContext &t, Addr target)
 {
     // The divergent branch itself has already retired with its
     // corrected direction; the rest of *this thread's* trace is on the
@@ -318,8 +318,6 @@ DmtEngine::lateDivergenceFlush(ThreadContext &t, const TBEntry &entry)
     // Section 3.3).  Later threads survive — control independence: if
     // the corrected path still reaches the successor's start PC their
     // work stands, and the join validation squashes them otherwise.
-    const Addr target = entry.divergence_target;
-
     inThreadSquash(t, t.tb.firstId(), target, nullptr);
 
     // Refetched instructions resolve their sources against the
@@ -449,13 +447,14 @@ DmtEngine::finalRetireHead()
             return;
         }
 
+        // Read before the pop frees the slot.
         const bool divergent = entry.divergence;
-        const TBEntry snapshot = entry; // survives the pop
+        const Addr divergence_target = entry.divergence_target;
         finalRetireEntry(t, entry);
         --width;
 
         if (divergent) {
-            lateDivergenceFlush(t, snapshot);
+            lateDivergenceFlush(t, divergence_target);
             return;
         }
         if (t.recov.busy())

@@ -5,20 +5,19 @@
 namespace dmt
 {
 
-EpisodeTracker::EpisodeTracker()
-{
-    // The retention window (DmtEngine prunes at now - 100k) holds tens
-    // of thousands of episodes on branchy workloads; pre-size
-    // everything so the steady-state engine loop never allocates here
-    // (~2 MB per tracker, and there are two).
-    episodes.reserve(32768);
-    countable_.reserve(32768);
-    pmax_.reserve(32768);
-}
-
 u64
 EpisodeTracker::open(Cycle start, Cycle end)
 {
+    // The retention window (DmtEngine prunes at now - 100k) holds tens
+    // of thousands of episodes on branchy workloads; pre-size
+    // everything on the first episode so the steady-state engine loop
+    // never allocates here (~2 MB per tracker).  A machine that never
+    // opens an episode (the single-threaded baseline) pays nothing.
+    if (episodes.capacity() == 0) {
+        episodes.reserve(kReserve);
+        countable_.reserve(kReserve);
+        pmax_.reserve(kReserve);
+    }
     const u64 handle = next_handle++;
     episodes.push_back({handle, start, end, false, false});
     return handle;

@@ -46,8 +46,6 @@ namespace dmt
 class EpisodeTracker
 {
   public:
-    EpisodeTracker();
-
     /**
      * Register an episode pending owner retirement.
      * @return episode handle (monotonic id).
@@ -73,6 +71,9 @@ class EpisodeTracker
     size_t size() const { return episodes.size(); }
 
   private:
+    /** Episodes each structure is sized for on the first open(). */
+    static constexpr size_t kReserve = 32768;
+
     struct Episode
     {
         u64 handle;

@@ -14,12 +14,17 @@ Lsq::Lsq(int lq_per_thread_, int sq_per_thread_, int max_threads)
     const int sq_total = sq_per_thread * max_threads;
     loads.resize(static_cast<size_t>(lq_total));
     stores.resize(static_cast<size_t>(sq_total));
-    // Per-slot lists are bounded by the load-queue population; reserve
-    // the bound up front so no slot ever grows on the hot path.
+    // Per-slot lists start at one thread's load-queue size.  The rare
+    // list that outgrows it grows once and keeps the capacity across
+    // reuse (DESIGN.md section 11), so the hot path stays
+    // allocation-free after warmup without every slot paying for the
+    // all-threads bound.
     for (LsqStore &st : stores) {
-        st.stall_waiters.reserve(static_cast<size_t>(lq_total));
-        st.forwardees.reserve(static_cast<size_t>(lq_total));
+        st.stall_waiters.reserve(static_cast<size_t>(lq_per_thread));
+        st.forwardees.reserve(static_cast<size_t>(lq_per_thread));
     }
+    unexecuted_.reserve(static_cast<size_t>(sq_total));
+    unexecuted_pos_.assign(static_cast<size_t>(sq_total), -1);
     for (int i = lq_total - 1; i >= 0; --i)
         free_loads.push_back(i);
     for (int i = sq_total - 1; i >= 0; --i)
@@ -75,7 +80,23 @@ Lsq::allocStore(ThreadId tid, u32 tgen, u64 tb_id)
     e.stall_waiters.clear();
     e.forwardees.clear();
     ++sq_count[static_cast<size_t>(tid)];
+    unexecuted_pos_[static_cast<size_t>(id)] =
+        static_cast<i32>(unexecuted_.size());
+    unexecuted_.push_back(id);
     return id;
+}
+
+void
+Lsq::unlistUnexecuted(i32 sq_id)
+{
+    // Swap with the last element and pop: the list is unordered.
+    i32 &pos = unexecuted_pos_[static_cast<size_t>(sq_id)];
+    DMT_ASSERT(pos >= 0, "store %d not on the unexecuted list", sq_id);
+    const i32 moved = unexecuted_.back();
+    unexecuted_[static_cast<size_t>(pos)] = moved;
+    unexecuted_pos_[static_cast<size_t>(moved)] = pos;
+    unexecuted_.pop_back();
+    pos = -1;
 }
 
 void
@@ -110,6 +131,8 @@ Lsq::freeStore(i32 id, bool squashed)
             if (squashed)
                 result.orphaned_loads.push_back(lid);
         }
+    } else {
+        unlistUnexecuted(id);
     }
     // Copy (not move) so both the entry's and the scratch's capacity
     // survive for reuse.
@@ -245,6 +268,7 @@ Lsq::storeExecute(i32 sq_id, Addr addr, u8 bytes, u32 data,
         stores_by_word.insert(wordOf(addr), sq_id);
     } else if (!re_exec) {
         stores_by_word.insert(wordOf(addr), sq_id);
+        unlistUnexecuted(sq_id);
     }
     st.executed = true;
     st.addr = addr;
@@ -355,9 +379,8 @@ bool
 Lsq::hasUnexecutedEarlierStore(ThreadId tid, u64 tb_id,
                                const OrderOracle &order) const
 {
-    for (const LsqStore &st : stores) {
-        if (!st.valid || st.executed)
-            continue;
+    for (const i32 id : unexecuted_) {
+        const LsqStore &st = stores[static_cast<size_t>(id)];
         if (st.tid == tid ? st.tb_id < tb_id
                           : order.memBefore(st.tid, st.tb_id, tid,
                                             tb_id)) {

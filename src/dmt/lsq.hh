@@ -176,7 +176,10 @@ class Lsq
     /** Register a load to wake when @p sq_id drains. */
     void addStallWaiter(i32 sq_id, DynRef dyn);
 
-    /** Any store earlier than (tid, tb_id) with an unresolved address? */
+    /**
+     * Any store earlier than (tid, tb_id) with an unresolved address?
+     * Walks only the stores that have not executed yet.
+     */
     bool hasUnexecutedEarlierStore(ThreadId tid, u64 tb_id,
                                    const OrderOracle &order) const;
 
@@ -199,6 +202,9 @@ class Lsq
 
     static Addr wordOf(Addr a) { return a & ~3u; }
 
+    /** Remove a store from the unexecuted list, O(1). */
+    void unlistUnexecuted(i32 sq_id);
+
     int lq_per_thread;
     int sq_per_thread;
 
@@ -211,6 +217,12 @@ class Lsq
 
     WordIndex loads_by_word;
     WordIndex stores_by_word;
+
+    /** Valid stores that have not executed, in no particular order
+     *  (hasUnexecutedEarlierStore's answer is an any-of). */
+    std::vector<i32> unexecuted_;
+    /** Position of each store slot in unexecuted_, -1 when absent. */
+    std::vector<i32> unexecuted_pos_;
 
     // Reused result storage so the hot path returns without
     // allocating (see storeExecute / freeStore).

@@ -3,21 +3,26 @@
 namespace dmt
 {
 
-u64
-TraceBuffer::append(TBEntry entry)
+TBEntry &
+TraceBuffer::append(const Instruction &inst, Addr pc)
 {
     DMT_ASSERT(!full(), "append to full trace buffer");
 
-    entry.id = endId();
+    // Reset the slot from a constant fresh entry: that is plain
+    // vector moves, where assigning TBEntry{} builds a zeroed
+    // temporary on the stack and copies it in.
+    static constexpr TBEntry kFresh{};
+    const u64 id = endId();
+    TBEntry &entry = store_[slotOf(id)];
+    entry = kFresh;
+    entry.id = id;
+    entry.inst = inst;
+    entry.pc = pc;
 
     // Trace-buffer rename: map register sources to the thread-local
     // last writer, or to the thread input register file.
-    const Instruction &inst = entry.inst;
     const int nsrc = inst.numSrcs();
-    for (int i = 0; i < 2; ++i) {
-        entry.src[i] = SrcRef{};
-        if (i >= nsrc)
-            continue;
+    for (int i = 0; i < nsrc; ++i) {
         const LogReg r = inst.src(i);
         if (r == 0)
             continue; // r0 reads as constant zero, no dependency
@@ -33,17 +38,16 @@ TraceBuffer::append(TBEntry entry)
     }
 
     const int dest = inst.effectiveDest();
-    entry.has_dest = dest >= 0;
-    entry.dest = dest >= 0 ? static_cast<LogReg>(dest) : 0;
-    if (entry.has_dest) {
-        last_writer_[entry.dest] = entry.id;
+    if (dest >= 0) {
+        entry.has_dest = true;
+        entry.dest = static_cast<LogReg>(dest);
+        last_writer_[entry.dest] = id;
         has_writer[entry.dest] = 1;
     }
 
-    store_[slotOf(entry.id)] = entry;
     ++count_;
     ++total_appended;
-    return entry.id;
+    return entry;
 }
 
 } // namespace dmt

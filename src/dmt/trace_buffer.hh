@@ -41,6 +41,8 @@ struct SrcRef
     Kind kind = None;
     LogReg reg = 0;
     u64 tb_id = 0; ///< producer entry (kind == TbEntry)
+
+    bool operator==(const SrcRef &) const = default;
 };
 
 /** One trace-buffer entry. */
@@ -95,6 +97,8 @@ struct TBEntry
     Cycle first_exec_cycle = 0;
     bool executed_ever = false;
     u16 dispatch_count = 0;
+
+    bool operator==(const TBEntry &) const = default;
 };
 
 /** The per-thread trace buffer. */
@@ -142,8 +146,13 @@ class TraceBuffer
         return store_[slotOf(id)];
     }
 
-    /** Append a renamed instruction; fills id and source refs. */
-    u64 append(TBEntry entry);
+    /**
+     * Append a renamed instruction.  The ring slot is value-initialized
+     * in place and gets the id, the instruction, its PC, the source
+     * refs and the destination; the caller fills the rest through the
+     * returned reference.
+     */
+    TBEntry &append(const Instruction &inst, Addr pc);
 
     /** Pop the oldest entry (final retirement). */
     void

@@ -308,6 +308,42 @@ InvariantAuditor::auditLsq(const DmtEngine &e, std::string *why)
                     })) {
         return false;
     }
+
+    // Unexecuted-store list: every valid store without an address is
+    // listed exactly once, at the position its slot records, and
+    // nothing else is listed.
+    std::vector<u8> listed(q.stores.size(), 0);
+    for (size_t pos = 0; pos < q.unexecuted_.size(); ++pos) {
+        const i32 id = q.unexecuted_[pos];
+        if (id < 0 || id >= static_cast<i32>(q.stores.size()))
+            return fail(why, "lsq unexecuted list holds bad id %d", id);
+        const LsqStore &st = q.stores[static_cast<size_t>(id)];
+        if (!st.valid || st.executed) {
+            return fail(why,
+                        "lsq unexecuted list holds store %d (valid=%d "
+                        "executed=%d)",
+                        id, st.valid, st.executed);
+        }
+        if (listed[static_cast<size_t>(id)]++)
+            return fail(why, "lsq store %d on the unexecuted list twice",
+                        id);
+        if (q.unexecuted_pos_[static_cast<size_t>(id)]
+            != static_cast<i32>(pos)) {
+            return fail(why,
+                        "lsq store %d listed at %zu but records "
+                        "position %d",
+                        id, pos, q.unexecuted_pos_[static_cast<size_t>(id)]);
+        }
+    }
+    for (size_t id = 0; id < q.stores.size(); ++id) {
+        const LsqStore &st = q.stores[id];
+        if (st.valid && !st.executed && !listed[id])
+            return fail(why, "lsq unexecuted store %zu missing from the "
+                        "unexecuted list", id);
+        if (!listed[id] && q.unexecuted_pos_[id] != -1)
+            return fail(why, "lsq store %zu unlisted but records "
+                        "position %d", id, q.unexecuted_pos_[id]);
+    }
     return true;
 }
 

@@ -12,7 +12,7 @@
  *  - trace buffers: id sequencing, completed => result_valid, memory
  *    entries own valid LSQ slots that point back at them;
  *  - LSQ: free-list/valid agreement, per-thread occupancy counts,
- *    by-word index consistency;
+ *    by-word index consistency, the unexecuted-store list;
  *  - store drain queue: valid retired stores in nondecreasing
  *    retirement order;
  *  - physical registers: free-list/alloc-bit agreement and exact leak

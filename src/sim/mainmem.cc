@@ -34,8 +34,14 @@ MainMemory::clear()
 void
 MainMemory::loadProgram(const Program &prog)
 {
-    for (size_t i = 0; i < prog.data.size(); ++i)
-        write8(Program::kDataBase + static_cast<Addr>(i), prog.data[i]);
+    // One page at a time; the segment starts on a page boundary.
+    static_assert(Program::kDataBase % kPageSize == 0);
+    const size_t size = prog.data.size();
+    for (size_t done = 0; done < size; done += kPageSize) {
+        const Addr addr = Program::kDataBase + static_cast<Addr>(done);
+        std::memcpy(touchPage(addr).data(), prog.data.data() + done,
+                    std::min<size_t>(size - done, kPageSize));
+    }
 }
 
 void
@@ -106,91 +112,54 @@ MainMemory::touchPage(Addr addr)
     return *slot;
 }
 
-u8
-MainMemory::read8(Addr addr) const
+namespace
 {
-    const Page *page = findPage(addr);
-    return page ? (*page)[addr & (kPageSize - 1)] : 0;
+
+/** @p addr masked down to a @p bytes boundary; panics unless 1, 2, 4. */
+Addr
+alignedFor(Addr addr, int bytes)
+{
+    if (bytes != 1 && bytes != 2 && bytes != 4)
+        panic("bad access size %d", bytes);
+    return addr & ~static_cast<Addr>(bytes - 1);
 }
 
-u16
-MainMemory::read16(Addr addr) const
-{
-    addr &= ~1u;
-    return static_cast<u16>(read8(addr) | (read8(addr + 1) << 8));
-}
-
-u32
-MainMemory::read32(Addr addr) const
-{
-    addr &= ~3u;
-    return read8(addr) | (read8(addr + 1) << 8) | (read8(addr + 2) << 16)
-        | (static_cast<u32>(read8(addr + 3)) << 24);
-}
-
-void
-MainMemory::write8(Addr addr, u8 value)
-{
-    touchPage(addr)[addr & (kPageSize - 1)] = value;
-}
-
-void
-MainMemory::write16(Addr addr, u16 value)
-{
-    addr &= ~1u;
-    write8(addr, static_cast<u8>(value));
-    write8(addr + 1, static_cast<u8>(value >> 8));
-}
-
-void
-MainMemory::write32(Addr addr, u32 value)
-{
-    addr &= ~3u;
-    write8(addr, static_cast<u8>(value));
-    write8(addr + 1, static_cast<u8>(value >> 8));
-    write8(addr + 2, static_cast<u8>(value >> 16));
-    write8(addr + 3, static_cast<u8>(value >> 24));
-}
+} // namespace
 
 u32
 MainMemory::read(Addr addr, int bytes, bool sign_extend) const
 {
+    addr = alignedFor(addr, bytes);
+    const Page *page = findPage(addr);
+    if (!page)
+        return 0;
+    // Assembled with shifts, so the result is little-endian whatever
+    // the host's byte order.
+    const u8 *p = page->data() + (addr & (kPageSize - 1));
     switch (bytes) {
-      case 1: {
-          const u8 v = read8(addr);
-          return sign_extend ? static_cast<u32>(static_cast<i32>(
-                     static_cast<i8>(v)))
-                             : v;
-      }
+      case 1:
+        return sign_extend
+            ? static_cast<u32>(static_cast<i32>(static_cast<i8>(p[0])))
+            : p[0];
       case 2: {
-          const u16 v = read16(addr);
-          return sign_extend ? static_cast<u32>(static_cast<i32>(
-                     static_cast<i16>(v)))
-                             : v;
+          const u16 v = static_cast<u16>(p[0] | (p[1] << 8));
+          return sign_extend
+              ? static_cast<u32>(static_cast<i32>(static_cast<i16>(v)))
+              : v;
       }
-      case 4:
-        return read32(addr);
       default:
-        panic("bad access size %d", bytes);
+        return p[0] | (p[1] << 8) | (p[2] << 16)
+            | (static_cast<u32>(p[3]) << 24);
     }
 }
 
 void
 MainMemory::write(Addr addr, int bytes, u32 value)
 {
-    switch (bytes) {
-      case 1:
-        write8(addr, static_cast<u8>(value));
-        break;
-      case 2:
-        write16(addr, static_cast<u16>(value));
-        break;
-      case 4:
-        write32(addr, value);
-        break;
-      default:
-        panic("bad access size %d", bytes);
-    }
+    addr = alignedFor(addr, bytes);
+    u8 *p = touchPage(addr).data() + (addr & (kPageSize - 1));
+    for (int i = 0; i < bytes; ++i)
+        p[i] = static_cast<u8>(value >> (8 * i));
 }
 
 } // namespace dmt

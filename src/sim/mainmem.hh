@@ -3,7 +3,8 @@
  * Flat byte-addressable main memory with sparse page allocation.
  * Little-endian, 32-bit address space.  Accesses are size-aligned by
  * masking low address bits (the ISA has no unaligned accesses; masking
- * keeps speculative wild addresses deterministic and harmless).
+ * keeps speculative wild addresses deterministic and harmless), so an
+ * access never straddles a page and costs one page lookup.
  */
 
 #ifndef DMT_SIM_MAINMEM_HH
@@ -42,19 +43,27 @@ class MainMemory
     /** Initialize the data segment from @p prog. */
     void loadProgram(const Program &prog);
 
-    u8 read8(Addr addr) const;
-    u16 read16(Addr addr) const;
-    u32 read32(Addr addr) const;
-
-    void write8(Addr addr, u8 value);
-    void write16(Addr addr, u16 value);
-    void write32(Addr addr, u32 value);
-
-    /** Generic read of 1/2/4 bytes with optional sign extension. */
+    /**
+     * Read 1, 2 or 4 bytes at @p addr masked down to that size, with
+     * optional sign extension.  One page lookup; an absent page reads
+     * 0 and stays absent.  Panics on any other size.
+     */
     u32 read(Addr addr, int bytes, bool sign_extend) const;
 
-    /** Generic write of 1/2/4 bytes. */
+    /**
+     * Write the low 1, 2 or 4 bytes of @p value at @p addr masked down
+     * to that size.  One page lookup; allocates the page if absent.
+     * Panics on any other size.
+     */
     void write(Addr addr, int bytes, u32 value);
+
+    u8 read8(Addr a) const { return static_cast<u8>(read(a, 1, false)); }
+    u16 read16(Addr a) const { return static_cast<u16>(read(a, 2, false)); }
+    u32 read32(Addr a) const { return read(a, 4, false); }
+
+    void write8(Addr a, u8 value) { write(a, 1, value); }
+    void write16(Addr a, u16 value) { write(a, 2, value); }
+    void write32(Addr a, u32 value) { write(a, 4, value); }
 
     /** Number of pages currently allocated (for tests). */
     size_t numPages() const { return pages.size(); }

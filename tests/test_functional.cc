@@ -9,6 +9,7 @@
 
 #include "casm/builder.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "sim/checker.hh"
 #include "sim/functional.hh"
 #include "workloads/workloads.hh"
@@ -280,6 +281,77 @@ TEST(MainMemoryTest, SparsePagesAndCopy)
     copy.write32(0x12345678, 1);
     EXPECT_EQ(m.read32(0x12345678), 0xCAFEBABEu)
         << "copies are independent";
+}
+
+TEST(MainMemoryTest, AbsentPageReadsZeroWithoutAllocating)
+{
+    MainMemory m;
+    for (const int bytes : {1, 2, 4}) {
+        for (const bool sign : {false, true}) {
+            EXPECT_EQ(m.read(0x20000003, bytes, sign), 0u)
+                << bytes << "-byte read, sign " << sign;
+        }
+    }
+    EXPECT_EQ(m.read8(0x5), 0u);
+    EXPECT_EQ(m.read16(0x5), 0u);
+    EXPECT_EQ(m.read32(0x5), 0u);
+    EXPECT_EQ(m.numPages(), 0u) << "a read allocated a page";
+
+    EXPECT_THROW(m.read(0x1000, 3, false), SimError);
+    EXPECT_THROW(m.write(0x1000, 8, 0), SimError);
+    EXPECT_EQ(m.numPages(), 0u) << "a rejected write allocated a page";
+}
+
+TEST(MainMemoryTest, SignedAndUnsignedSubwordReads)
+{
+    MainMemory m;
+    m.write32(0x1000, 0x80ff7f80); // bytes 80 7f ff 80, little-endian
+    EXPECT_EQ(m.read(0x1000, 1, false), 0x80u);
+    EXPECT_EQ(m.read(0x1000, 1, true), 0xffffff80u);
+    EXPECT_EQ(m.read(0x1001, 1, false), 0x7fu);
+    EXPECT_EQ(m.read(0x1001, 1, true), 0x7fu);
+    EXPECT_EQ(m.read(0x1000, 2, false), 0x7f80u);
+    EXPECT_EQ(m.read(0x1000, 2, true), 0x7f80u);
+    EXPECT_EQ(m.read(0x1002, 2, false), 0x80ffu);
+    EXPECT_EQ(m.read(0x1002, 2, true), 0xffff80ffu);
+    EXPECT_EQ(m.read(0x1000, 4, true), 0x80ff7f80u)
+        << "a word read has nothing to extend";
+    EXPECT_EQ(m.read8(0x1003), 0x80u);
+    EXPECT_EQ(m.read16(0x1002), 0x80ffu);
+}
+
+TEST(MainMemoryTest, MisalignedAddressesMaskToTheirSize)
+{
+    MainMemory m;
+    m.write32(0x2003, 0x44332211); // lands at 0x2000
+    EXPECT_EQ(m.read32(0x2000), 0x44332211u);
+    EXPECT_EQ(m.read32(0x2002), 0x44332211u);
+    EXPECT_EQ(m.read16(0x2001), 0x2211u);
+    EXPECT_EQ(m.read(0x2003, 2, true), 0x4433u);
+    EXPECT_EQ(m.read8(0x2003), 0x44u) << "a byte access never masks";
+    m.write16(0x2005, 0xbbaa); // lands at 0x2004
+    m.write(0x2007, 1, 0x1cc); // the low byte only
+    EXPECT_EQ(m.read32(0x2004), 0xcc00bbaau);
+    EXPECT_EQ(m.numPages(), 1u);
+}
+
+TEST(MainMemoryTest, LoadProgramAcrossPagesMatchesByteWrites)
+{
+    Program prog;
+    prog.data.resize(2 * MainMemory::kPageSize + 1234);
+    Rng rng(7);
+    for (u8 &b : prog.data)
+        b = static_cast<u8>(rng.next32());
+
+    MainMemory loaded;
+    loaded.loadProgram(prog);
+    MainMemory bytewise;
+    for (size_t i = 0; i < prog.data.size(); ++i) {
+        bytewise.write8(Program::kDataBase + static_cast<Addr>(i),
+                        prog.data[i]);
+    }
+    EXPECT_EQ(loaded.numPages(), 3u);
+    EXPECT_TRUE(loaded == bytewise);
 }
 
 } // namespace

@@ -5,11 +5,16 @@
  * 1. Steady-state allocation freedom: after warmup, DmtEngine::step()
  *    must not touch the heap.  A counting global operator new asserts
  *    zero allocations across a 10k-cycle window of a warmed-up dmt6
- *    run.  Any change that reintroduces per-cycle allocation (a
- *    temporary vector in a stage, a node-based container on a hot
- *    path) fails this test deterministically.
+ *    run and of a warmed-up baseline run.  Any change that
+ *    reintroduces per-cycle allocation (a temporary vector in a stage,
+ *    a node-based container on a hot path) fails this test
+ *    deterministically.
  *
- * 2. Issue-order semantics: the ReadyQueue must pop oldest-first (by
+ * 2. Construction footprint: the same allocator sums the bytes an
+ *    engine allocates while it is built, so tables sized for the
+ *    worst case (or for a feature the machine never uses) show up.
+ *
+ * 3. Issue-order semantics: the ReadyQueue must pop oldest-first (by
  *    the dispatch-time sequence number) and an FU-stalled instruction
  *    re-pushed with its original seq must keep its age priority —
  *    these two properties are what make the indexed ready structure
@@ -21,6 +26,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -29,6 +35,7 @@
 
 #include "dmt/engine.hh"
 #include "dmt/ready_queue.hh"
+#include "exp/experiments.hh"
 #include "workloads/workloads.hh"
 
 // ---------------------------------------------------------------------
@@ -41,7 +48,10 @@ namespace
 {
 
 std::atomic<bool> g_count_allocs{false};
+/** Print a backtrace for the first few counted allocations. */
+std::atomic<bool> g_trace_allocs{false};
 std::atomic<unsigned long long> g_alloc_count{0};
+std::atomic<unsigned long long> g_alloc_bytes{0};
 
 void *
 countedAlloc(std::size_t n)
@@ -49,10 +59,11 @@ countedAlloc(std::size_t n)
     if (g_count_allocs.load(std::memory_order_relaxed)) {
         const auto prior =
             g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
 #if defined(__GLIBC__)
         // Diagnose the first offender: raw return addresses to stderr
         // (feed them to addr2line -e test_hotpath to locate the call).
-        if (prior < 6) {
+        if (prior < 6 && g_trace_allocs.load(std::memory_order_relaxed)) {
             void *frames[32];
             const int depth = backtrace(frames, 32);
             backtrace_symbols_fd(frames, depth, 2);
@@ -84,8 +95,10 @@ operator new[](std::size_t n)
 void *
 operator new(std::size_t n, std::align_val_t align)
 {
-    if (g_count_allocs.load(std::memory_order_relaxed))
+    if (g_count_allocs.load(std::memory_order_relaxed)) {
         g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+    }
     void *p = std::aligned_alloc(static_cast<std::size_t>(align),
                                  (n + static_cast<std::size_t>(align) - 1)
                                      & ~(static_cast<std::size_t>(align) - 1));
@@ -157,9 +170,10 @@ namespace
 // Steady-state allocation freedom
 // ---------------------------------------------------------------------
 
-TEST(HotPath, ZeroAllocationsInWarmSteadyState)
+/** Allocations made by 10k steps of a warmed-up engine on go. */
+unsigned long long
+steadyStateAllocations(SimConfig cfg)
 {
-    SimConfig cfg = SimConfig::dmt(6, 2);
     cfg.max_retired = 100000000; // never cap inside the window
 
     const Program prog = buildWorkload("go");
@@ -167,25 +181,73 @@ TEST(HotPath, ZeroAllocationsInWarmSteadyState)
 
     // Warm up: let every pool, ring, scratch vector and index table
     // reach its high-water capacity.  40k cycles retires well over
-    // 60k instructions on this machine (see tests/golden/go.json).
+    // 60k instructions on either machine (see tests/golden/go.json).
     constexpr int kWarmupCycles = 40000;
     for (int i = 0; i < kWarmupCycles && !engine.done(); ++i)
         engine.step();
-    ASSERT_FALSE(engine.done())
+    EXPECT_FALSE(engine.done())
         << "workload finished during warmup; window would be idle";
 
     constexpr int kWindowCycles = 10000;
     g_alloc_count.store(0, std::memory_order_relaxed);
+    g_trace_allocs.store(true, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     for (int i = 0; i < kWindowCycles && !engine.done(); ++i)
         engine.step();
     g_count_allocs.store(false, std::memory_order_relaxed);
+    g_trace_allocs.store(false, std::memory_order_relaxed);
 
-    ASSERT_FALSE(engine.done());
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0ull)
-        << "steady-state step() touched the heap; a hot-path container "
-           "or temporary has regressed (see DESIGN.md section 11)";
+    EXPECT_FALSE(engine.done());
     EXPECT_TRUE(engine.goldenOk()) << engine.goldenError();
+    return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+TEST(HotPath, ZeroAllocationsInWarmSteadyState)
+{
+    // dmt6 exercises every structure; the baseline never opens a
+    // lookahead episode, so it covers the trackers' lazy reservation.
+    EXPECT_EQ(steadyStateAllocations(SimConfig::dmt(6, 2)), 0ull)
+        << "dmt6: steady-state step() touched the heap; a hot-path "
+           "container or temporary has regressed (see DESIGN.md "
+           "section 11)";
+    EXPECT_EQ(steadyStateAllocations(exp::baseline()), 0ull)
+        << "baseline: steady-state step() touched the heap (see "
+           "DESIGN.md section 11)";
+}
+
+// ---------------------------------------------------------------------
+// Construction footprint
+// ---------------------------------------------------------------------
+
+/** Bytes allocated while constructing an engine for go. */
+unsigned long long
+constructionBytes(const SimConfig &cfg)
+{
+    const Program prog = buildWorkload("go");
+    g_alloc_bytes.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    {
+        const DmtEngine engine(cfg, prog);
+        g_count_allocs.store(false, std::memory_order_relaxed);
+    }
+    return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+
+TEST(HotPath, EngineConstructionFootprint)
+{
+    // Tables are sized for what a machine can use, and reserved when
+    // it first does: the lookahead trackers on their first episode,
+    // each store slot's waiter lists for one thread's load queue.
+    constexpr unsigned long long kMiB = 1ull << 20;
+    const unsigned long long base = constructionBytes(exp::baseline());
+    const unsigned long long dmt6 =
+        constructionBytes(SimConfig::dmt(6, 2));
+    RecordProperty("baseline_bytes", std::to_string(base));
+    RecordProperty("dmt6_bytes", std::to_string(dmt6));
+    EXPECT_LT(base, 2 * kMiB) << "baseline engine allocated " << base
+                              << " bytes";
+    EXPECT_LT(dmt6, 4 * kMiB) << "dmt6 engine allocated " << dmt6
+                              << " bytes";
 }
 
 // ---------------------------------------------------------------------

@@ -244,10 +244,21 @@ TEST_F(LsqTest, ReissueMovesAddressIndex)
 TEST_F(LsqTest, RandomChurnKeepsAccounting)
 {
     // Random allocate/issue/execute/free churn: per-thread counts must
-    // track, quotas must hold, and freed slots must be reusable.
+    // track, quotas must hold, and freed slots must be reusable.  After
+    // every step, hasUnexecutedEarlierStore must agree with a brute
+    // force scan of the live stores tracked here.
+    struct LiveStore
+    {
+        i32 id;
+        ThreadId tid;
+        u64 tb_id;
+        bool executed;
+    };
     Rng rng(0xC0FFEE);
+    Rng probe(0xBEEF); // queries only; the churn sequence is rng's
     std::vector<i32> live_loads;
-    std::vector<i32> live_stores;
+    std::vector<LiveStore> live_stores;
+    int answers[2] = {0, 0};
     for (int step = 0; step < 5000; ++step) {
         const ThreadId tid = static_cast<ThreadId>(rng.below(4));
         switch (rng.below(5)) {
@@ -264,7 +275,8 @@ TEST_F(LsqTest, RandomChurnKeepsAccounting)
               const i32 id = lsq.allocStore(
                   tid, 1, static_cast<u64>(step));
               if (id >= 0)
-                  live_stores.push_back(id);
+                  live_stores.push_back(
+                      {id, tid, static_cast<u64>(step), false});
               else
                   EXPECT_TRUE(lsq.sqFull(tid));
               break;
@@ -290,24 +302,41 @@ TEST_F(LsqTest, RandomChurnKeepsAccounting)
             if (!live_stores.empty()) {
                 const size_t k = rng.below(live_stores.size());
                 if (rng.chance(0.6)) {
-                    lsq.storeExecute(live_stores[k],
+                    lsq.storeExecute(live_stores[k].id,
                                      0x1000 + static_cast<Addr>(
                                          rng.below(64)) * 4,
                                      4, rng.next32(), order);
+                    live_stores[k].executed = true;
                 } else {
-                    lsq.freeStore(live_stores[k], rng.chance(0.5));
+                    lsq.freeStore(live_stores[k].id, rng.chance(0.5));
                     live_stores.erase(live_stores.begin()
                                       + static_cast<long>(k));
                 }
             }
             break;
         }
+
+        const ThreadId q_tid = static_cast<ThreadId>(probe.below(4));
+        const u64 q_tb = probe.below(static_cast<u64>(step) + 2);
+        bool expect = false;
+        for (const LiveStore &st : live_stores) {
+            expect = expect
+                || (!st.executed
+                    && order.memBefore(st.tid, st.tb_id, q_tid, q_tb));
+        }
+        ASSERT_EQ(lsq.hasUnexecutedEarlierStore(q_tid, q_tb, order),
+                  expect)
+            << "step " << step << " query (" << q_tid << ", " << q_tb
+            << ")";
+        ++answers[expect];
     }
+    EXPECT_GT(answers[0], 500) << "queries must exercise both answers";
+    EXPECT_GT(answers[1], 500) << "queries must exercise both answers";
     // Drain everything; all quotas must return to zero.
     for (i32 id : live_loads)
         lsq.freeLoad(id);
-    for (i32 id : live_stores)
-        lsq.freeStore(id, true);
+    for (const LiveStore &st : live_stores)
+        lsq.freeStore(st.id, true);
     for (ThreadId tid = 0; tid < 4; ++tid) {
         EXPECT_EQ(lsq.loadCount(tid), 0);
         EXPECT_EQ(lsq.storeCount(tid), 0);
