@@ -12,7 +12,6 @@
 #define DMT_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
@@ -38,14 +37,6 @@ struct BenchColumn
     std::string name;
     SimConfig cfg;
 };
-
-/** True when per-workload progress logging is suppressed. */
-inline bool
-benchQuiet()
-{
-    const char *q = std::getenv("DMT_BENCH_QUIET");
-    return q && *q && *q != '0';
-}
 
 /** The whole suite x a machine list, as cells[workload][machine]. */
 struct SuiteSweep

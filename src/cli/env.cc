@@ -192,6 +192,12 @@ benchRunLength()
     return v > 0 ? v : kBenchRunLength;
 }
 
+bool
+benchQuiet()
+{
+    return parseEnvU64("DMT_BENCH_QUIET", 0, 0, 1) != 0;
+}
+
 int
 sweepJobs()
 {

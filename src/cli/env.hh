@@ -66,6 +66,9 @@ u64 benchInstrFromEnv();
 /** The detailed run length: DMT_BENCH_INSTR, else kBenchRunLength. */
 u64 benchRunLength();
 
+/** DMT_BENCH_QUIET (0 or 1): 1 silences bench progress on stderr. */
+bool benchQuiet();
+
 /** Sweep pool width: DMT_JOBS, else hardwareJobs(). */
 int sweepJobs();
 

@@ -25,8 +25,6 @@
 #ifndef DMT_EXP_PHASE_HH
 #define DMT_EXP_PHASE_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "casm/program.hh"
@@ -43,12 +41,6 @@ struct PhaseParams
     u64 max_k = 8;    ///< k-means cluster bound (1..64)
     u64 dims = 16;    ///< random-projection dimensions (1..256)
     u64 seed = 42;    ///< projection + k-means seed
-
-    bool operator==(const PhaseParams &o) const
-    {
-        return interval == o.interval && max_k == o.max_k
-            && dims == o.dims && seed == o.seed;
-    }
 };
 
 /** One phase of a clustered run. */
@@ -100,24 +92,12 @@ collectBbvs(const Program &prog, u64 interval_len, u64 budget, FfMode)
 PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
                             const PhaseParams &params);
 
-/**
- * Cached end-to-end analysis for @p workload (a canonical suite /
- * gen: name) bounded by @p budget stream instructions (0 = to HALT).
- * The analysis lives in the workload's sampled-path entry
- * (exp/sampled.cc), beside its checkpoint chain: it is profiled once
- * per (params, budget) from that entry's Program, under that entry's
- * lock, and shared (immutable) by every sweep cell over the workload.
- * clearCheckpointCache() drops it together with the entry.
- */
-std::shared_ptr<const PhaseAnalysis>
-phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
-                 u64 budget);
-
 /** Drop every cached phase analysis (checkpoints stay) and zero the
  *  counters below (test hook, companion to clearCheckpointCache()). */
 void clearPhaseCache();
 
-/** Process-lifetime accounting for the shared phase-analysis cache. */
+/** Process-lifetime accounting for the shared phase-analysis cache:
+ *  one build per (workload, params, budget), then hits. */
 struct PhaseCacheCounters
 {
     u64 hits = 0;

@@ -139,29 +139,27 @@ namespace
 {
 
 /**
- * Everything the sampled path keeps for one workload: its Program, the
- * checkpoint chain one functional cursor lays down through it, and the
- * phase analyses profiled from it.  Checkpoints and analyses are
- * immutable once built (shared_ptr), so concurrent sweep cells and
- * later runs share them.  Heap-allocated so the Program the cursor
- * references has a stable address.
+ * Everything the sampled path keeps for one workload across runs: its
+ * Program, the phase analyses profiled from it, and the checkpoints at
+ * their representatives.  Checkpoints and analyses are immutable once
+ * built (shared_ptr), so concurrent sweep cells and later runs share
+ * them.  Heap-allocated so the Program that runs' cursors reference
+ * has a stable address.
  */
 struct WorkloadEntry
 {
     explicit WorkloadEntry(const std::string &workload)
         : prog(buildWorkload(workload)),
-          prog_hash(Checkpoint::programHash(prog)), cursor(prog)
+          prog_hash(Checkpoint::programHash(prog))
     {
     }
 
     const Program prog;
     const u64 prog_hash;
-    /** Guards every member below. */
+    /** Guards every member below; never held across a cursor walk. */
     std::mutex m;
-    FunctionalCore cursor;
+    /** Phase windows' start checkpoints; uniform windows keep none. */
     std::map<u64, std::shared_ptr<const Checkpoint>> by_pos;
-    /** Retired position of HALT once the cursor has seen it. */
-    u64 halt_pos = ~u64{0};
     /** Keyed by (interval, max_k, dims, seed, budget). */
     std::map<std::array<u64, 5>, std::shared_ptr<const PhaseAnalysis>>
         analyses;
@@ -273,7 +271,7 @@ struct SampledRun
                const SampleParams &params_)
         : cfg(cfg_), workload(workload_), params(params_),
           dir(ckptDir()), e(entryFor(workload_)),
-          wall_start(std::chrono::steady_clock::now())
+          wall_start(std::chrono::steady_clock::now()), cursor(e->prog)
     {
         r.workload = workload;
         r.sampling.enabled = true;
@@ -282,60 +280,48 @@ struct SampledRun
     }
 
     /**
-     * Architectural checkpoint at exactly @p pos retired instructions.
-     * Order of preference: in-memory cache, checkpoint-directory file,
-     * advancing the functional cursor (rewinding it from the nearest
-     * earlier checkpoint when a caller asks for a position behind it).
+     * Architectural checkpoint at exactly @p pos retired instructions;
+     * @p pos never decreases within a run.  Order of preference: the
+     * entry's phase checkpoints, the checkpoint directory, then this
+     * run's own cursor, walked forward from where it stands or from
+     * the latest checkpoint the run holds, whichever is further on.
      *
-     * @return nullptr when the program HALTs at or before @p pos; then
-     *         @p halt_pos_out receives the halt position.
+     * @return nullptr when the program HALTs at or before @p pos; the
+     *         cursor then stands at HALT.
      */
     std::shared_ptr<const Checkpoint>
-    checkpointAt(u64 pos, u64 *halt_pos_out)
+    checkpointAt(u64 pos)
     {
-        std::lock_guard<std::mutex> lock(e->m);
-        if (pos >= e->halt_pos) {
-            *halt_pos_out = e->halt_pos;
-            return nullptr;
-        }
-        auto it = e->by_pos.find(pos);
-        if (it != e->by_pos.end()) {
-            g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
+        DMT_ASSERT(!last || pos >= last->instr_count,
+                   "sampled window starts must not decrease");
+        {
+            std::lock_guard<std::mutex> lock(e->m);
+            auto it = e->by_pos.find(pos);
+            if (it != e->by_pos.end()) {
+                g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
+                return last = it->second;
+            }
         }
 
         if (!dir.empty()) {
             auto ck = std::make_shared<Checkpoint>();
-            std::string err;
             if (Checkpoint::load(ckptPath(dir, workload, pos),
-                                 e->prog_hash, ck.get(), &err)) {
+                                 e->prog_hash, ck.get())) {
                 DMT_ASSERT(ck->instr_count == pos,
                            "checkpoint file position mismatch");
-                e->by_pos[pos] = ck;
                 g_ckpt_disk_hits.fetch_add(1, std::memory_order_relaxed);
-                return ck;
+                return keep(std::move(ck));
             }
         }
 
-        FunctionalCore &core = e->cursor;
-        if (core.instrCount() > pos) {
-            // The cursor is past the request; restart it from the
-            // nearest earlier checkpoint (or the program entry).
-            auto best = e->by_pos.upper_bound(pos);
-            if (best != e->by_pos.begin()) {
-                --best;
-                const Checkpoint &from = *best->second;
-                core.restore(from.state, from.mem, from.instr_count);
-            } else {
-                core.reset();
-            }
-        }
+        FunctionalCore &core = cursor;
+        if (last && last->instr_count > core.instrCount())
+            core.restore(last->state, last->mem, last->instr_count);
         // With a deadline armed, fast-forward in bounded chunks (a few
         // tens of host milliseconds each) so a long skip cannot blow
         // past the caller's wall-clock budget between checks.
         const bool armed = cfg.hasDeadline();
         constexpr u64 kDeadlineChunk = u64{1} << 22;
-        const TranslationStats xs_before = core.translationStats();
         const auto t0 = std::chrono::steady_clock::now();
         while (core.instrCount() < pos && !core.halted()) {
             u64 gap = pos - core.instrCount();
@@ -352,19 +338,26 @@ struct SampledRun
         ff_wall += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
-        ff_stats += core.translationStats() - xs_before;
-        if (core.halted()) {
-            e->halt_pos = core.instrCount();
-            *halt_pos_out = e->halt_pos;
+        if (core.halted())
             return nullptr;
-        }
 
         auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
-        e->by_pos[pos] = ck;
         g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
         if (!dir.empty())
             ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
-        return ck;
+        return keep(std::move(ck));
+    }
+
+    /** Make @p ck the run's latest checkpoint; a phase window's also
+     *  goes into the entry, for later runs on other machines. */
+    std::shared_ptr<const Checkpoint>
+    keep(std::shared_ptr<const Checkpoint> ck)
+    {
+        if (params.phaseMode()) {
+            std::lock_guard<std::mutex> lock(e->m);
+            e->by_pos.emplace(ck->instr_count, ck);
+        }
+        return last = std::move(ck);
     }
 
     /**
@@ -388,11 +381,9 @@ struct SampledRun
         }
 
         Window w;
-        u64 halt_pos = 0;
-        const std::shared_ptr<const Checkpoint> ck =
-            checkpointAt(start, &halt_pos);
+        const std::shared_ptr<const Checkpoint> ck = checkpointAt(start);
         if (!ck) {
-            w.end = halt_pos;
+            w.end = cursor.instrCount();
             w.completed = true;
             return w;
         }
@@ -447,8 +438,9 @@ struct SampledRun
         r.sampling.functional_instr =
             covered > detailed_retired ? covered - detailed_retired : 0;
         r.sampling.func_wall_s = ff_wall;
-        r.sampling.ff_blocks_translated = ff_stats.blocks_translated;
-        r.sampling.ff_chain_hits = ff_stats.chain_hits;
+        const TranslationStats xs = cursor.translationStats();
+        r.sampling.ff_blocks_translated = xs.blocks_translated;
+        r.sampling.ff_chain_hits = xs.chain_hits;
         r.completed = completed;
         r.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - wall_start)
@@ -468,9 +460,12 @@ struct SampledRun
     const std::string dir;
     const std::shared_ptr<WorkloadEntry> e;
     const std::chrono::steady_clock::time_point wall_start;
+    /** This run's fast-forward core; it only walks forward. */
+    FunctionalCore cursor;
+    /** The checkpoint of the latest window start. */
+    std::shared_ptr<const Checkpoint> last;
     /** Host seconds spent fast-forwarding and profiling. */
     double ff_wall = 0.0;
-    TranslationStats ff_stats;
     /** Instructions run in detail, warm and measure alike. */
     u64 detailed_retired = 0;
     RunResult r;
@@ -556,7 +551,7 @@ runPhases(SampledRun &run, u64 budget)
         row.weight = ph.weight;
         row.members = ph.members;
         // A representative can sit past HALT only if profiling and the
-        // checkpoint cursor disagree — which the bit-identity contract
+        // run's cursor disagree — which the bit-identity contract
         // rules out — but stay graceful: the phase goes unmeasured and
         // the aggregate renormalizes over the measured ones.
         const Window w = run.window(row.pos);
@@ -621,13 +616,6 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
     SampledRun run(cfg, workload, params);
     return params.phaseMode() ? runPhases(run, budget)
                               : runUniform(run, budget);
-}
-
-std::shared_ptr<const PhaseAnalysis>
-phaseAnalysisFor(const std::string &workload, const PhaseParams &params,
-                 u64 budget)
-{
-    return analysisOf(*entryFor(workload), params, budget);
 }
 
 void

@@ -5,18 +5,18 @@
  * paper-scale instruction stream costs close to functional-sim speed.
  *
  * Each period is skip + warm + measure instructions.  The skip portion
- * is covered by FunctionalCore fast-forward (via a process-wide
- * checkpoint cache, so N sweep cells over the same workload pay for the
- * prefix once); the warm portion runs detailed with statistics
+ * is covered by FunctionalCore fast-forward on the run's own,
+ * forward-only cursor; the warm portion runs detailed with statistics
  * detached (cfg.warmup_retired) so caches, predictors and spawn tables
  * recover from the cold start; the measure portion accumulates into
  * the RunResult.  Per-interval CPI feeds a mean +- 95% confidence
  * interval so the aggregate comes with an error bar.
  *
- * The cache holds one entry per workload: its Program, its checkpoint
- * chain and its phase analyses (exp/phase.hh), built under that
- * entry's lock.  Both placements run every window through one code
- * path; only where windows start and how their CPIs aggregate differ.
+ * The cache holds one entry per workload: its Program, its phase
+ * analyses (exp/phase.hh) and the checkpoints at their representatives;
+ * uniform windows keep none, so a uniform run holds O(1) checkpoints.
+ * Both placements run every window through one code path; only where
+ * windows start and how their CPIs aggregate differ.
  *
  * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
@@ -124,11 +124,11 @@ void setCheckpointDir(std::string dir);
 /**
  * Process-lifetime accounting for the shared checkpoint cache.  A
  * sampled window first looks for its start checkpoint in memory
- * (mem_hits), then on disk under the checkpoint directory
- * (disk_hits), and only then pays for functional fast-forward to build
- * one (builds).  The daemon reports these in its `stats` reply and the
- * local harness mains print them in their stderr summaries, so
- * warm-cache behaviour is visible in both deployments.
+ * (mem_hits; only phase windows keep theirs), then on disk under the
+ * checkpoint directory (disk_hits), and only then pays for functional
+ * fast-forward to build one (builds).  The daemon reports these in its
+ * `stats` reply and the local harness mains print them in their stderr
+ * summaries, so warm-cache behaviour is visible in both deployments.
  */
 struct CheckpointCacheCounters
 {

@@ -119,6 +119,7 @@ void
 Server::acceptLoop()
 {
     while (!draining_.load()) {
+        reapReaders();
         pollfd pfd{listen_fd_, POLLIN, 0};
         const int n = ::poll(&pfd, 1, kPollMs);
         if (n <= 0)
@@ -128,13 +129,24 @@ Server::acceptLoop()
             continue;
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
-        std::lock_guard<std::mutex> lk(readers_mu_);
-        readers_.emplace_back(&Server::connLoop, this, std::move(conn));
+        Reader &rd = readers_.emplace_back();
+        rd.thread =
+            std::thread(&Server::connLoop, this, std::move(conn), &rd.done);
     }
 }
 
 void
-Server::connLoop(std::shared_ptr<Conn> conn)
+Server::reapReaders()
+{
+    readers_.remove_if([](Reader &rd) {
+        if (rd.done.load())
+            rd.thread.join();
+        return !rd.thread.joinable();
+    });
+}
+
+void
+Server::connLoop(std::shared_ptr<Conn> conn, std::atomic<bool> *done)
 {
     std::string buf;
     char chunk[4096];
@@ -174,6 +186,7 @@ Server::connLoop(std::shared_ptr<Conn> conn)
             break;
         }
     }
+    done->store(true);
 }
 
 void
@@ -396,15 +409,10 @@ Server::join()
         return;
     if (acceptor_.joinable())
         acceptor_.join();
-    // The acceptor is gone, so readers_ can no longer grow.
-    {
-        std::lock_guard<std::mutex> lk(readers_mu_);
-        for (std::thread &t : readers_) {
-            if (t.joinable())
-                t.join();
-        }
-        readers_.clear();
-    }
+    // The acceptor is gone, so readers_ is this thread's alone.
+    for (Reader &rd : readers_)
+        rd.thread.join();
+    readers_.clear();
     // Give queued jobs drain_s to finish, then fail the remainder
     // with a structured reply so no client blocks forever.  Replies
     // go out after dropping the queue lock: a worker mid-reply holds

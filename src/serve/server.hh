@@ -18,8 +18,8 @@
  *                          ──► reply on the requesting connection
  *
  * Replies carry the byte-exact canonical RunResult JSON; the result
- * cache plus the process-wide checkpoint cache (exp/sampled) make
- * repeated cells free and warm sampled requests skip fast-forward.
+ * cache makes repeated cells free and the sampled-path cache
+ * (exp/sampled.hh) lets warm phase-sampled requests skip fast-forward.
  *
  * Lifecycle: requestDrain() (SIGTERM/SIGINT in dmt_served, or a
  * client "shutdown" request) stops accepting connections and reading
@@ -37,6 +37,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -157,8 +158,18 @@ class Server
         }
     };
 
+    /** A connection's reader thread; done is set as it exits. */
+    struct Reader
+    {
+        std::atomic<bool> done{false};
+        std::thread thread;
+    };
+
     void acceptLoop();
-    void connLoop(std::shared_ptr<Conn> conn);
+    /** Join the readers whose client hung up, so mapped thread stacks
+     *  track open connections (acceptor only). */
+    void reapReaders();
+    void connLoop(std::shared_ptr<Conn> conn, std::atomic<bool> *done);
     void workerLoop();
     void handleLine(const std::shared_ptr<Conn> &conn,
                     std::string_view line);
@@ -175,8 +186,8 @@ class Server
 
     std::thread acceptor_;
     std::vector<std::thread> workers_;
-    std::mutex readers_mu_;
-    std::vector<std::thread> readers_;
+    /** The acceptor's alone until join(); a list, so none moves. */
+    std::list<Reader> readers_;
 
     mutable std::mutex queue_mu_;
     std::condition_variable queue_cv_;   ///< work available / draining

@@ -4,10 +4,9 @@
  * registers, PC, OUT-stream digest, sparse memory pages — plus the
  * retired-instruction position it corresponds to.  A checkpoint is
  * everything a detailed DmtEngine (or another FunctionalCore) needs to
- * resume mid-stream, so the fast-forward cost of a paper-scale prefix
- * is paid once per workload and shared across every sweep cell, and —
- * through the binary save/load format and a checkpoint directory —
- * across simulator invocations.
+ * resume mid-stream, so a phase window's is shared by every sweep cell
+ * over its workload and — through the binary save/load format and a
+ * checkpoint directory — any window's across simulator invocations.
  *
  * A saved checkpoint is one checksummed record (common/record.hh): a
  * magic/version, the hash of the program image (text, data, entry) as

@@ -15,6 +15,9 @@
 
 #include <sys/stat.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -276,9 +279,16 @@ TEST(Sampled, DeterministicAcrossCacheStates)
 
     clearCheckpointCache();
     const RunResult cold = runWorkloadSampled(cfg, "go", p);
+    const CheckpointCacheCounters after_cold = checkpointCacheCounters();
     const RunResult warm = runWorkloadSampled(cfg, "go", p);
+    const CheckpointCacheCounters after_warm = checkpointCacheCounters();
     EXPECT_EQ(cold.jsonString(), warm.jsonString());
     EXPECT_EQ(cold.sampling.intervals, 4u);
+    // Uniform windows keep no checkpoint in memory: the warm run walks
+    // its own cursor again and rebuilds every window's checkpoint.
+    EXPECT_EQ(after_warm.builds - after_cold.builds,
+              warm.sampling.intervals);
+    EXPECT_EQ(after_warm.mem_hits, 0u);
     EXPECT_GT(cold.sampling.covered, 200000u);
     EXPECT_GT(cold.sampling.functional_instr, cold.retired);
     // Timing-only telemetry: the cold run fast-forwarded through
@@ -302,6 +312,47 @@ TEST(Sampled, DeterministicAcrossCacheStates)
     // The checkpoint files really were written.
     EXPECT_TRUE(std::filesystem::exists(dir + "/go-50000.ckpt"));
     std::filesystem::remove_all(dir);
+}
+
+TEST(Sampled, UniformRunHoldsNoCheckpointPerWindow)
+{
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+    // A uniform run keeps only its latest checkpoint: heap in use
+    // after hundreds of windows stays within a few checkpoints of
+    // where it started, however many windows ran.
+    SampleParams p;
+    p.skip = 1000;
+    p.warm = 100;
+    p.measure = 200;
+    const SimConfig cfg = SimConfig::dmt(2, 2);
+    const Program prog = buildWorkload("compress");
+    FunctionalCore core(prog);
+    core.run(p.skip);
+    const size_t ckpt_bytes =
+        Checkpoint::capture(core).mem.numPages() * MainMemory::kPageSize;
+
+    clearCheckpointCache();
+    SampleParams one = p;
+    one.max_intervals = 1;
+    runWorkloadSampled(cfg, "compress", one); // builds the entry
+    const auto heap_in_use = [] {
+        const struct mallinfo2 mi = mallinfo2();
+        return mi.uordblks + mi.hblkhd;
+    };
+    const size_t before = heap_in_use();
+    const RunResult r = runWorkloadSampled(cfg, "compress", p);
+    const size_t after = heap_in_use();
+    clearCheckpointCache();
+
+    ASSERT_TRUE(r.completed);
+    ASSERT_GE(r.sampling.intervals, 200u);
+    EXPECT_LT(after, before + 4 * ckpt_bytes)
+        << "heap grew " << (after - before) << " bytes over "
+        << r.sampling.intervals << " windows of " << ckpt_bytes
+        << "-byte checkpoints";
+#else
+    GTEST_SKIP() << "needs glibc's mallinfo2()";
+#endif
 }
 
 TEST(Sampled, CorruptCheckpointFileIsRebuiltNotResumed)

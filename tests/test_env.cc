@@ -151,6 +151,20 @@ TEST(BenchRunLengthDeath, TrailingGarbageIsFatal)
     unsetenv("DMT_BENCH_INSTR");
 }
 
+TEST(BenchQuietDeath, ZeroOrOneElseFatal)
+{
+    setenv("DMT_BENCH_QUIET", "1", 1);
+    EXPECT_TRUE(benchQuiet());
+    setenv("DMT_BENCH_QUIET", "0", 1);
+    EXPECT_FALSE(benchQuiet());
+    // A word is not a switch: "false" must not silently read as on.
+    setenv("DMT_BENCH_QUIET", "false", 1);
+    EXPECT_DEATH(benchQuiet(), "DMT_BENCH_QUIET");
+    setenv("DMT_BENCH_QUIET", "2", 1);
+    EXPECT_DEATH(benchQuiet(), "out of range");
+    unsetenv("DMT_BENCH_QUIET");
+}
+
 namespace
 {
 

@@ -316,18 +316,19 @@ TEST(PhaseCluster, DegenerateInputsStayWellDefined)
 
 TEST(PhaseCluster, AnalysisCacheSharesOneBuild)
 {
+    // Two phase-sampled runs with one analysis key profile the program
+    // once; the second (on another machine) reuses the analysis.
     clearAllCaches();
-    const PhaseParams p = params(20000);
-    const auto a = phaseAnalysisFor("go", p, 400000);
-    const auto b = phaseAnalysisFor("go", p, 400000);
-    EXPECT_EQ(a.get(), b.get()) << "second lookup must share the build";
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 400000);
+    runWorkloadSampled(SimConfig::dmt(2, 2), "go", p, 400000);
     const PhaseCacheCounters c = phaseCacheCounters();
     EXPECT_EQ(c.builds, 1u);
-    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.hits, 1u) << "second run must share the build";
 
     // A different parameter set is a different cache cell.
-    const auto other = phaseAnalysisFor("go", params(20000, 4), 400000);
-    EXPECT_NE(other.get(), a.get());
+    runWorkloadSampled(SimConfig::dmt(6, 2), "go",
+                       phaseParams("phase:20000:500:1500:4"), 400000);
     EXPECT_EQ(phaseCacheCounters().builds, 2u);
 
     clearAllCaches();
@@ -348,6 +349,16 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     const RunResult warm = runWorkloadSampled(cfg, "go", p, kBudget);
     EXPECT_EQ(cold.jsonString(), warm.jsonString())
         << "warm phase/checkpoint caches must not change a byte";
+
+    // A second machine over the same analysis resumes every phase
+    // window from the checkpoints the first one kept.
+    const CheckpointCacheCounters before = checkpointCacheCounters();
+    const RunResult other =
+        runWorkloadSampled(SimConfig::dmt(2, 2), "go", p, kBudget);
+    const CheckpointCacheCounters after = checkpointCacheCounters();
+    EXPECT_EQ(other.sampling.covered, cold.sampling.covered);
+    EXPECT_EQ(after.mem_hits - before.mem_hits, cold.sampling.phase_k);
+    EXPECT_EQ(after.builds - before.builds, 0u);
 
     EXPECT_EQ(cold.sampling.mode, "phase");
     EXPECT_GE(cold.sampling.phase_k, 1u);

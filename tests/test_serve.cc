@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -890,6 +891,35 @@ TEST_F(ServeEndToEnd, ShutdownDrainsCleanly)
     ServeClient late;
     EXPECT_FALSE(late.connect(server->port(), &err, 0.0))
         << "a drained daemon must not accept new connections";
+}
+
+TEST_F(ServeEndToEnd, FinishedReadersDoNotKeepTheirStacks)
+{
+    // Every connection gets a reader thread.  Once its client hangs up
+    // the acceptor must join it, or each finished reader keeps its
+    // stack and guard page mapped for the daemon's lifetime.
+    const auto mappings = [] {
+        std::ifstream maps("/proc/self/maps");
+        size_t n = 0;
+        for (std::string line; std::getline(maps, line);)
+            ++n;
+        return n;
+    };
+    const auto ping = [&](i64 id) {
+        ServeClient c = makeClient();
+        JsonValue reply;
+        std::string err;
+        ASSERT_TRUE(c.request(simpleRequestLine("ping", id), &reply, &err))
+            << err;
+    };
+    for (i64 id = 0; id < 8; ++id) // warm the thread-stack cache
+        ping(id);
+    const size_t before = mappings();
+    constexpr i64 kConnections = 240;
+    for (i64 id = 0; id < kConnections; ++id)
+        ping(id);
+    EXPECT_LT(mappings(), before + 50)
+        << kConnections << " closed connections left their readers mapped";
 }
 
 // ---- crash-safe durable service ---------------------------------------
