@@ -13,36 +13,55 @@ namespace dmt
 
 // ---- BBV collection ----------------------------------------------------
 
+BbvProfile
+profileBbvs(FunctionalCore &core, u64 interval_len, u64 budget,
+            const std::function<u64(const FunctionalCore &)> &pause)
+{
+    DMT_ASSERT(interval_len > 0, "BBV interval length must be > 0");
+    DMT_ASSERT(core.instrCount() == 0,
+               "a BBV profile starts at the program entry");
+    const Program &prog = core.program();
+    BbvCollector bbv(interval_len, prog.text.size(), prog.entry);
+    core.setBbv(&bbv);
+    // Detach even when a pause throws: the collector dies with us.
+    struct Detach
+    {
+        FunctionalCore &core;
+        ~Detach() { core.setBbv(nullptr); }
+    } detach{core};
+    // Chunked so an unbounded profile of a non-halting program is
+    // still budget-driven by the caller.
+    constexpr u64 kChunk = u64{1} << 22;
+    while (!core.halted()
+           && (budget == 0 || core.instrCount() < budget)) {
+        const u64 pos = core.instrCount();
+        u64 step = kChunk;
+        if (pause)
+            step = std::min(step, pause(core) - pos);
+        if (budget > 0)
+            step = std::min(step, budget - pos);
+        if (core.run(step) == 0)
+            break;
+    }
+    bbv.finish();
+    BbvProfile p;
+    p.bbvs = bbv.takeIntervals();
+    p.covered = core.instrCount();
+    p.completed = core.halted();
+    return p;
+}
+
 std::vector<IntervalBbv>
 collectBbvs(const Program &prog, u64 interval_len, u64 budget,
             u64 *covered_out, bool *completed_out)
 {
-    DMT_ASSERT(interval_len > 0, "BBV interval length must be > 0");
     FunctionalCore core(prog);
-    BbvCollector bbv(interval_len, prog.text.size(), prog.entry);
-    core.setBbv(&bbv);
-    // Chunked so an unbounded profile of a non-halting program is
-    // still budget-driven by the caller; interval vectors are chunk
-    // invariant by the sim/bbv.hh contract.
-    constexpr u64 kChunk = u64{1} << 22;
-    while (!core.halted()) {
-        u64 step = kChunk;
-        if (budget > 0) {
-            const u64 left = budget - core.instrCount();
-            if (left == 0)
-                break;
-            step = left < step ? left : step;
-        }
-        if (core.run(step) == 0)
-            break;
-    }
-    core.setBbv(nullptr);
-    bbv.finish();
+    BbvProfile p = profileBbvs(core, interval_len, budget);
     if (covered_out)
-        *covered_out = core.instrCount();
+        *covered_out = p.covered;
     if (completed_out)
-        *completed_out = core.halted();
-    return bbv.takeIntervals();
+        *completed_out = p.completed;
+    return std::move(p.bbvs);
 }
 
 // ---- projection + clustering -------------------------------------------

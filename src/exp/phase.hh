@@ -25,6 +25,7 @@
 #ifndef DMT_EXP_PHASE_HH
 #define DMT_EXP_PHASE_HH
 
+#include <functional>
 #include <vector>
 
 #include "casm/program.hh"
@@ -63,12 +64,32 @@ struct PhaseAnalysis
     std::vector<PhaseInfo> phases; ///< phases[i].id == i
 };
 
+/** One BBV profile: its interval vectors and how far it reached. */
+struct BbvProfile
+{
+    std::vector<IntervalBbv> bbvs;
+    u64 covered = 0;        ///< instructions profiled (stream positions)
+    bool completed = false; ///< the profile reached HALT within budget
+};
+
 /**
- * Collect interval BBVs by fast-forwarding @p prog from its entry;
- * stops at HALT or after @p budget instructions (0 = run to HALT).
- * @p covered_out / @p completed_out report how far the profile
- * reached.  The result is a pure function of the architectural
- * instruction stream (the sim/bbv.hh contract).
+ * The one BBV profile loop: run @p core from the program entry until
+ * HALT or @p budget instructions (0 = run to HALT), collecting one
+ * vector per @p interval_len instructions, and leave the core where
+ * it stopped.  Before each chunk of at most 2^22 instructions the loop
+ * calls @p pause (when set) with the core; pause returns the next
+ * position it wants to see, where that chunk then ends.  A pause may
+ * capture the core's state, or throw to abandon the profile.  The
+ * vectors are a pure function of the architectural instruction
+ * stream, however the walk is chunked (the sim/bbv.hh contract).
+ */
+BbvProfile profileBbvs(
+    FunctionalCore &core, u64 interval_len, u64 budget,
+    const std::function<u64(const FunctionalCore &)> &pause = {});
+
+/**
+ * profileBbvs() on a fresh core of @p prog; @p covered_out /
+ * @p completed_out report how far the profile reached.
  */
 std::vector<IntervalBbv> collectBbvs(const Program &prog,
                                      u64 interval_len, u64 budget,

@@ -51,6 +51,7 @@ SampleSummary::jsonOn(JsonWriter &w, bool include_timing) const
         w.key("func_wall_s").value(func_wall_s);
         w.key("ff_blocks_translated").value(ff_blocks_translated);
         w.key("ff_chain_hits").value(ff_chain_hits);
+        w.key("ff_instr").value(ff_instr);
     }
     w.key("cpi_mean").value(cpi_mean);
     w.key("cpi_sd").value(cpi_sd);

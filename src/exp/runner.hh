@@ -82,6 +82,11 @@ struct SampleSummary
      *  depend on checkpoint-cache state, not on the inputs. */
     u64 ff_blocks_translated = 0;
     u64 ff_chain_hits = 0;
+    /** Instructions this run's fast-forward cursor executed, profile
+     *  and walks alike.  Deterministic, but it depends on cache state
+     *  (a run that resumes every window from the cache walks none), so
+     *  it stays out of the canonical JSON too. */
+    u64 ff_instr = 0;
     /** Per-interval CPI statistics; ci95 = 1.96 * sd / sqrt(n).  In
      *  phase mode the mean is phase-weight weighted and sd/ci95 use
      *  the weighted spread over measured phases. */

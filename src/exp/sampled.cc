@@ -156,7 +156,8 @@ struct WorkloadEntry
 
     const Program prog;
     const u64 prog_hash;
-    /** Guards every member below; never held across a cursor walk. */
+    /** Guards every member below; held across the once-per-analysis
+     *  profile, never across a walk to a window. */
     std::mutex m;
     /** Phase windows' start checkpoints; uniform windows keep none. */
     std::map<u64, std::shared_ptr<const Checkpoint>> by_pos;
@@ -209,38 +210,76 @@ ckptDir()
     return dir;
 }
 
-/** Phase analysis of @p e's program, profiled once per key. */
-std::shared_ptr<const PhaseAnalysis>
-analysisOf(WorkloadEntry &e, const PhaseParams &params, u64 budget)
-{
-    // Build under the entry lock: concurrent sweep cells asking for
-    // the same analysis wait for one profile instead of racing N.
-    std::lock_guard<std::mutex> lock(e.m);
-    std::shared_ptr<const PhaseAnalysis> &slot =
-        e.analyses[{params.interval, params.max_k, params.dims,
-                    params.seed, budget}];
-    if (slot) {
-        g_phase_hits.fetch_add(1, std::memory_order_relaxed);
-        return slot;
-    }
-    u64 covered = 0;
-    bool completed = false;
-    const std::vector<IntervalBbv> bbvs = collectBbvs(
-        e.prog, params.interval, budget, &covered, &completed);
-    auto pa = std::make_shared<PhaseAnalysis>(clusterPhases(bbvs, params));
-    pa->covered = covered;
-    pa->completed = completed;
-    g_phase_builds.fetch_add(1, std::memory_order_relaxed);
-    slot = std::move(pa);
-    return slot;
-}
-
 std::string
 ckptPath(const std::string &dir, const std::string &workload, u64 pos)
 {
     return strprintf("%s/%s-%llu.ckpt", dir.c_str(), workload.c_str(),
                      static_cast<unsigned long long>(pos));
 }
+
+/** Longest fast-forward stretch between deadline checks: a few tens
+ *  of host milliseconds. */
+constexpr u64 kDeadlineChunk = u64{1} << 22;
+
+/** Bytes a trail may hold, each checkpoint's pages counted at full
+ *  size even where they share blocks. */
+constexpr u64 kTrailBytes = u64{1} << 20;
+
+/** What @p ck counts against kTrailBytes; the snapshot itself counts
+ *  too, so a program that touches no page still lays a bounded
+ *  trail. */
+u64
+trailBytes(const Checkpoint &ck)
+{
+    return sizeof(Checkpoint) + ck.mem.numPages() * MainMemory::kPageSize;
+}
+
+/**
+ * The checkpoints a phase profile lays down, kept only to shorten the
+ * run's walks to its representatives: one at every multiple of a
+ * stride that starts at one interval.  Past kTrailBytes, every other
+ * checkpoint goes and the stride doubles, so the trail of a program of
+ * any length stays bounded, and a program whose footprint alone passes
+ * the budget lays none.
+ */
+struct Trail
+{
+    Trail(u64 interval, u64 prog_hash_)
+        : stride(interval), prog_hash(prog_hash_)
+    {
+    }
+
+    /** Capture @p core if it stands on a stride multiple.
+     *  @return the next multiple. */
+    u64
+    offer(const FunctionalCore &core)
+    {
+        const u64 pos = core.instrCount();
+        if (pos > 0 && pos % stride == 0) {
+            auto ck = std::make_shared<const Checkpoint>(
+                Checkpoint::capture(core, prog_hash));
+            bytes += trailBytes(*ck);
+            at.emplace(pos, std::move(ck));
+            while (bytes > kTrailBytes) {
+                stride *= 2;
+                for (auto it = at.begin(); it != at.end();) {
+                    if (it->first % stride == 0) {
+                        ++it;
+                        continue;
+                    }
+                    bytes -= trailBytes(*it->second);
+                    it = at.erase(it);
+                }
+            }
+        }
+        return (pos / stride + 1) * stride;
+    }
+
+    u64 stride;
+    const u64 prog_hash;
+    u64 bytes = 0;
+    std::map<u64, std::shared_ptr<const Checkpoint>> at;
+};
 
 /** What one window added to its run. */
 struct Window
@@ -279,12 +318,67 @@ struct SampledRun
         r.sampling.measure = params.measure;
     }
 
+    /** Throw once the job's deadline has passed; @p where and
+     *  @p pos say how far the run got. */
+    void
+    checkDeadline(const char *where, u64 pos) const
+    {
+        if (cfg.hasDeadline()
+            && std::chrono::steady_clock::now() >= cfg.deadline) {
+            panic("deadline expired %s of %s at position %llu", where,
+                  workload.c_str(), static_cast<unsigned long long>(pos));
+        }
+    }
+
+    /**
+     * Phase analysis of the program, profiled once per key.  The run
+     * that builds it profiles on its own cursor, and keeps for each
+     * representative the latest trail checkpoint at or before it.
+     */
+    std::shared_ptr<const PhaseAnalysis>
+    analysis(u64 budget)
+    {
+        const PhaseParams &pp = params.phase;
+        // Build under the entry lock: concurrent sweep cells asking for
+        // the same analysis wait for one profile instead of racing N.
+        // A profile that throws leaves the slot empty.
+        std::lock_guard<std::mutex> lock(e->m);
+        std::shared_ptr<const PhaseAnalysis> &slot =
+            e->analyses[{pp.interval, pp.max_k, pp.dims, pp.seed, budget}];
+        if (slot) {
+            g_phase_hits.fetch_add(1, std::memory_order_relaxed);
+            return slot;
+        }
+        // The profile pauses at least every kDeadlineChunk
+        // instructions, so the deadline is checked as often as in a
+        // walk.
+        Trail laid(pp.interval, e->prog_hash);
+        BbvProfile prof = profileBbvs(
+            cursor, pp.interval, budget, [&](const FunctionalCore &core) {
+                checkDeadline("during the BBV profile", core.instrCount());
+                return laid.offer(core);
+            });
+        auto pa =
+            std::make_shared<PhaseAnalysis>(clusterPhases(prof.bbvs, pp));
+        pa->covered = prof.covered;
+        pa->completed = prof.completed;
+        for (const PhaseInfo &ph : pa->phases) {
+            const auto it = laid.at.upper_bound(ph.rep * pp.interval);
+            if (it != laid.at.begin())
+                trail.insert(*std::prev(it));
+        }
+        g_phase_builds.fetch_add(1, std::memory_order_relaxed);
+        slot = std::move(pa);
+        return slot;
+    }
+
     /**
      * Architectural checkpoint at exactly @p pos retired instructions;
      * @p pos never decreases within a run.  Order of preference: the
-     * entry's phase checkpoints, the checkpoint directory, then this
-     * run's own cursor, walked forward from where it stands or from
-     * the latest checkpoint the run holds, whichever is further on.
+     * entry's phase checkpoints, the checkpoint directory, a trail
+     * checkpoint at @p pos, then this run's own cursor, walked forward
+     * from the furthest of where it stands, the latest checkpoint the
+     * run holds and the nearest trail checkpoint before @p pos.
      *
      * @return nullptr when the program HALTs at or before @p pos; the
      *         cursor then stands at HALT.
@@ -294,6 +388,13 @@ struct SampledRun
     {
         DMT_ASSERT(!last || pos >= last->instr_count,
                    "sampled window starts must not decrease");
+        // Later windows start past pos, so only the latest trail
+        // checkpoint at or before it can still serve.
+        std::shared_ptr<const Checkpoint> from;
+        if (const auto it = trail.upper_bound(pos); it != trail.begin()) {
+            from = std::prev(it)->second;
+            trail.erase(trail.begin(), it);
+        }
         {
             std::lock_guard<std::mutex> lock(e->m);
             auto it = e->by_pos.find(pos);
@@ -313,38 +414,49 @@ struct SampledRun
                 return keep(std::move(ck));
             }
         }
+        if (from && from->instr_count == pos)
+            return built(std::move(from)); // the profile stood here
 
         FunctionalCore &core = cursor;
-        if (last && last->instr_count > core.instrCount())
-            core.restore(last->state, last->mem, last->instr_count);
-        // With a deadline armed, fast-forward in bounded chunks (a few
-        // tens of host milliseconds each) so a long skip cannot blow
-        // past the caller's wall-clock budget between checks.
+        if (last && (!from || last->instr_count > from->instr_count))
+            from = last;
+        if (core.instrCount() > pos
+            || (from && from->instr_count > core.instrCount())) {
+            if (from)
+                core.restore(from->state, from->mem, from->instr_count);
+            else
+                core.reset();
+        }
+        // With a deadline armed, fast-forward in bounded chunks so a
+        // long skip cannot blow past the caller's wall-clock budget
+        // between checks.
         const bool armed = cfg.hasDeadline();
-        constexpr u64 kDeadlineChunk = u64{1} << 22;
         const auto t0 = std::chrono::steady_clock::now();
         while (core.instrCount() < pos && !core.halted()) {
             u64 gap = pos - core.instrCount();
             if (armed && gap > kDeadlineChunk)
                 gap = kDeadlineChunk;
             core.run(gap);
-            if (armed && std::chrono::steady_clock::now() >= cfg.deadline) {
-                panic("deadline expired during functional fast-forward "
-                      "of %s at position %llu",
-                      workload.c_str(),
-                      static_cast<unsigned long long>(core.instrCount()));
-            }
+            checkDeadline("during functional fast-forward",
+                          core.instrCount());
         }
         ff_wall += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
         if (core.halted())
             return nullptr;
+        return built(std::make_shared<const Checkpoint>(
+            Checkpoint::capture(core, e->prog_hash)));
+    }
 
-        auto ck = std::make_shared<Checkpoint>(Checkpoint::capture(core));
+    /** Count @p ck, a checkpoint this run made, as a build; persist
+     *  and keep it. */
+    std::shared_ptr<const Checkpoint>
+    built(std::shared_ptr<const Checkpoint> ck)
+    {
         g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-        if (!dir.empty())
-            ck->save(ckptPath(dir, workload, pos)); // best-effort (warns)
+        if (!dir.empty()) // best-effort (warns)
+            ck->save(ckptPath(dir, workload, ck->instr_count));
         return keep(std::move(ck));
     }
 
@@ -372,13 +484,9 @@ struct SampledRun
         const char *what = params.phaseMode() ? "phase" : "sampled";
         // Small detailed windows may finish under the engine's own
         // deadline-check granule, so re-check between windows too.
-        if (cfg.hasDeadline()
-            && std::chrono::steady_clock::now() >= cfg.deadline) {
-            panic("deadline expired between %s windows of %s at "
-                  "position %llu",
-                  what, workload.c_str(),
-                  static_cast<unsigned long long>(start));
-        }
+        checkDeadline(params.phaseMode() ? "between phase windows"
+                                         : "between sampled windows",
+                      start);
 
         Window w;
         const std::shared_ptr<const Checkpoint> ck = checkpointAt(start);
@@ -426,6 +534,25 @@ struct SampledRun
         return w;
     }
 
+    /**
+     * Throw unless some window measured: a run whose program ends
+     * before the first window's warm-up is over has no estimate to
+     * report.  @p end is where the program ended, @p first the first
+     * window's start.
+     */
+    void
+    requireMeasured(u64 end, u64 first) const
+    {
+        if (r.sampling.intervals > 0)
+            return;
+        panic("%s run of %s measured no window: the program ends after "
+              "%llu instructions, before the warm-up of its first window "
+              "(at %llu) is over",
+              params.phaseMode() ? "phase" : "sampled", workload.c_str(),
+              static_cast<unsigned long long>(end),
+              static_cast<unsigned long long>(first));
+    }
+
     /** Stamp coverage, fast-forward telemetry and host timing once the
      *  placement has set the CPI estimate and r.ipc. */
     RunResult
@@ -441,6 +568,7 @@ struct SampledRun
         const TranslationStats xs = cursor.translationStats();
         r.sampling.ff_blocks_translated = xs.blocks_translated;
         r.sampling.ff_chain_hits = xs.chain_hits;
+        r.sampling.ff_instr = xs.instrs_executed;
         r.completed = completed;
         r.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - wall_start)
@@ -460,10 +588,15 @@ struct SampledRun
     const std::string dir;
     const std::shared_ptr<WorkloadEntry> e;
     const std::chrono::steady_clock::time_point wall_start;
-    /** This run's fast-forward core; it only walks forward. */
+    /** This run's fast-forward core: it profiles, then walks to each
+     *  window start from the nearest state it holds. */
     FunctionalCore cursor;
     /** The checkpoint of the latest window start. */
     std::shared_ptr<const Checkpoint> last;
+    /** Trail checkpoints the windows have not passed yet, by
+     *  position: for each phase representative, the latest one at or
+     *  before it. */
+    std::map<u64, std::shared_ptr<const Checkpoint>> trail;
     /** Host seconds spent fast-forwarding and profiling. */
     double ff_wall = 0.0;
     /** Instructions run in detail, warm and measure alike. */
@@ -494,6 +627,7 @@ runUniform(SampledRun &run, u64 budget)
         if (completed)
             break;
     }
+    run.requireMeasured(pos, params.skip);
 
     const size_t n = cpis.size();
     if (n > 0) {
@@ -534,8 +668,7 @@ runPhases(SampledRun &run, u64 budget)
 
     // The profile's wall clock lands in the fast-forward bucket.
     const auto prof_start = std::chrono::steady_clock::now();
-    const std::shared_ptr<const PhaseAnalysis> pa =
-        analysisOf(*run.e, params.phase, budget);
+    const std::shared_ptr<const PhaseAnalysis> pa = run.analysis(budget);
     run.ff_wall += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - prof_start)
                        .count();
@@ -543,6 +676,7 @@ runPhases(SampledRun &run, u64 budget)
     r.sampling.phase_intervals = pa->assignment.size();
 
     bool completed = pa->completed;
+    u64 end = pa->covered;
     for (const PhaseInfo &ph : pa->phases) {
         PhaseCpi row;
         row.id = ph.id;
@@ -556,6 +690,8 @@ runPhases(SampledRun &run, u64 budget)
         // the aggregate renormalizes over the measured ones.
         const Window w = run.window(row.pos);
         completed = completed || w.completed;
+        if (w.completed)
+            end = w.end;
         if (w.measured()) {
             row.measured = true;
             row.cycles = w.cycles;
@@ -564,6 +700,9 @@ runPhases(SampledRun &run, u64 budget)
         }
         r.sampling.phases.push_back(row);
     }
+    run.requireMeasured(end, r.sampling.phases.empty()
+                                 ? 0
+                                 : r.sampling.phases.front().pos);
 
     // Weighted aggregate over the measured phases, weights
     // renormalized so unmeasured phases (end-of-program windows that

@@ -16,7 +16,9 @@
  * analyses (exp/phase.hh) and the checkpoints at their representatives;
  * uniform windows keep none, so a uniform run holds O(1) checkpoints.
  * Both placements run every window through one code path; only where
- * windows start and how their CPIs aggregate differ.
+ * windows start and how their CPIs aggregate differ.  Checkpoints share
+ * their memory pages copy-on-write (sim/mainmem.hh), so taking,
+ * restoring and resuming one copies a pointer per page.
  *
  * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
@@ -28,7 +30,14 @@
  * fixed `interval`-length slices is clustered into phases, one
  * warm+measure window runs at each phase representative, and CPI
  * aggregates by phase weight.  Omitted trailing fields take their
- * documented defaults (maxk 8, dims 16, seed 42).
+ * documented defaults (maxk 8, dims 16, seed 42).  The run that
+ * builds an analysis profiles on its own cursor, laying down a trail
+ * of checkpoints (at most about 1 MiB of pages) on the way; each
+ * window then starts from the nearest one at or before it, so a cold
+ * run walks the program about once.
+ *
+ * A run that measures no window (the program ends before the first
+ * window's warm-up is over) throws SimError: it has no estimate.
  */
 
 #ifndef DMT_EXP_SAMPLED_HH

@@ -41,11 +41,17 @@ Checkpoint::programHash(const Program &prog)
 Checkpoint
 Checkpoint::capture(const FunctionalCore &core)
 {
+    return capture(core, programHash(core.program()));
+}
+
+Checkpoint
+Checkpoint::capture(const FunctionalCore &core, u64 prog_hash)
+{
     Checkpoint ck;
     ck.state = core.state();
     ck.mem = core.memory();
     ck.instr_count = core.instrCount();
-    ck.prog_hash = programHash(core.program());
+    ck.prog_hash = prog_hash;
     return ck;
 }
 

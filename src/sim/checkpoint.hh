@@ -7,6 +7,10 @@
  * resume mid-stream, so a phase window's is shared by every sweep cell
  * over its workload and — through the binary save/load format and a
  * checkpoint directory — any window's across simulator invocations.
+ * Its memory shares pages copy-on-write with the core it was taken
+ * from and with every engine, checker fork or core resumed from it
+ * (sim/mainmem.hh): capture and resume copy one pointer per page, and
+ * a page is cloned only when one of them first writes it.
  *
  * A saved checkpoint is one checksummed record (common/record.hh): a
  * magic/version, the hash of the program image (text, data, entry) as
@@ -45,6 +49,10 @@ struct Checkpoint
 
     /** Snapshot a functional core's current architectural state. */
     static Checkpoint capture(const FunctionalCore &core);
+
+    /** capture() for a caller that already holds programHash() of the
+     *  core's program, which costs a pass over the data segment. */
+    static Checkpoint capture(const FunctionalCore &core, u64 prog_hash);
 
     /**
      * Write the checkpoint to @p path (binary, atomic via temp-file +

@@ -1,29 +1,15 @@
 #include "sim/mainmem.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "casm/program.hh"
 #include "common/log.hh"
 
 namespace dmt
 {
-
-MainMemory::MainMemory(const MainMemory &other)
-{
-    *this = other;
-}
-
-MainMemory &
-MainMemory::operator=(const MainMemory &other)
-{
-    if (this == &other)
-        return *this;
-    pages.clear();
-    for (const auto &[idx, page] : other.pages)
-        pages.emplace(idx, std::make_unique<Page>(*page));
-    return *this;
-}
 
 void
 MainMemory::clear()
@@ -60,10 +46,8 @@ MainMemory::forEachPage(
 void
 MainMemory::setPageRaw(u32 index, const u8 *bytes)
 {
-    auto &slot = pages[index];
-    if (!slot)
-        slot = std::make_unique<Page>(kPageSize, 0);
-    std::memcpy(slot->data(), bytes, kPageSize);
+    std::memcpy(touchPage(Addr{index} << kPageBits).data(), bytes,
+                kPageSize);
 }
 
 bool
@@ -75,8 +59,9 @@ MainMemory::operator==(const MainMemory &other) const
         const auto it = other.pages.find(idx);
         if (it == other.pages.end())
             return false;
-        if (std::memcmp(page->data(), it->second->data(), kPageSize)
-            != 0) {
+        if (page != it->second
+            && std::memcmp(page->data(), it->second->data(), kPageSize)
+                != 0) {
             return false;
         }
     }
@@ -106,9 +91,18 @@ MainMemory::findPage(Addr addr) const
 MainMemory::Page &
 MainMemory::touchPage(Addr addr)
 {
-    auto &slot = pages[addr >> kPageBits];
-    if (!slot)
-        slot = std::make_unique<Page>(kPageSize, 0);
+    std::shared_ptr<Page> &slot = pages[addr >> kPageBits];
+    if (!slot) {
+        slot = std::make_shared<Page>(); // value-initialized: zeroes
+    } else if (slot.use_count() > 1) {
+        slot = std::make_shared<Page>(*slot);
+    } else {
+        // Sole owner.  use_count() is a relaxed load; the fence pairs
+        // with the releasing decrement of an owner that dropped the
+        // page on another thread, so its reads happen before our
+        // writes.
+        std::atomic_thread_fence(std::memory_order_acquire);
+    }
     return *slot;
 }
 

@@ -5,15 +5,20 @@
  * masking low address bits (the ISA has no unaligned accesses; masking
  * keeps speculative wild addresses deterministic and harmless), so an
  * access never straddles a page and costs one page lookup.
+ *
+ * Pages are copy-on-write: a copy of a MainMemory shares every page
+ * with the original, and whichever side writes a shared page first
+ * clones it.  Checkpoint capture, restore, engine resume and the
+ * golden checker's fork therefore cost one pointer copy per page.
  */
 
 #ifndef DMT_SIM_MAINMEM_HH
 #define DMT_SIM_MAINMEM_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -31,9 +36,9 @@ class MainMemory
 
     MainMemory() = default;
 
-    /** Copyable so the golden checker can fork state. */
-    MainMemory(const MainMemory &other);
-    MainMemory &operator=(const MainMemory &other);
+    /** A copy shares every page; see the file comment. */
+    MainMemory(const MainMemory &) = default;
+    MainMemory &operator=(const MainMemory &) = default;
     MainMemory(MainMemory &&) = default;
     MainMemory &operator=(MainMemory &&) = default;
 
@@ -52,8 +57,8 @@ class MainMemory
 
     /**
      * Write the low 1, 2 or 4 bytes of @p value at @p addr masked down
-     * to that size.  One page lookup; allocates the page if absent.
-     * Panics on any other size.
+     * to that size.  One page lookup; allocates the page if absent and
+     * clones it if shared.  Panics on any other size.
      */
     void write(Addr addr, int bytes, u32 value);
 
@@ -71,13 +76,18 @@ class MainMemory
     /**
      * Raw bytes of the page containing @p addr, or nullptr when the
      * page is absent (absent pages read as zero and must stay
-     * unallocated).  The pointer stays valid until the page is freed:
-     * pages are heap blocks owned through unique_ptr, so map rehashes
-     * don't move them.  Fast-path hook for TranslatedCore's page TLBs.
+     * unallocated).  Pages are heap blocks, so map rehashes don't move
+     * them, but a write to a page this memory shares moves the page to
+     * a private clone, and the pointer then names the old block.
+     * Fast-path hook for TranslatedCore's page TLBs.
      */
     const u8 *pageData(Addr addr) const;
 
-    /** Like pageData() but allocating: never nullptr. */
+    /**
+     * Like pageData() but allocating, and cloning a shared page first:
+     * never nullptr, and this memory is the page's only owner until it
+     * is next copied.
+     */
     u8 *pageDataWritable(Addr addr);
 
     /**
@@ -88,24 +98,28 @@ class MainMemory
     void forEachPage(
         const std::function<void(u32, const u8 *)> &fn) const;
 
-    /** Install a full page's bytes at @p index (checkpoint load). */
+    /** Install a full page's bytes at @p index (checkpoint load);
+     *  a shared page at @p index is cloned first. */
     void setPageRaw(u32 index, const u8 *bytes);
 
     /**
      * Sparse-page-exact equality: same allocated page set with
      * byte-identical contents.  An allocated all-zero page and an
      * absent page compare *unequal* — checkpoints must round-trip the
-     * sparse structure itself, not just the values it implies.
+     * sparse structure itself, not just the values it implies.  A
+     * page both sides share compares equal without a byte compare.
      */
     bool operator==(const MainMemory &other) const;
 
   private:
-    using Page = std::vector<u8>;
+    using Page = std::array<u8, kPageSize>;
 
     const Page *findPage(Addr addr) const;
+    /** The page at @p addr, allocated if absent, cloned if shared. */
     Page &touchPage(Addr addr);
 
-    std::unordered_map<u32, std::unique_ptr<Page>> pages;
+    /** Shared pages are immutable: only a sole owner writes one. */
+    std::unordered_map<u32, std::shared_ptr<Page>> pages;
 };
 
 } // namespace dmt

@@ -298,6 +298,9 @@ TranslatedCore::writePage(MainMemory &mem, Addr ea)
     u8 *base = mem.pageDataWritable(ea);
     t.page = page;
     t.base = base;
+    // A shared page was just cloned: the read TLB may still point at
+    // the old block, whose bytes no longer change with this memory's.
+    rtlb_[page & (kTlbEntries - 1)] = TlbR{page, base};
     return base;
 }
 

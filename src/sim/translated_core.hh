@@ -185,7 +185,11 @@ class TranslatedCore
     TranslationStats stats_;
 
     /** Direct-mapped page-pointer caches, rebuilt per run() so a
-     *  checkpoint restore() can swap the memory image freely. */
+     *  checkpoint restore() can swap the memory image freely.  Within
+     *  a run() no one copies the memory, so a page stays private once
+     *  written; writePage() refreshes the read slot of the page it
+     *  makes writable, because that write may have cloned a shared
+     *  page away from the block the read slot still names. */
     struct TlbR { u32 page = kNoPage; const u8 *base = nullptr; };
     struct TlbW { u32 page = kNoPage; u8 *base = nullptr; };
     TlbR rtlb_[kTlbEntries];

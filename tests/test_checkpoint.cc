@@ -428,6 +428,36 @@ TEST(Sampled, CoversWholeProgramAndStopsAtHalt)
     clearCheckpointCache();
 }
 
+TEST(Sampled, RunThatMeasuresNothingFails)
+{
+    // gen:prodcons:3 HALTs after 450 instructions: before the first
+    // uniform window at 20000, and inside the warm-up of the one phase
+    // window at 0.  Neither run has a CPI to report.
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+    for (const char *spec : {"20000:500:1500", "phase:20000:500:1500"}) {
+        SampleParams p;
+        std::string err;
+        ASSERT_TRUE(SampleParams::parse(spec, &p, &err)) << err;
+        clearCheckpointCache();
+        try {
+            runWorkloadSampled(cfg, "gen:prodcons:3", p);
+            ADD_FAILURE() << spec << ": a run that measured nothing "
+                                     "must fail";
+        } catch (const SimError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("gen:prodcons:3"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("after 450 instructions"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(p.phaseMode() ? "(at 0)" : "(at 20000)"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    clearCheckpointCache();
+}
+
 TEST(Sampled, GoldenSignature)
 {
     // Pin the whole sampled pipeline — functional fast-forward,

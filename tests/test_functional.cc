@@ -277,10 +277,23 @@ TEST(MainMemoryTest, SparsePagesAndCopy)
     EXPECT_EQ(m.read32(0x12345678), 0xCAFEBABEu);
     EXPECT_EQ(m.numPages(), 1u);
 
+    // A copy allocates no page: it shares the original's until one
+    // side writes, and a write to either side leaves the other as it
+    // was.
     MainMemory copy = m;
+    EXPECT_EQ(copy.pageData(0x12345678), m.pageData(0x12345678));
     copy.write32(0x12345678, 1);
+    EXPECT_NE(copy.pageData(0x12345678), m.pageData(0x12345678));
+    EXPECT_EQ(copy.read32(0x12345678), 1u);
     EXPECT_EQ(m.read32(0x12345678), 0xCAFEBABEu)
         << "copies are independent";
+
+    MainMemory other = m;
+    EXPECT_EQ(other.pageData(0x12345678), m.pageData(0x12345678));
+    m.write32(0x12345678, 2);
+    EXPECT_EQ(m.read32(0x12345678), 2u);
+    EXPECT_EQ(other.read32(0x12345678), 0xCAFEBABEu)
+        << "the original's write left its copy alone";
 }
 
 TEST(MainMemoryTest, AbsentPageReadsZeroWithoutAllocating)

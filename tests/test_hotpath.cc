@@ -36,6 +36,8 @@
 #include "dmt/engine.hh"
 #include "dmt/ready_queue.hh"
 #include "exp/experiments.hh"
+#include "sim/checkpoint.hh"
+#include "sim/functional_core.hh"
 #include "workloads/workloads.hh"
 
 // ---------------------------------------------------------------------
@@ -219,15 +221,17 @@ TEST(HotPath, ZeroAllocationsInWarmSteadyState)
 // Construction footprint
 // ---------------------------------------------------------------------
 
-/** Bytes allocated while constructing an engine for go. */
+/** Bytes allocated while constructing an engine for go, resumed from
+ *  @p resume when set. */
 unsigned long long
-constructionBytes(const SimConfig &cfg)
+constructionBytes(const SimConfig &cfg,
+                  const Checkpoint *resume = nullptr)
 {
     const Program prog = buildWorkload("go");
     g_alloc_bytes.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     {
-        const DmtEngine engine(cfg, prog);
+        const DmtEngine engine(cfg, prog, resume);
         g_count_allocs.store(false, std::memory_order_relaxed);
     }
     return g_alloc_bytes.load(std::memory_order_relaxed);
@@ -248,6 +252,25 @@ TEST(HotPath, EngineConstructionFootprint)
                               << " bytes";
     EXPECT_LT(dmt6, 4 * kMiB) << "dmt6 engine allocated " << dmt6
                               << " bytes";
+
+    // A resumed engine and its golden checker share the checkpoint's
+    // pages, so sixteen more pages in the checkpoint cost map entries,
+    // not page bytes.
+    const Program prog = buildWorkload("go");
+    FunctionalCore core(prog);
+    core.run(20000);
+    const Checkpoint small = Checkpoint::capture(core);
+    Checkpoint big = small;
+    for (u32 i = 0; i < 16; ++i)
+        big.mem.write32(0x40000000u + i * MainMemory::kPageSize, i + 1);
+    const unsigned long long resumed_small =
+        constructionBytes(SimConfig::dmt(6, 2), &small);
+    const unsigned long long resumed_big =
+        constructionBytes(SimConfig::dmt(6, 2), &big);
+    RecordProperty("dmt6_resumed_bytes", std::to_string(resumed_small));
+    EXPECT_LT(resumed_big, resumed_small + MainMemory::kPageSize)
+        << "resuming from 16 more pages allocated "
+        << (resumed_big - resumed_small) << " more bytes";
 }
 
 // ---------------------------------------------------------------------

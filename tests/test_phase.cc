@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -420,6 +421,62 @@ TEST(PhaseSampled, GoldenSignature)
     clearAllCaches();
     checkGoldenBytes(std::string(DMT_GOLDEN_DIR) + "/phase_go.json",
                      r.jsonString() + "\n");
+}
+
+TEST(PhaseSampled, OnePassProfilesOnTheRunsCursor)
+{
+    // The run that profiles walks to its representatives from the
+    // trail checkpoints its profile laid down, not from instruction 0
+    // again; a second machine resumes every window from the entry.
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    clearAllCaches();
+    const RunResult cold = runWorkloadSampled(SimConfig::dmt(6, 2), "go", p);
+    ASSERT_TRUE(cold.completed);
+    ASSERT_GE(cold.sampling.phase_k, 2u);
+    const u64 last_rep = cold.sampling.phases.back().pos;
+    EXPECT_GE(cold.sampling.ff_instr, cold.sampling.covered)
+        << "the profile runs the whole program";
+    EXPECT_LT(cold.sampling.ff_instr, cold.sampling.covered + last_rep)
+        << "a profile and a second walk to the last representative";
+
+    const CheckpointCacheCounters before = checkpointCacheCounters();
+    const RunResult warm = runWorkloadSampled(SimConfig::dmt(2, 2), "go", p);
+    const CheckpointCacheCounters after = checkpointCacheCounters();
+    EXPECT_EQ(warm.sampling.ff_instr, 0u);
+    EXPECT_EQ(after.mem_hits - before.mem_hits, warm.sampling.phase_k);
+    EXPECT_EQ(after.builds - before.builds, 0u);
+    clearAllCaches();
+}
+
+TEST(PhaseSampled, ProfileStopsAtTheDeadline)
+{
+    // An expired deadline stops the profile itself, before k-means and
+    // the windows.  The aborted profile leaves no analysis and no held
+    // lock behind: the next run profiles again and matches a cold one.
+    const std::string spec = "gen:loopnest:7:trips=20000";
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+    clearAllCaches();
+    const RunResult cold = runWorkloadSampled(cfg, spec, p);
+    clearAllCaches();
+
+    SimConfig doomed = cfg;
+    doomed.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    try {
+        runWorkloadSampled(doomed, spec, p);
+        ADD_FAILURE() << "an expired deadline must abort the profile";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("deadline expired", 0), 0u) << what;
+        EXPECT_NE(what.find("BBV profile"), std::string::npos) << what;
+    }
+    EXPECT_EQ(phaseCacheCounters().builds, 0u);
+
+    const RunResult again = runWorkloadSampled(cfg, spec, p);
+    EXPECT_EQ(phaseCacheCounters().builds, 1u);
+    EXPECT_EQ(again.jsonString(), cold.jsonString());
+    clearAllCaches();
 }
 
 // ---- daemon byte-identity ----------------------------------------------

@@ -851,6 +851,35 @@ TEST_F(ServeEndToEnd, BadJobsAreContainedGoodJobsStillRun)
     EXPECT_TRUE(good_reply.find("ok")->asBool());
 }
 
+TEST_F(ServeEndToEnd, SampledRunThatMeasuresNothingIsASimError)
+{
+    // gen:prodcons:3 HALTs after 450 instructions, before its first
+    // window at 20000: the reply is a sim_error, nothing is cached (a
+    // repeat simulates again) and the daemon still serves.
+    ServeClient c = makeClient();
+    JobSpec doomed = smallJob("gen:prodcons:3");
+    std::string err;
+    ASSERT_TRUE(SampleParams::parse("20000:500:1500", &doomed.sample, &err))
+        << err;
+    for (i64 id = 1; id <= 2; ++id) {
+        JsonValue reply;
+        ASSERT_TRUE(c.request(runRequestLine(id, doomed), &reply, &err))
+            << err;
+        EXPECT_FALSE(reply.find("ok")->asBool()) << c.lastLine();
+        EXPECT_EQ(replyErrorKind(reply), errkind::kSimError)
+            << c.lastLine();
+        EXPECT_NE(reply.find("error")->asString().find(
+                      "measured no window"),
+                  std::string::npos)
+            << c.lastLine();
+    }
+    EXPECT_EQ(server->jobsSimulated(), 2u) << "an error is never cached";
+
+    JsonValue good_reply;
+    runJob(c, smallJob(), &good_reply, 3);
+    EXPECT_TRUE(good_reply.find("ok")->asBool());
+}
+
 TEST_F(ServeEndToEnd, StatsReportQueueAndCaches)
 {
     ServeClient c = makeClient();

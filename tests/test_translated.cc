@@ -18,6 +18,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "casm/assembler.hh"
+#include "sim/checkpoint.hh"
 #include "sim/functional.hh"
 #include "sim/functional_core.hh"
 #include "sim/translated_core.hh"
@@ -228,6 +230,43 @@ TEST(Translated, CheckpointRestoreMidBlockResumesExactly)
     resumed.restore(ff.state(), ff.memory(), ff.instrCount());
     runToHalt(resumed, "branchy resumed");
     expectSameState(ref, resumed, "mid-block checkpoint resume");
+}
+
+TEST(Translated, StoreToSharedPageReadsBackInOneRun)
+{
+    // A restored core shares its pages with the checkpoint.  Its first
+    // store to a page clones it; a load of the same word later in the
+    // same run() must see the store, not the checkpoint's bytes that
+    // the read TLB cached before it.
+    const Program prog = assembleOrDie(R"(
+            .data
+    cell:   .word 41
+            .text
+            la   $t0, cell
+            lw   $t1, 0($t0)
+            addi $t1, $t1, 1
+            sw   $t1, 0($t0)
+            lw   $t2, 0($t0)
+            out  $t2
+            halt
+    )");
+    Oracle ref(prog);
+    runToHalt(ref, "store/load reference");
+
+    const Checkpoint ck =
+        Checkpoint::capture(FunctionalCore(prog, /*stream_output=*/false));
+    FunctionalCore resumed(prog, /*stream_output=*/false);
+    resumed.restore(ck.state, ck.mem, ck.instr_count);
+    ASSERT_EQ(resumed.memory().pageData(Program::kDataBase),
+              ck.mem.pageData(Program::kDataBase))
+        << "a restore shares the checkpoint's pages";
+    resumed.run(kRunCap);
+    ASSERT_TRUE(resumed.halted()) << "one run(), straight to HALT";
+    expectSameState(ref, resumed, "store to a shared page");
+    ASSERT_EQ(resumed.state().output.size(), 1u);
+    EXPECT_EQ(resumed.state().output[0], 42u);
+    EXPECT_EQ(ck.mem.read32(Program::kDataBase), 41u)
+        << "the checkpoint's page changed under a restored core";
 }
 
 } // namespace
