@@ -12,13 +12,22 @@
  * DMT_SIMSPEED_REPS times (default 3) and the best repetition is
  * reported, which filters transient host noise the way best-of-N
  * microbenchmarks do.  DMT_BENCH_INSTR scales the run length.
+ *
+ * After each dmt6 rep the same process times functionalStep, the
+ * golden checker's oracle, over the instructions that rep's kernels
+ * retired, and reports the median rep's dmt6 Minstr/s over oracle
+ * Minstr/s as `dmt6_per_oracle`.  Much of the host's speed cancels out
+ * of that ratio, but not all: the detailed engine suffers more than
+ * the oracle's tight loop from a loaded host.
  */
 
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "sim/bbv.hh"
+#include "sim/functional.hh"
 #include "sim/functional_core.hh"
 #include "workloads/generator.hh"
 
@@ -60,6 +69,46 @@ struct FuncRow
     dmt::u64 instr = 0;
     double wall_s = 0.0;
 };
+
+/** Oracle passes per detailed run: about a tenth of its time. */
+constexpr int kOraclePasses = 8;
+
+/**
+ * dmt6 Minstr/s over oracle Minstr/s for one dmt6 sweep rep: times
+ * functionalStep, the checker's oracle, over as many instructions as
+ * each of @p cells retired, from the kernel's entry, kOraclePasses
+ * times, against the cells' own wall clocks.
+ */
+double
+dmt6PerOracle(const std::vector<dmt::SweepCell> &cells)
+{
+    using namespace dmt;
+    using Clock = std::chrono::steady_clock;
+    const auto &suite = workloadSuite();
+    double dmt6_s = 0.0, oracle_s = 0.0;
+    u64 dmt6_instr = 0, oracle_instr = 0;
+    for (size_t wi = 0; wi < cells.size(); ++wi) {
+        const u64 retired = cells[wi].result.retired;
+        dmt6_s += cells[wi].wall_seconds;
+        dmt6_instr += retired;
+        const Program prog = buildWorkload(suite[wi].name);
+        for (int pass = 0; pass < kOraclePasses; ++pass) {
+            ArchState state;
+            state.reset(prog);
+            MainMemory mem;
+            mem.loadProgram(prog);
+            u64 n = 0;
+            const auto t0 = Clock::now();
+            for (; n < retired && !state.halted; ++n)
+                functionalStep(state, mem, prog);
+            oracle_s += std::chrono::duration<double>(Clock::now() - t0)
+                            .count();
+            oracle_instr += n;
+        }
+    }
+    return dmt6_s > 0.0 && oracle_instr > 0
+        ? (dmt6_instr / dmt6_s) / (oracle_instr / oracle_s) : 0.0;
+}
 
 /** Best-rep fast-forward result over the ff suite. */
 struct FuncSpeed
@@ -193,19 +242,27 @@ benchMain()
     machines[1].name = "dmt6";
     machines[1].cfg = simConfigFromEnv(SimConfig::dmt(6, 2));
 
+    // The host-normalized throughput ratio of every dmt6 rep.
+    std::vector<double> ratios;
     for (MachineSpeed &m : machines) {
         for (u64 rep = 0; rep < reps; ++rep) {
             std::vector<SweepCell> cells;
             const SweepStats stats = sweepOnce(m.cfg, &cells);
             const double mips = stats.throughput() / 1e6;
+            if (&m == &machines[1])
+                ratios.push_back(dmt6PerOracle(cells));
             if (!benchQuiet()) {
                 std::fprintf(stderr,
                              "simspeed: %s rep %llu/%llu: %.3f "
-                             "Minstr/s (%.2fs wall)\n",
+                             "Minstr/s (%.2fs wall)",
                              m.name.c_str(),
                              static_cast<unsigned long long>(rep + 1),
                              static_cast<unsigned long long>(reps),
                              mips, stats.wall_seconds);
+                if (&m == &machines[1])
+                    std::fprintf(stderr, ", dmt6 / oracle %.5f",
+                                 ratios.back());
+                std::fprintf(stderr, "\n");
             }
             if (mips > m.minstr_per_s) {
                 m.minstr_per_s = mips;
@@ -263,6 +320,14 @@ benchMain()
             static_cast<unsigned long long>(xs.blocks_executed));
     }
 
+    // The median rep's ratio, so that one rep in which the host
+    // changed speed between the detailed runs and the oracle does not
+    // move it.
+    std::sort(ratios.begin(), ratios.end());
+    const size_t mid = ratios.size() / 2;
+    const double dmt6_per_oracle = ratios.size() % 2
+        ? ratios[mid] : (ratios[mid - 1] + ratios[mid]) / 2.0;
+
     // Aggregate over machines: total simulated work over total time,
     // each machine contributing its best rep.
     double total_wall = 0.0;
@@ -297,6 +362,9 @@ benchMain()
                 xlat_bbv.wall_s,
                 static_cast<unsigned long long>(xlat_bbv.instr),
                 xlat_bbv_pct);
+    std::printf("dmt6 / functionalStep oracle: %.5f (median of %zu "
+                "rep(s))\n",
+                dmt6_per_oracle, ratios.size());
 
     JsonWriter w;
     w.beginObject();
@@ -304,6 +372,7 @@ benchMain()
     w.key("instr_per_run").value(budget);
     w.key("reps").value(reps);
     w.key("aggregate_minstr_per_s").value(aggregate);
+    w.key("dmt6_per_oracle").value(dmt6_per_oracle);
     w.key("functional_translated");
     w.beginObject();
     funcJsonOn(w, xlat);

@@ -5,15 +5,6 @@
 namespace dmt
 {
 
-const Instruction &
-Program::fetch(Addr pc) const
-{
-    static const Instruction halt = makeHalt();
-    if (!validTextAddr(pc))
-        return halt;
-    return text[(pc - kTextBase) / 4];
-}
-
 Addr
 Program::symbol(const std::string &name) const
 {

@@ -59,7 +59,14 @@ class Program
      * Instruction at @p pc.  Out-of-range fetches (a speculative thread
      * running off the end) return HALT so the thread stops cleanly.
      */
-    const Instruction &fetch(Addr pc) const;
+    const Instruction &
+    fetch(Addr pc) const
+    {
+        static const Instruction halt = makeHalt();
+        if (!validTextAddr(pc))
+            return halt;
+        return text[(pc - kTextBase) / 4];
+    }
 
     /** Address of symbol @p name; fatal() when missing. */
     Addr symbol(const std::string &name) const;

@@ -15,6 +15,13 @@ namespace dmt
 
 DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
                      const Checkpoint *resume)
+    : DmtEngine(cfg_, prog_, resume,
+                resume ? Checkpoint::programHash(prog_) : 0)
+{
+}
+
+DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
+                     const Checkpoint *resume, u64 prog_hash)
     : cfg(cfg_),
       prog(prog_),
       hier(cfg_.mem),
@@ -33,7 +40,7 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
     if (resume) {
         DMT_ASSERT(!resume->state.halted,
                    "cannot resume from a halted checkpoint");
-        DMT_ASSERT(resume->prog_hash == Checkpoint::programHash(prog),
+        DMT_ASSERT(resume->prog_hash == prog_hash,
                    "checkpoint was taken against a different program");
         mem = resume->mem;
     } else {
@@ -146,33 +153,23 @@ DmtEngine::traceSampleTick()
     tracer_.sample(s);
 }
 
-ThreadContext &
-DmtEngine::ctx(ThreadId tid)
+Cycle
+DmtEngine::lookaheadHorizon() const
 {
-    DMT_ASSERT(tid >= 0 && tid < cfg.max_threads, "bad tid %d", tid);
-    return *threads[static_cast<size_t>(tid)];
-}
-
-const ThreadContext &
-DmtEngine::ctx(ThreadId tid) const
-{
-    DMT_ASSERT(tid >= 0 && tid < cfg.max_threads, "bad tid %d", tid);
-    return *threads[static_cast<size_t>(tid)];
-}
-
-ThreadContext *
-DmtEngine::get(ThreadId tid, u32 gen)
-{
-    if (tid < 0 || tid >= cfg.max_threads)
-        return nullptr;
-    ThreadContext &t = *threads[static_cast<size_t>(tid)];
-    return t.active && t.gen == gen ? &t : nullptr;
-}
-
-bool
-DmtEngine::isHead(const ThreadContext &t) const
-{
-    return tree.head() == t.id;
+    // A thread's trace buffer and fetch queue each hold instructions in
+    // fetch order, and everything in the fetch queue was fetched after
+    // everything in the trace buffer.
+    Cycle horizon = now_;
+    for (const auto &tp : threads) {
+        const ThreadContext &t = *tp;
+        if (!t.active)
+            continue;
+        if (!t.tb.empty())
+            horizon = std::min(horizon, t.tb.at(t.tb.firstId()).fetch_cycle);
+        else if (!t.fq.empty())
+            horizon = std::min(horizon, t.fq.front().fetch_cycle);
+    }
+    return horizon;
 }
 
 PhysReg
@@ -248,12 +245,15 @@ DmtEngine::step()
     if (tracer_.sampleDue(now_))
         traceSampleTick();
 
-    // Prune lookahead episodes that can no longer match: any retiring
-    // instruction was fetched at most a full pipeline lifetime ago.
+    // Prune lookahead episodes that can no longer match.  Every later
+    // covered() query passes a retiring instruction's fetch or first
+    // execute cycle, neither of which precedes the fetch cycle of the
+    // oldest instruction in flight, so an episode ending before that
+    // cycle can never cover one.
     if ((now_ & 0x3FF) == 0) {
-        const Cycle horizon = now_ > 100000 ? now_ - 100000 : 0;
-        branch_eps.prune(horizon);
-        imiss_eps.prune(horizon);
+        la_horizon_ = lookaheadHorizon();
+        branch_eps.prune(la_horizon_);
+        imiss_eps.prune(la_horizon_);
     }
 
     // Statistics warmup boundary: once enough instructions have finally

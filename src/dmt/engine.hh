@@ -67,6 +67,15 @@ class DmtEngine : public OrderOracle
     DmtEngine(const SimConfig &cfg, const Program &prog,
               const Checkpoint *resume = nullptr);
 
+    /**
+     * Resume from @p resume for a caller that already holds
+     * @p prog_hash, Checkpoint::programHash() of @p prog, so the
+     * constructor checks the checkpoint against it instead of hashing
+     * the whole image again.
+     */
+    DmtEngine(const SimConfig &cfg, const Program &prog,
+              const Checkpoint *resume, u64 prog_hash);
+
     /** Run until HALT retires or a configured limit triggers. */
     void run();
 
@@ -213,10 +222,30 @@ class DmtEngine : public OrderOracle
     void squashThread(ThreadContext &t);
 
     // ---- misc helpers -------------------------------------------------------
-    ThreadContext &ctx(ThreadId tid);
-    const ThreadContext &ctx(ThreadId tid) const;
-    ThreadContext *get(ThreadId tid, u32 gen);
-    bool isHead(const ThreadContext &t) const;
+    ThreadContext &
+    ctx(ThreadId tid)
+    {
+        DMT_ASSERT(tid >= 0 && tid < cfg.max_threads, "bad tid %d", tid);
+        return *threads[static_cast<size_t>(tid)];
+    }
+
+    const ThreadContext &
+    ctx(ThreadId tid) const
+    {
+        DMT_ASSERT(tid >= 0 && tid < cfg.max_threads, "bad tid %d", tid);
+        return *threads[static_cast<size_t>(tid)];
+    }
+
+    ThreadContext *
+    get(ThreadId tid, u32 gen)
+    {
+        if (tid < 0 || tid >= cfg.max_threads)
+            return nullptr;
+        ThreadContext &t = *threads[static_cast<size_t>(tid)];
+        return t.active && t.gen == gen ? &t : nullptr;
+    }
+
+    bool isHead(const ThreadContext &t) const { return tree.head() == t.id; }
     PhysReg allocPhys();
     void checkRegConservation();
     [[noreturn]] void watchdogExpired();
@@ -301,6 +330,11 @@ class DmtEngine : public OrderOracle
     // Lookahead accounting.
     EpisodeTracker branch_eps;
     EpisodeTracker imiss_eps;
+    /** Horizon of the last prune: no live trace-buffer or fetch-queue
+     *  entry was fetched before it (the auditor checks this). */
+    Cycle la_horizon_ = 0;
+    /** Fetch cycle of the oldest instruction in flight, else now_. */
+    Cycle lookaheadHorizon() const;
 
     // Loop-exit learning: active loops observed in the retirement
     // stream, waiting for control to leave the loop body.

@@ -8,11 +8,10 @@ namespace dmt
 u64
 EpisodeTracker::open(Cycle start, Cycle end)
 {
-    // The retention window (DmtEngine prunes at now - 100k) holds tens
-    // of thousands of episodes on branchy workloads; pre-size
-    // everything on the first episode so the steady-state engine loop
-    // never allocates here (~2 MB per tracker).  A machine that never
-    // opens an episode (the single-threaded baseline) pays nothing.
+    // Pre-size everything on the first episode so the steady-state
+    // engine loop never allocates here (64 KB per tracker).  A machine
+    // that never opens an episode (the single-threaded baseline) pays
+    // nothing.
     if (episodes.capacity() == 0) {
         episodes.reserve(kReserve);
         countable_.reserve(kReserve);

@@ -13,11 +13,21 @@
  * was on the correct path and gives the program-order anchor: any
  * instruction retiring later is later in program order.
  *
+ * Retention: every 1024 cycles the engine prunes at the fetch cycle of
+ * the oldest instruction still in flight (DmtEngine::lookaheadHorizon).
+ * That prune is exact.  Each later covered() query passes a retiring
+ * instruction's fetch or first-execute cycle, and neither lies below
+ * that horizon, so an episode [start, end) with end below it can never
+ * contain one.  ownerRetired() and drop() on a pruned handle do
+ * nothing, and the excluded-handle path answers true whether or not
+ * the excluded episode was pruned: one that ended below the horizon
+ * cannot cover the query either way.  The invariant auditor checks
+ * that nothing in flight was fetched before the last horizon.
+ *
  * Performance (DESIGN.md section 11): covered() is called up to four
- * times per finally-retired instruction and the episode retention
- * window spans ~100k cycles, so a linear scan over the episode ring is
- * the dominant cost of a dmt run.  The tracker therefore keeps two
- * structures:
+ * times per finally-retired instruction, so a linear scan over the
+ * episode ring would dominate a dmt run.  The tracker therefore keeps
+ * two structures:
  *
  *  - `episodes`: the FIFO ring of every live episode, ordered by the
  *    monotonic handle — open()/ownerRetired()/drop() resolve handles
@@ -71,8 +81,13 @@ class EpisodeTracker
     size_t size() const { return episodes.size(); }
 
   private:
-    /** Episodes each structure is sized for on the first open(). */
-    static constexpr size_t kReserve = 32768;
+    /**
+     * Episodes each structure is sized for on the first open().  With
+     * the prune at the oldest in-flight fetch, at most 417 episodes
+     * were live at once over the 8 kernels and seven generated specs
+     * on dmt(2,1) to dmt(8,4); a tracker that outgrows this doubles.
+     */
+    static constexpr size_t kReserve = 1024;
 
     struct Episode
     {

@@ -16,13 +16,6 @@ OrderTree::OrderTree(int max_threads_)
     pos.assign(static_cast<size_t>(max_threads), -1);
 }
 
-size_t
-OrderTree::idx(ThreadId tid) const
-{
-    DMT_ASSERT(tid >= 0 && tid < max_threads, "bad thread id %d", tid);
-    return static_cast<size_t>(tid);
-}
-
 void
 OrderTree::resetWith(ThreadId tid)
 {
@@ -89,57 +82,6 @@ OrderTree::rebuild() const
     cache_valid = true;
 }
 
-const std::vector<ThreadId> &
-OrderTree::order() const
-{
-    if (!cache_valid)
-        rebuild();
-    return order_;
-}
-
-ThreadId
-OrderTree::head() const
-{
-    const auto &o = order();
-    return o.empty() ? kNoThread : o.front();
-}
-
-ThreadId
-OrderTree::last() const
-{
-    const auto &o = order();
-    return o.empty() ? kNoThread : o.back();
-}
-
-ThreadId
-OrderTree::successor(ThreadId tid) const
-{
-    const auto &o = order();
-    const int p = pos[idx(tid)];
-    DMT_ASSERT(p >= 0, "successor of inactive thread %d", tid);
-    return p + 1 < static_cast<int>(o.size())
-        ? o[static_cast<size_t>(p) + 1] : kNoThread;
-}
-
-ThreadId
-OrderTree::predecessor(ThreadId tid) const
-{
-    order();
-    const int p = pos[idx(tid)];
-    DMT_ASSERT(p >= 0, "predecessor of inactive thread %d", tid);
-    return p > 0 ? order_[static_cast<size_t>(p) - 1] : kNoThread;
-}
-
-bool
-OrderTree::before(ThreadId a, ThreadId b) const
-{
-    order();
-    const int pa = pos[idx(a)];
-    const int pb = pos[idx(b)];
-    DMT_ASSERT(pa >= 0 && pb >= 0, "ordering inactive threads");
-    return pa < pb;
-}
-
 std::vector<ThreadId>
 OrderTree::subtree(ThreadId tid) const
 {
@@ -166,12 +108,6 @@ OrderTree::subtreeInto(ThreadId tid, std::vector<ThreadId> *out,
         for (ThreadId c : kids[idx(t)])
             stack.push_back(c);
     }
-}
-
-int
-OrderTree::size() const
-{
-    return static_cast<int>(order().size());
 }
 
 bool

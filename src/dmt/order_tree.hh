@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace dmt
@@ -38,22 +39,61 @@ class OrderTree
     bool contains(ThreadId tid) const { return active[idx(tid)]; }
 
     /** Program order of all active threads (earliest first). */
-    const std::vector<ThreadId> &order() const;
+    const std::vector<ThreadId> &
+    order() const
+    {
+        if (!cache_valid)
+            rebuild();
+        return order_;
+    }
 
     /** First (non-speculative / head) thread; kNoThread when empty. */
-    ThreadId head() const;
+    ThreadId
+    head() const
+    {
+        const auto &o = order();
+        return o.empty() ? kNoThread : o.front();
+    }
 
     /** Last thread in program order; kNoThread when empty. */
-    ThreadId last() const;
+    ThreadId
+    last() const
+    {
+        const auto &o = order();
+        return o.empty() ? kNoThread : o.back();
+    }
 
     /** Thread after @p tid in program order; kNoThread when none. */
-    ThreadId successor(ThreadId tid) const;
+    ThreadId
+    successor(ThreadId tid) const
+    {
+        const auto &o = order();
+        const int p = pos[idx(tid)];
+        DMT_ASSERT(p >= 0, "successor of inactive thread %d", tid);
+        return p + 1 < static_cast<int>(o.size())
+            ? o[static_cast<size_t>(p) + 1] : kNoThread;
+    }
 
     /** Thread before @p tid in program order; kNoThread when none. */
-    ThreadId predecessor(ThreadId tid) const;
+    ThreadId
+    predecessor(ThreadId tid) const
+    {
+        order();
+        const int p = pos[idx(tid)];
+        DMT_ASSERT(p >= 0, "predecessor of inactive thread %d", tid);
+        return p > 0 ? order_[static_cast<size_t>(p) - 1] : kNoThread;
+    }
 
     /** Strict program-order comparison of two active threads. */
-    bool before(ThreadId a, ThreadId b) const;
+    bool
+    before(ThreadId a, ThreadId b) const
+    {
+        order();
+        const int pa = pos[idx(a)];
+        const int pb = pos[idx(b)];
+        DMT_ASSERT(pa >= 0 && pb >= 0, "ordering inactive threads");
+        return pa < pb;
+    }
 
     /** All active threads in @p tid's subtree, including @p tid. */
     std::vector<ThreadId> subtree(ThreadId tid) const;
@@ -73,7 +113,7 @@ class OrderTree
         return kids[idx(tid)].empty();
     }
 
-    int size() const;
+    int size() const { return static_cast<int>(order().size()); }
 
     /**
      * Structural self-check (the invariant auditor's tree leg): every
@@ -89,7 +129,13 @@ class OrderTree
   private:
     friend class EngineInspector; // white-box corruption for tests
 
-    size_t idx(ThreadId tid) const;
+    size_t
+    idx(ThreadId tid) const
+    {
+        DMT_ASSERT(tid >= 0 && tid < max_threads, "bad thread id %d", tid);
+        return static_cast<size_t>(tid);
+    }
+
     void invalidate() { cache_valid = false; }
     void rebuild() const;
     void walk(ThreadId tid) const;

@@ -499,7 +499,7 @@ struct SampledRun
         SimConfig wcfg = cfg;
         wcfg.warmup_retired = params.warm;
         wcfg.max_retired = params.warm + params.measure;
-        DmtEngine engine(wcfg, e->prog, ck.get());
+        DmtEngine engine(wcfg, e->prog, ck.get(), e->prog_hash);
         engine.run();
         if (!engine.goldenOk()) {
             panic("golden mismatch on %s (%s window at %llu): %s",

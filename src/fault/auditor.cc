@@ -448,6 +448,37 @@ InvariantAuditor::auditRegsAndWindow(const DmtEngine &e, std::string *why)
     return true;
 }
 
+/** Everything in flight was fetched at or after the last prune horizon:
+ *  later lookahead queries never reach below it. */
+bool
+InvariantAuditor::auditLookaheadHorizon(const DmtEngine &e,
+                                        const ThreadContext &t,
+                                        std::string *why)
+{
+    const Cycle horizon = e.la_horizon_;
+    for (u64 id = t.tb.firstId(); id < t.tb.endId(); ++id) {
+        const Cycle fetched = t.tb.at(id).fetch_cycle;
+        if (fetched < horizon) {
+            return fail(why,
+                        "tid %d: entry %llu fetched at cycle %llu, before "
+                        "the lookahead prune horizon %llu",
+                        t.id, (unsigned long long)id,
+                        (unsigned long long)fetched,
+                        (unsigned long long)horizon);
+        }
+    }
+    for (size_t i = 0; i < t.fq.size(); ++i) {
+        if (t.fq[i].fetch_cycle < horizon) {
+            return fail(why,
+                        "tid %d: fetch-queue slot %zu fetched at cycle "
+                        "%llu, before the lookahead prune horizon %llu",
+                        t.id, i, (unsigned long long)t.fq[i].fetch_cycle,
+                        (unsigned long long)horizon);
+        }
+    }
+    return true;
+}
+
 bool
 InvariantAuditor::checkNoThrow(const DmtEngine &e, std::string *why)
 {
@@ -459,6 +490,8 @@ InvariantAuditor::checkNoThrow(const DmtEngine &e, std::string *why)
         if (!auditRecovery(*t, why))
             return false;
         if (!auditTraceBuffer(e, *t, why))
+            return false;
+        if (!auditLookaheadHorizon(e, *t, why))
             return false;
     }
     if (!auditLsq(e, why))

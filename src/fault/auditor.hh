@@ -19,7 +19,10 @@
  *    accounting (every allocated register is held by exactly one live
  *    DynInst's destination);
  *  - active window: 0 <= window_used <= window_size and equal to the
- *    live non-squashed pipeline population.
+ *    live non-squashed pipeline population;
+ *  - lookahead horizon: no trace-buffer or fetch-queue entry was
+ *    fetched before the cycle the episode trackers were last pruned
+ *    at, which is what makes that prune exact.
  *
  * Scheduling is the engine's job (SimConfig::audit_period / DMT_AUDIT);
  * when a sweep fails the auditor attaches a full JSON post-mortem to
@@ -67,6 +70,9 @@ class InvariantAuditor
     static bool auditDrainQueue(const DmtEngine &e, std::string *why);
     static bool auditRegsAndWindow(const DmtEngine &e,
                                    std::string *why);
+    static bool auditLookaheadHorizon(const DmtEngine &e,
+                                      const ThreadContext &t,
+                                      std::string *why);
 };
 
 } // namespace dmt

@@ -1,6 +1,5 @@
 #include "memory/cache.hh"
 
-#include "common/bitutils.hh"
 #include "common/log.hh"
 
 namespace dmt
@@ -18,50 +17,6 @@ Cache::Cache(const CacheParams &params)
     offset_bits = floorLog2(params.line_bytes);
     index_bits = floorLog2(num_sets);
     lines.resize(static_cast<size_t>(num_sets) * params.assoc);
-}
-
-u32
-Cache::setIndex(Addr addr) const
-{
-    return bits(addr >> offset_bits, index_bits - 1, 0) & (num_sets - 1);
-}
-
-u32
-Cache::tagOf(Addr addr) const
-{
-    return addr >> (offset_bits + index_bits);
-}
-
-bool
-Cache::access(Addr addr, bool write)
-{
-    const u32 set = setIndex(addr);
-    const u32 tag = tagOf(addr);
-    Line *ways = &lines[static_cast<size_t>(set) * params_.assoc];
-    ++access_seq;
-
-    Line *victim = &ways[0];
-    for (u32 w = 0; w < params_.assoc; ++w) {
-        Line &line = ways[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = access_seq;
-            line.dirty = line.dirty || write;
-            ++hits_;
-            return true;
-        }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lru < victim->lru) {
-            victim = &line;
-        }
-    }
-
-    ++misses_;
-    victim->valid = true;
-    victim->dirty = write;
-    victim->tag = tag;
-    victim->lru = access_seq;
-    return false;
 }
 
 bool

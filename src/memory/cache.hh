@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -36,7 +37,37 @@ class Cache
      * Look up @p addr; allocates the line on miss.
      * @retval true on hit.
      */
-    bool access(Addr addr, bool write);
+    bool
+    access(Addr addr, bool write)
+    {
+        const u32 set = setIndex(addr);
+        const u32 tag = tagOf(addr);
+        Line *ways = &lines[static_cast<size_t>(set) * params_.assoc];
+        ++access_seq;
+
+        Line *victim = &ways[0];
+        for (u32 w = 0; w < params_.assoc; ++w) {
+            Line &line = ways[w];
+            if (line.valid && line.tag == tag) {
+                line.lru = access_seq;
+                line.dirty = line.dirty || write;
+                ++hits_;
+                return true;
+            }
+            if (!line.valid) {
+                victim = &line;
+            } else if (victim->valid && line.lru < victim->lru) {
+                victim = &line;
+            }
+        }
+
+        ++misses_;
+        victim->valid = true;
+        victim->dirty = write;
+        victim->tag = tag;
+        victim->lru = access_seq;
+        return false;
+    }
 
     /** Probe without modifying state (for tests). */
     bool probe(Addr addr) const;
@@ -60,8 +91,14 @@ class Cache
         u64 lru = 0;
     };
 
-    u32 setIndex(Addr addr) const;
-    u32 tagOf(Addr addr) const;
+    u32
+    setIndex(Addr addr) const
+    {
+        return bits(addr >> offset_bits, index_bits - 1, 0)
+            & (num_sets - 1);
+    }
+
+    u32 tagOf(Addr addr) const { return addr >> (offset_bits + index_bits); }
 
     CacheParams params_;
     u32 num_sets;

@@ -8,30 +8,6 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params)
 {
 }
 
-Cycle
-MemHierarchy::instAccess(Addr addr)
-{
-    if (params_.perfect_icache)
-        return 0;
-    if (l1i_.access(addr, false))
-        return 0;
-    if (l2_.access(addr, false))
-        return params_.l1_miss_penalty;
-    return params_.l1_miss_penalty + params_.l2_miss_penalty;
-}
-
-Cycle
-MemHierarchy::dataAccess(Addr addr, bool write)
-{
-    if (params_.perfect_dcache)
-        return 0;
-    if (l1d_.access(addr, write))
-        return 0;
-    if (l2_.access(addr, write))
-        return params_.l1_miss_penalty;
-    return params_.l1_miss_penalty + params_.l2_miss_penalty;
-}
-
 void
 MemHierarchy::reset()
 {

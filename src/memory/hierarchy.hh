@@ -36,10 +36,30 @@ class MemHierarchy
      * Instruction-fetch lookup.
      * @return extra cycles beyond the pipelined L1 hit (0 on hit).
      */
-    Cycle instAccess(Addr addr);
+    Cycle
+    instAccess(Addr addr)
+    {
+        if (params_.perfect_icache)
+            return 0;
+        if (l1i_.access(addr, false))
+            return 0;
+        if (l2_.access(addr, false))
+            return params_.l1_miss_penalty;
+        return params_.l1_miss_penalty + params_.l2_miss_penalty;
+    }
 
     /** Data lookup; @p write marks the line dirty. */
-    Cycle dataAccess(Addr addr, bool write);
+    Cycle
+    dataAccess(Addr addr, bool write)
+    {
+        if (params_.perfect_dcache)
+            return 0;
+        if (l1d_.access(addr, write))
+            return 0;
+        if (l2_.access(addr, write))
+            return params_.l1_miss_penalty;
+        return params_.l1_miss_penalty + params_.l2_miss_penalty;
+    }
 
     void reset();
 

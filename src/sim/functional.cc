@@ -6,89 +6,6 @@
 namespace dmt
 {
 
-u32
-aluCompute(const Instruction &inst, u32 rs_val, u32 rt_val)
-{
-    const u32 a = rs_val;
-    const u32 b = rt_val;
-    const i32 sa = static_cast<i32>(a);
-    const i32 sb = static_cast<i32>(b);
-    const u32 imm = static_cast<u32>(inst.imm);
-    const i32 simm = inst.imm;
-
-    switch (inst.op) {
-      case Opcode::ADD: return a + b;
-      case Opcode::SUB: return a - b;
-      case Opcode::AND: return a & b;
-      case Opcode::OR: return a | b;
-      case Opcode::XOR: return a ^ b;
-      case Opcode::NOR: return ~(a | b);
-      case Opcode::SLL: return a << (imm & 31);
-      case Opcode::SRL: return a >> (imm & 31);
-      case Opcode::SRA: return static_cast<u32>(sa >> (imm & 31));
-      case Opcode::SLLV: return a << (b & 31);
-      case Opcode::SRLV: return a >> (b & 31);
-      case Opcode::SRAV: return static_cast<u32>(sa >> (b & 31));
-      case Opcode::SLT: return sa < sb ? 1 : 0;
-      case Opcode::SLTU: return a < b ? 1 : 0;
-      case Opcode::MUL:
-        return static_cast<u32>(static_cast<i64>(sa)
-                                * static_cast<i64>(sb));
-      case Opcode::MULH:
-        return static_cast<u32>((static_cast<i64>(sa)
-                                 * static_cast<i64>(sb)) >> 32);
-      case Opcode::DIV:
-        if (b == 0)
-            return 0xFFFFFFFFu;
-        if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            return 0x80000000u;
-        return static_cast<u32>(sa / sb);
-      case Opcode::DIVU:
-        return b == 0 ? 0xFFFFFFFFu : a / b;
-      case Opcode::REM:
-        if (b == 0)
-            return a;
-        if (a == 0x80000000u && b == 0xFFFFFFFFu)
-            return 0;
-        return static_cast<u32>(sa % sb);
-      case Opcode::REMU:
-        return b == 0 ? a : a % b;
-      case Opcode::ADDI: return a + imm;
-      case Opcode::ANDI: return a & imm;
-      case Opcode::ORI: return a | imm;
-      case Opcode::XORI: return a ^ imm;
-      case Opcode::SLTI: return sa < simm ? 1 : 0;
-      case Opcode::SLTIU: return a < imm ? 1 : 0;
-      case Opcode::LUI: return imm << 16;
-      default:
-        panic("aluCompute on non-ALU opcode %s", mnemonic(inst.op));
-    }
-}
-
-bool
-branchTaken(const Instruction &inst, u32 rs_val, u32 rt_val)
-{
-    const i32 sa = static_cast<i32>(rs_val);
-    const i32 sb = static_cast<i32>(rt_val);
-    switch (inst.op) {
-      case Opcode::BEQ: return rs_val == rt_val;
-      case Opcode::BNE: return rs_val != rt_val;
-      case Opcode::BLT: return sa < sb;
-      case Opcode::BGE: return sa >= sb;
-      case Opcode::BLTU: return rs_val < rt_val;
-      case Opcode::BGEU: return rs_val >= rt_val;
-      default:
-        panic("branchTaken on non-branch opcode %s", mnemonic(inst.op));
-    }
-}
-
-Addr
-memEffectiveAddr(const Instruction &inst, u32 rs_val)
-{
-    const Addr raw = rs_val + static_cast<u32>(inst.imm);
-    return raw & ~static_cast<Addr>(inst.memBytes() - 1);
-}
-
 StepResult
 functionalStep(ArchState &state, MainMemory &mem, const Program &prog)
 {

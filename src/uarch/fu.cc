@@ -8,54 +8,4 @@ FuPool::FuPool(bool unlimited_, const FuParams &params_, int lat_div_)
 {
 }
 
-void
-FuPool::newCycle(Cycle now)
-{
-    alu_left = params.alu;
-    mem_left = params.mem_ports;
-    muldiv_left = params.muldiv;
-}
-
-bool
-FuPool::tryIssue(OpClass cls, Cycle now)
-{
-    if (unlimited)
-        return true;
-
-    switch (cls) {
-      case OpClass::IntAlu:
-        if (alu_left <= 0)
-            return false;
-        --alu_left;
-        return true;
-      case OpClass::IntMul:
-        if (muldiv_left <= 0 || now < div_busy_until)
-            return false;
-        --muldiv_left;
-        return true;
-      case OpClass::IntDiv:
-        if (muldiv_left <= 0 || now < div_busy_until)
-            return false;
-        --muldiv_left;
-        div_busy_until = now + static_cast<Cycle>(lat_div);
-        return true;
-      case OpClass::MemRead:
-      case OpClass::MemWrite:
-        // A memory op needs a DCache port and an address-generation ALU.
-        if (mem_left <= 0 || alu_left <= 0)
-            return false;
-        --mem_left;
-        --alu_left;
-        return true;
-      case OpClass::Control:
-      case OpClass::Other:
-        // Branches and misc ops use an ALU slot.
-        if (alu_left <= 0)
-            return false;
-        --alu_left;
-        return true;
-    }
-    return true;
-}
-
 } // namespace dmt

@@ -22,13 +22,60 @@ class FuPool
     FuPool(bool unlimited, const FuParams &params, int lat_div);
 
     /** Begin a new cycle: replenish per-cycle slots. */
-    void newCycle(Cycle now);
+    void
+    newCycle(Cycle now)
+    {
+        alu_left = params.alu;
+        mem_left = params.mem_ports;
+        muldiv_left = params.muldiv;
+    }
 
     /**
      * Try to claim the resources for issuing @p cls this cycle.
      * @retval true when granted (resources consumed).
      */
-    bool tryIssue(OpClass cls, Cycle now);
+    bool
+    tryIssue(OpClass cls, Cycle now)
+    {
+        if (unlimited)
+            return true;
+
+        switch (cls) {
+          case OpClass::IntAlu:
+            if (alu_left <= 0)
+                return false;
+            --alu_left;
+            return true;
+          case OpClass::IntMul:
+            if (muldiv_left <= 0 || now < div_busy_until)
+                return false;
+            --muldiv_left;
+            return true;
+          case OpClass::IntDiv:
+            if (muldiv_left <= 0 || now < div_busy_until)
+                return false;
+            --muldiv_left;
+            div_busy_until = now + static_cast<Cycle>(lat_div);
+            return true;
+          case OpClass::MemRead:
+          case OpClass::MemWrite:
+            // A memory op needs a DCache port and an address-generation
+            // ALU.
+            if (mem_left <= 0 || alu_left <= 0)
+                return false;
+            --mem_left;
+            --alu_left;
+            return true;
+          case OpClass::Control:
+          case OpClass::Other:
+            // Branches and misc ops use an ALU slot.
+            if (alu_left <= 0)
+                return false;
+            --alu_left;
+            return true;
+        }
+        return true;
+    }
 
   private:
     bool unlimited;

@@ -16,35 +16,6 @@ PhysRegFile::PhysRegFile(int count)
         free_list.push_back(i);
 }
 
-size_t
-PhysRegFile::check(PhysReg p) const
-{
-    DMT_ASSERT(p >= 0 && p < count(), "phys reg %d out of range", p);
-    return static_cast<size_t>(p);
-}
-
-PhysReg
-PhysRegFile::alloc()
-{
-    if (free_list.empty())
-        return kNoPhysReg;
-    const PhysReg p = free_list.back();
-    free_list.pop_back();
-    DMT_ASSERT(!alloc_[static_cast<size_t>(p)], "alloc of live reg %d", p);
-    alloc_[static_cast<size_t>(p)] = 1;
-    ready_[static_cast<size_t>(p)] = 0;
-    return p;
-}
-
-void
-PhysRegFile::free(PhysReg p)
-{
-    const size_t i = check(p);
-    DMT_ASSERT(alloc_[i], "double free of phys reg %d", p);
-    alloc_[i] = 0;
-    free_list.push_back(p);
-}
-
 int
 PhysRegFile::numAllocated() const
 {
@@ -52,15 +23,6 @@ PhysRegFile::numAllocated() const
     for (u8 a : alloc_)
         n += a ? 1 : 0;
     return n;
-}
-
-void
-PhysRegFile::write(PhysReg p, u32 v)
-{
-    const size_t i = check(p);
-    DMT_ASSERT(alloc_[i], "write to free phys reg %d", p);
-    values[i] = v;
-    ready_[i] = 1;
 }
 
 } // namespace dmt

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace dmt
@@ -23,17 +24,43 @@ class PhysRegFile
     explicit PhysRegFile(int count);
 
     /** Allocate a register (not-ready); kNoPhysReg when exhausted. */
-    PhysReg alloc();
+    PhysReg
+    alloc()
+    {
+        if (free_list.empty())
+            return kNoPhysReg;
+        const PhysReg p = free_list.back();
+        free_list.pop_back();
+        DMT_ASSERT(!alloc_[static_cast<size_t>(p)], "alloc of live reg %d",
+                   p);
+        alloc_[static_cast<size_t>(p)] = 1;
+        ready_[static_cast<size_t>(p)] = 0;
+        return p;
+    }
 
     /** Return a register to the free list. */
-    void free(PhysReg p);
+    void
+    free(PhysReg p)
+    {
+        const size_t i = check(p);
+        DMT_ASSERT(alloc_[i], "double free of phys reg %d", p);
+        alloc_[i] = 0;
+        free_list.push_back(p);
+    }
 
     bool ready(PhysReg p) const { return ready_[check(p)]; }
     u32 value(PhysReg p) const { return values[check(p)]; }
     bool allocated(PhysReg p) const { return alloc_[check(p)]; }
 
     /** Write a value and mark ready. */
-    void write(PhysReg p, u32 v);
+    void
+    write(PhysReg p, u32 v)
+    {
+        const size_t i = check(p);
+        DMT_ASSERT(alloc_[i], "write to free phys reg %d", p);
+        values[i] = v;
+        ready_[i] = 1;
+    }
 
     int numFree() const { return static_cast<int>(free_list.size()); }
     int count() const { return static_cast<int>(values.size()); }
@@ -44,7 +71,12 @@ class PhysRegFile
     int numAllocated() const;
 
   private:
-    size_t check(PhysReg p) const;
+    size_t
+    check(PhysReg p) const
+    {
+        DMT_ASSERT(p >= 0 && p < count(), "phys reg %d out of range", p);
+        return static_cast<size_t>(p);
+    }
 
     std::vector<u32> values;
     std::vector<u8> ready_;

@@ -266,6 +266,38 @@ TEST(EngineResume, SameCheckpointTwiceIsBitIdentical)
     EXPECT_EQ(signature(), signature());
 }
 
+TEST(EngineResume, RejectsCheckpointOfAnotherProgram)
+{
+    // Resuming go's state inside m88ksim's image would run garbage; the
+    // constructor refuses, whether it hashes the image itself or checks
+    // against the hash its caller already holds.
+    const Program go = buildWorkload("go");
+    const Program other = buildWorkload("m88ksim");
+    FunctionalCore core(go);
+    core.run(20000);
+    ASSERT_FALSE(core.halted());
+    const Checkpoint ck = Checkpoint::capture(core);
+    const SimConfig cfg = SimConfig::dmt(6, 2);
+
+    auto expectRejected = [](const auto &construct) {
+        try {
+            construct();
+            ADD_FAILURE() << "resume from another program's checkpoint";
+        } catch (const SimError &e) {
+            EXPECT_NE(e.message().find("different program"),
+                      std::string::npos)
+                << e.message();
+        }
+    };
+    expectRejected([&] { DmtEngine engine(cfg, other, &ck); });
+    expectRejected([&] {
+        DmtEngine engine(cfg, other, &ck, Checkpoint::programHash(other));
+    });
+    // The passed hash stands for the program: the right one resumes.
+    DmtEngine engine(cfg, go, &ck, Checkpoint::programHash(go));
+    EXPECT_EQ(engine.retiredTotal(), 0u);
+}
+
 TEST(Sampled, DeterministicAcrossCacheStates)
 {
     // Same sampled run with a cold cache, a warm cache, and an on-disk

@@ -11,12 +11,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "dmt/engine.hh"
 #include "dmt/lookahead.hh"
 #include "exp/experiments.hh"
 #include "exp/sampled.hh"
+#include "fault/auditor.hh"
+#include "workloads/workloads.hh"
 
 namespace dmt
 {
+
+/** White-box access for tests (friend of DmtEngine). */
+class EngineInspector
+{
+  public:
+    static size_t
+    branchEpisodes(const DmtEngine &e)
+    {
+        return e.branch_eps.size();
+    }
+
+    static size_t
+    imissEpisodes(const DmtEngine &e)
+    {
+        return e.imiss_eps.size();
+    }
+
+    static Cycle pruneHorizon(const DmtEngine &e) { return e.la_horizon_; }
+
+    /** An active thread with a non-empty trace buffer, or null. */
+    static ThreadContext *
+    threadInFlight(DmtEngine &e)
+    {
+        for (auto &t : e.threads) {
+            if (t->active && !t->tb.empty())
+                return t.get();
+        }
+        return nullptr;
+    }
+};
+
 namespace
 {
 
@@ -123,6 +160,73 @@ TEST(EpisodeTracker, HandlesAreMonotonicAndStable)
     EXPECT_FALSE(t.covered(0, 0));
 }
 
+TEST(EpisodeTracker, OutgrowsItsReservationIntact)
+{
+    // The tracker reserves room for 1024 live episodes and doubles past
+    // that.  Drive it past 2048 after the ring's front has moved, so it
+    // grows while wrapped, and check every answer against a plain list
+    // of the live episodes.
+    struct Ep
+    {
+        u64 handle;
+        Cycle start;
+        Cycle end;
+        bool countable = false;
+        bool dropped = false;
+    };
+    EpisodeTracker t;
+    std::deque<Ep> live; // unpruned, in handle order
+    u64 rng = 12345;
+    auto next = [&rng] {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 33;
+    };
+    auto expected = [&live](Cycle when, u64 exclude) {
+        return std::any_of(live.begin(), live.end(), [&](const Ep &e) {
+            return e.countable && !e.dropped && e.handle != exclude
+                && e.start <= when && when < e.end;
+        });
+    };
+    size_t peak = 0;
+    for (Cycle now = 1000; now < 9000; ++now) {
+        const Cycle start = now - next() % 8;
+        const Cycle end = now + 1 + next() % 40;
+        live.push_back({t.open(start, end), start, end});
+        Ep &e = live[next() % live.size()];
+        if (next() % 5) {
+            t.ownerRetired(e.handle);
+            e.countable = true;
+        } else {
+            t.drop(e.handle);
+            e.dropped = true;
+        }
+        // Prune a short window, then nothing (the live set grows past
+        // two doublings), then a long window that pops the front a few
+        // episodes at a time.
+        if (now < 1500 || now >= 4500) {
+            const Cycle horizon = now - (now < 1500 ? 100 : 2500);
+            t.prune(horizon);
+            while (!live.empty() && live.front().end < horizon)
+                live.pop_front();
+        }
+        ASSERT_EQ(t.size(), live.size()) << "at cycle " << now;
+        peak = std::max(peak, live.size());
+        if (now % 8 == 0) {
+            for (int q = 0; q < 3; ++q) {
+                const Cycle when =
+                    now - next() % (now - live.front().start + 1);
+                const u64 exclude =
+                    q ? live[next() % live.size()].handle : 0;
+                ASSERT_EQ(t.covered(when, exclude),
+                          expected(when, exclude))
+                    << "covered(" << when << ", " << exclude
+                    << ") at cycle " << now;
+            }
+        }
+    }
+    EXPECT_GT(peak, 2048u);
+}
+
 // ---- engine-level: the counters the figures are computed from --------
 
 TEST(Lookahead, BaselineHasExactlyZeroLookahead)
@@ -147,6 +251,81 @@ TEST(Lookahead, DmtLooksPastMispredictedBranches)
               r.stats.la_exec_beyond_mispredict.value());
     EXPECT_LE(r.stats.la_fetch_beyond_mispredict.value(),
               r.stats.retired.value());
+}
+
+/** A golden dmt6 run and the lookahead counters it produced while the
+ *  trackers kept every episode. */
+struct PrunedRun
+{
+    const char *workload;
+    u64 cycles;
+    u64 retired;
+    u64 la_fetch_mispredict;
+    u64 la_exec_mispredict;
+    u64 la_fetch_imiss;
+    u64 la_exec_imiss;
+};
+
+TEST(Lookahead, PruneAtOldestInFlightFetchIsExact)
+{
+    // The engine prunes both trackers at the fetch cycle of the oldest
+    // instruction still in flight.  A 60k-instruction run never reaches
+    // a fixed 100k-cycle retention window, so without that horizon every
+    // episode of the run stays in the search (thousands on go).  The
+    // counters are the ones the run produced while it kept them all:
+    // pruning must drop only episodes no later query can hit.
+    const PrunedRun runs[] = {
+        {"go", 35176, 60002, 16389, 14409, 0, 0},
+        {"compress", 36119, 60000, 12969, 7944, 66, 45},
+    };
+    for (const PrunedRun &want : runs) {
+        SCOPED_TRACE(want.workload);
+        SimConfig cfg = SimConfig::dmt(6, 2);
+        cfg.max_retired = 60000;
+        const Program prog = buildWorkload(want.workload);
+        DmtEngine engine(cfg, prog);
+        engine.run();
+        ASSERT_TRUE(engine.goldenOk()) << engine.goldenError();
+        const DmtStats &s = engine.stats();
+        // The dmt6 signature in tests/golden/<workload>.json.
+        EXPECT_EQ(s.cycles.value(), want.cycles);
+        EXPECT_EQ(s.retired.value(), want.retired);
+        EXPECT_EQ(s.la_fetch_beyond_mispredict.value(),
+                  want.la_fetch_mispredict);
+        EXPECT_EQ(s.la_exec_beyond_mispredict.value(),
+                  want.la_exec_mispredict);
+        EXPECT_EQ(s.la_fetch_beyond_imiss.value(), want.la_fetch_imiss);
+        EXPECT_EQ(s.la_exec_beyond_imiss.value(), want.la_exec_imiss);
+
+        // About 50 live episodes here, against thousands kept without
+        // the horizon.
+        EXPECT_LT(EngineInspector::branchEpisodes(engine), 256u);
+        EXPECT_LT(EngineInspector::imissEpisodes(engine), 256u);
+        EXPECT_GT(EngineInspector::pruneHorizon(engine), 0u);
+        EXPECT_LE(EngineInspector::pruneHorizon(engine), engine.now());
+    }
+}
+
+TEST(Lookahead, AuditorRejectsEntryOlderThanPruneHorizon)
+{
+    // The prune is exact only while nothing in flight was fetched
+    // before the horizon; the invariant auditor holds the engine to it.
+    SimConfig cfg = SimConfig::dmt(6, 2);
+    cfg.max_retired = 60000;
+    const Program prog = buildWorkload("go");
+    DmtEngine engine(cfg, prog);
+    while (EngineInspector::pruneHorizon(engine) == 0 && !engine.done())
+        engine.step();
+    ASSERT_FALSE(engine.done());
+    std::string why;
+    ASSERT_TRUE(InvariantAuditor::checkNoThrow(engine, &why)) << why;
+
+    ThreadContext *t = EngineInspector::threadInFlight(engine);
+    ASSERT_NE(t, nullptr);
+    t->tb.at(t->tb.firstId()).fetch_cycle =
+        EngineInspector::pruneHorizon(engine) - 1;
+    EXPECT_FALSE(InvariantAuditor::checkNoThrow(engine, &why));
+    EXPECT_NE(why.find("prune horizon"), std::string::npos) << why;
 }
 
 } // namespace
