@@ -248,14 +248,10 @@ speedupTable(Report &rep, const std::vector<BenchColumn> &columns,
                      sweep.stats.parallelism(),
                      sweep.stats.throughput() / 1e6);
         const CheckpointCacheCounters ckpt = checkpointCacheCounters();
-        if (ckpt.mem_hits + ckpt.disk_hits + ckpt.builds > 0) {
+        if (ckpt.mem_hits + ckpt.builds > 0) {
             std::fprintf(stderr,
-                         "checkpoint cache: %llu mem hit(s), %llu "
-                         "disk hit(s), %llu built\n",
-                         static_cast<unsigned long long>(
-                             ckpt.mem_hits),
-                         static_cast<unsigned long long>(
-                             ckpt.disk_hits),
+                         "checkpoint cache: %llu mem hit(s), %llu built\n",
+                         static_cast<unsigned long long>(ckpt.mem_hits),
                          static_cast<unsigned long long>(ckpt.builds));
         }
     }
@@ -281,7 +277,6 @@ int benchMain();
 int
 main()
 {
-    dmt::setCheckpointDir(dmt::checkpointDirFromEnv());
     try {
         return benchMain();
     } catch (const dmt::SimError &err) {

@@ -27,7 +27,10 @@
  * simulated=0 when the daemon's result cache is on.
  *
  * --wait S retries the initial connect for S seconds, the idiom for
- * "the daemon was just started in the background".
+ * "the daemon was just started in the background".  Flag values are
+ * strict: P, N and MS are decimal integers, S a decimal number of
+ * seconds; anything else ("5s", "1e3" for an integer) prints the usage
+ * line and exits 1.
  *
  * Resilience: --retries N drives run/spec/batch jobs through
  * ServeClient::requestWithRetry() (reconnect + seeded backoff through
@@ -45,6 +48,7 @@
  * direct ones.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +61,7 @@
 #include <vector>
 
 #include "cli/env.hh"
+#include "common/env.hh"
 #include "common/json.hh"
 #include "serve/client.hh"
 #include "serve/faultnet.hh"
@@ -90,6 +95,10 @@ doRequest(ServeClient &client, const ClientOptions &opt,
     client.setTimeout(opt.timeout_s);
     return client.request(line, reply, err);
 }
+
+constexpr const char *kUsage =
+    "usage: dmt_client [--port P] [--wait S] [--retries N] "
+    "[--timeout S] [--deadline MS] ping|stats|shutdown|run|spec|batch ...";
 
 int
 die(const std::string &msg)
@@ -386,27 +395,33 @@ main(int argc, char **argv)
     int arg = 1;
     while (arg < argc && argv[arg][0] == '-') {
         const std::string flag = argv[arg];
-        if (flag == "--port" && arg + 1 < argc) {
-            port = std::atoi(argv[++arg]);
-        } else if (flag == "--wait" && arg + 1 < argc) {
-            wait_s = std::atof(argv[++arg]);
-        } else if (flag == "--retries" && arg + 1 < argc) {
-            opt.retries = std::atoi(argv[++arg]);
-        } else if (flag == "--timeout" && arg + 1 < argc) {
-            opt.timeout_s = std::atof(argv[++arg]);
-        } else if (flag == "--deadline" && arg + 1 < argc) {
-            opt.deadline_ms = static_cast<u64>(
-                std::strtoull(argv[++arg], nullptr, 10));
+        const char *value = arg + 1 < argc ? argv[arg + 1] : nullptr;
+        u64 n = 0;
+        bool ok = false;
+        if (flag == "--port" && value) {
+            ok = parseU64(value, &n) && n <= 65535;
+            port = static_cast<int>(n);
+        } else if (flag == "--wait" && value) {
+            ok = parseF64(value, &wait_s) && wait_s >= 0.0;
+        } else if (flag == "--retries" && value) {
+            ok = parseU64(value, &n) && n <= INT_MAX;
+            opt.retries = static_cast<int>(n);
+        } else if (flag == "--timeout" && value) {
+            ok = parseF64(value, &opt.timeout_s) && opt.timeout_s >= 0.0;
+        } else if (flag == "--deadline" && value) {
+            ok = parseU64(value, &opt.deadline_ms);
         } else {
             return die("unknown flag \"" + flag + "\" (see the file "
                        "header for usage)");
         }
-        ++arg;
+        if (!ok) {
+            die("bad " + flag + " value \"" + value + "\"");
+            return die(kUsage);
+        }
+        arg += 2;
     }
     if (arg >= argc)
-        return die("usage: dmt_client [--port P] [--wait S] "
-                   "[--retries N] [--timeout S] [--deadline MS] "
-                   "ping|stats|shutdown|run|spec|batch ...");
+        return die(kUsage);
     const std::string cmd = argv[arg++];
 
     // DMT_FAULTNET=1: interpose the fault-injecting proxy and talk to

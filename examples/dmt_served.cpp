@@ -11,11 +11,12 @@
  * Every knob is read once, here, at startup (cli/env.hh); the Server
  * itself reads no environment.  Scale/caching knobs: DMT_SERVE_JOBS
  * (pool width, else DMT_JOBS, else the host's cores), DMT_BENCH_INSTR
- * (budget of jobs that name none), DMT_CKPT_DIR, DMT_SERVE_CACHE; see
- * DESIGN.md §13.  The engine knobs (DMT_FAULT*, DMT_TRACE*,
- * DMT_WATCHDOG, DMT_AUDIT, DMT_CRASH_FILE) and DMT_SAMPLE do not apply
- * to jobs: each job carries its own machine config and sample spec,
- * and everything that can change a result's bytes is in its cache key.
+ * (budget of jobs that name none), DMT_SERVE_CACHE; see DESIGN.md §13.
+ * Sampled jobs keep their checkpoints in memory only.  The engine
+ * knobs (DMT_FAULT*, DMT_TRACE*, DMT_WATCHDOG, DMT_AUDIT,
+ * DMT_CRASH_FILE) and DMT_SAMPLE do not apply to jobs: each job
+ * carries its own machine config and sample spec, and everything that
+ * can change a result's bytes is in its cache key.
  *
  * Robustness knobs (DESIGN.md §14): DMT_SERVE_CACHE_DIR spills every
  * computed result to disk so a crashed daemon restarted on the same
@@ -57,7 +58,6 @@ main()
     if (opts.pool == 0)
         opts.pool = sweepJobs();
     opts.default_budget = benchInstrFromEnv();
-    setCheckpointDir(checkpointDirFromEnv());
     Server server(opts);
     std::string err;
     if (!server.start(&err)) {

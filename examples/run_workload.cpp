@@ -8,21 +8,26 @@
  *     run_workload [workload] [threads] [ports] [max_retired]
  *     run_workload gcc 6 2 100000
  *
+ * The three numbers are decimal integers (defaults 6, 2, 100000);
+ * anything else ("1e5", "six") prints the usage line and exits 1.
+ *
  * `run_workload all ...` sweeps the entire suite through the parallel
  * scheduler (DMT_JOBS workers) and prints one summary line per
  * workload plus the sweep's throughput accounting.
  *
  * The engine knobs (DMT_WATCHDOG, DMT_AUDIT, DMT_CRASH_FILE,
- * DMT_TRACE*, DMT_FAULT*), DMT_SAMPLE and DMT_CKPT_DIR are read once
- * here (cli/env.hh) and applied to the configuration built below.
+ * DMT_TRACE*, DMT_FAULT*) and DMT_SAMPLE are read once here
+ * (cli/env.hh) and applied to the configuration built below.  Sampled
+ * runs keep their checkpoints in memory only.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
 #include "cli/env.hh"
+#include "common/env.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "dmt/engine.hh"
@@ -35,19 +40,30 @@
 namespace
 {
 
+constexpr const char *kUsage =
+    "usage: run_workload [workload|all|list] [threads] [ports] "
+    "[max_retired]\n";
+
+/** argv[@p i] as a decimal integer no larger than @p max, or @p def
+ *  when absent.  @return false on anything else. */
+bool
+numberArg(int argc, char **argv, int i, dmt::u64 def, dmt::u64 max,
+          dmt::u64 *out)
+{
+    *out = def;
+    return i >= argc || (dmt::parseU64(argv[i], out) && *out <= max);
+}
+
 /** Sampled runs reuse fast-forward checkpoints across jobs; show how
  *  well that worked.  Silent in detailed mode (all counters zero). */
 void
 reportCheckpointCache()
 {
     const dmt::CheckpointCacheCounters c = dmt::checkpointCacheCounters();
-    if (c.mem_hits + c.disk_hits + c.builds == 0)
+    if (c.mem_hits + c.builds == 0)
         return;
-    std::fprintf(stderr,
-                 "checkpoint cache: %llu mem hit(s), %llu disk "
-                 "hit(s), %llu built\n",
+    std::fprintf(stderr, "checkpoint cache: %llu mem hit(s), %llu built\n",
                  static_cast<unsigned long long>(c.mem_hits),
-                 static_cast<unsigned long long>(c.disk_hits),
                  static_cast<unsigned long long>(c.builds));
 }
 
@@ -110,11 +126,6 @@ main(int argc, char **argv)
     using namespace dmt;
 
     const std::string name = argc > 1 ? argv[1] : "go";
-    const int threads = argc > 2 ? std::atoi(argv[2]) : 6;
-    const int ports = argc > 3 ? std::atoi(argv[3]) : 2;
-    const u64 budget = argc > 4
-        ? std::strtoull(argv[4], nullptr, 10) : 100000;
-
     if (name == "list" || name == "--help") {
         std::printf("workloads:\n");
         for (const WorkloadInfo &w : workloadSuite())
@@ -130,12 +141,19 @@ main(int argc, char **argv)
         return 0;
     }
 
+    u64 threads = 0, ports = 0, budget = 0;
+    if (!numberArg(argc, argv, 2, 6, INT_MAX, &threads)
+        || !numberArg(argc, argv, 3, 2, INT_MAX, &ports)
+        || !numberArg(argc, argv, 4, 100000, ~u64{0}, &budget)) {
+        std::fputs(kUsage, stderr);
+        return 1;
+    }
     SimConfig cfg = simConfigFromEnv(
-        threads > 1 ? SimConfig::dmt(threads, ports)
+        threads > 1 ? SimConfig::dmt(static_cast<int>(threads),
+                                     static_cast<int>(ports))
                     : SimConfig::baseline());
     cfg.max_retired = budget;
     const SampleParams sample = sampleParamsFromEnv();
-    setCheckpointDir(checkpointDirFromEnv());
 
     if (name == "all") {
         SweepRunner pool(sweepJobs());

@@ -205,13 +205,6 @@ sweepJobs()
     return env > 0 ? static_cast<int>(env) : hardwareJobs();
 }
 
-std::string
-checkpointDirFromEnv()
-{
-    const char *dir = std::getenv("DMT_CKPT_DIR");
-    return dir ? dir : "";
-}
-
 ServeOptions
 serveOptionsFromEnv()
 {

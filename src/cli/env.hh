@@ -15,8 +15,6 @@
 #ifndef DMT_CLI_ENV_HH
 #define DMT_CLI_ENV_HH
 
-#include <string>
-
 #include "exp/sampled.hh"
 #include "serve/faultnet.hh"
 #include "serve/server.hh"
@@ -71,9 +69,6 @@ bool benchQuiet();
 
 /** Sweep pool width: DMT_JOBS, else hardwareJobs(). */
 int sweepJobs();
-
-/** DMT_CKPT_DIR, "" when unset: the argument for setCheckpointDir(). */
-std::string checkpointDirFromEnv();
 
 /** DMT_SERVE_PORT / _JOBS / _CACHE / _DRAIN_S / _CACHE_DIR / _QUEUE /
  *  _DEADLINE_S; a cache directory that cannot be created (or is not a

@@ -1,6 +1,7 @@
 #include "common/record.hh"
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -14,6 +15,44 @@ namespace
 constexpr size_t kHeaderBytes = 24;
 constexpr size_t kFooterBytes = 8;
 
+/** Append @p v to @p buf, little-endian. */
+void
+putLe64(std::string *buf, u64 v)
+{
+    for (int i = 0; i < 8; ++i)
+        buf->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/** Bounds-checked little-endian reader over a byte buffer. */
+struct ByteReader
+{
+    const u8 *p;
+    size_t left;
+
+    bool
+    take(void *dst, size_t n)
+    {
+        if (left < n)
+            return false;
+        std::memcpy(dst, p, n);
+        p += n;
+        left -= n;
+        return true;
+    }
+
+    bool
+    u64At(u64 *v)
+    {
+        u8 b[8];
+        if (!take(b, sizeof(b)))
+            return false;
+        *v = 0;
+        for (int i = 7; i >= 0; --i)
+            *v = *v << 8 | b[i];
+        return true;
+    }
+};
+
 } // namespace
 
 u64
@@ -23,41 +62,6 @@ fnv1aHash(std::string_view bytes, u64 seed)
     for (const char c : bytes)
         h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
     return h;
-}
-
-void
-putLe32(std::string *buf, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-putLe64(std::string *buf, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool
-ByteReader::u32At(u32 *v)
-{
-    u8 b[4];
-    if (!take(b, 4))
-        return false;
-    *v = static_cast<u32>(b[0]) | static_cast<u32>(b[1]) << 8
-        | static_cast<u32>(b[2]) << 16 | static_cast<u32>(b[3]) << 24;
-    return true;
-}
-
-bool
-ByteReader::u64At(u64 *v)
-{
-    u32 lo, hi;
-    if (!u32At(&lo) || !u32At(&hi))
-        return false;
-    *v = static_cast<u64>(hi) << 32 | lo;
-    return true;
 }
 
 bool

@@ -1,24 +1,22 @@
 /**
  * @file
- * Checksummed durable records: the one on-disk framing every store in
- * the simulator uses (sampled-run checkpoints, the daemon's durable
- * result tier), plus the FNV-1a digest and little-endian helpers that
- * build it.
+ * Checksummed durable records: the on-disk framing of the daemon's
+ * result files (serve/cache.hh), plus the FNV-1a digest it and the
+ * rest of the simulator hash with.
  *
  *   magic[8] | key u64 | payload length u64 | payload | FNV-1a(payload) u64
  *
  * Integers are little-endian.  The magic names the format and its
  * version; the key ties a record to what it was written for (a result
- * cache key, a program-image hash); the footer covers every payload
- * byte, so a torn write or a flipped bit is rejected instead of being
- * read back as data.  Records are written to a temporary file and
- * renamed into place, so concurrent readers never see a partial one.
+ * cache key); the footer covers every payload byte, so a torn write or
+ * a flipped bit is rejected instead of being read back as data.
+ * Records are written to a temporary file and renamed into place, so
+ * concurrent readers never see a partial one.
  */
 
 #ifndef DMT_COMMON_RECORD_HH
 #define DMT_COMMON_RECORD_HH
 
-#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -32,31 +30,6 @@ constexpr u64 kFnvBasis = 0xcbf29ce484222325ull;
 
 /** FNV-1a over @p bytes, chained from @p seed. */
 u64 fnv1aHash(std::string_view bytes, u64 seed = kFnvBasis);
-
-/** Append @p v to @p buf, little-endian. */
-void putLe32(std::string *buf, u32 v);
-void putLe64(std::string *buf, u64 v);
-
-/** Bounds-checked little-endian reader over a byte buffer. */
-struct ByteReader
-{
-    const u8 *p;
-    size_t left;
-
-    bool
-    take(void *dst, size_t n)
-    {
-        if (left < n)
-            return false;
-        std::memcpy(dst, p, n);
-        p += n;
-        left -= n;
-        return true;
-    }
-
-    bool u32At(u32 *v);
-    bool u64At(u64 *v);
-};
 
 /**
  * Write @p payload to @p path as one record under @p magic and @p key.

@@ -1,7 +1,5 @@
 #include "exp/sampled.hh"
 
-#include <sys/stat.h>
-
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -169,14 +167,10 @@ struct WorkloadEntry
 /** Lock order: g_cache_m before any entry's m, never the reverse. */
 std::mutex g_cache_m;
 std::map<std::string, std::shared_ptr<WorkloadEntry>> g_cache;
-/** On-disk checkpoint directory ("" = memory only); g_cache_m guards
- *  it. */
-std::string g_ckpt_dir;
 
 // Shared-cache accounting (monotonic until clearCheckpointCache() /
 // clearPhaseCache()).
 std::atomic<u64> g_ckpt_mem_hits{0};
-std::atomic<u64> g_ckpt_disk_hits{0};
 std::atomic<u64> g_ckpt_builds{0};
 std::atomic<u64> g_phase_hits{0};
 std::atomic<u64> g_phase_builds{0};
@@ -193,28 +187,6 @@ entryFor(const std::string &workload)
                  .first;
     }
     return it->second;
-}
-
-/** The checkpoint directory, created (one level) on first use.
- *  @return "" when checkpoints stay in memory only. */
-std::string
-ckptDir()
-{
-    std::string dir;
-    {
-        std::lock_guard<std::mutex> lock(g_cache_m);
-        dir = g_ckpt_dir;
-    }
-    if (!dir.empty())
-        ::mkdir(dir.c_str(), 0755); // best-effort; EEXIST is common
-    return dir;
-}
-
-std::string
-ckptPath(const std::string &dir, const std::string &workload, u64 pos)
-{
-    return strprintf("%s/%s-%llu.ckpt", dir.c_str(), workload.c_str(),
-                     static_cast<unsigned long long>(pos));
 }
 
 /** Longest fast-forward stretch between deadline checks: a few tens
@@ -309,7 +281,7 @@ struct SampledRun
     SampledRun(const SimConfig &cfg_, const std::string &workload_,
                const SampleParams &params_)
         : cfg(cfg_), workload(workload_), params(params_),
-          dir(ckptDir()), e(entryFor(workload_)),
+          e(entryFor(workload_)),
           wall_start(std::chrono::steady_clock::now()), cursor(e->prog)
     {
         r.workload = workload;
@@ -375,10 +347,10 @@ struct SampledRun
     /**
      * Architectural checkpoint at exactly @p pos retired instructions;
      * @p pos never decreases within a run.  Order of preference: the
-     * entry's phase checkpoints, the checkpoint directory, a trail
-     * checkpoint at @p pos, then this run's own cursor, walked forward
-     * from the furthest of where it stands, the latest checkpoint the
-     * run holds and the nearest trail checkpoint before @p pos.
+     * entry's phase checkpoints, a trail checkpoint at @p pos, then
+     * this run's own cursor, walked forward from the furthest of where
+     * it stands, the latest checkpoint the run holds and the nearest
+     * trail checkpoint before @p pos.
      *
      * @return nullptr when the program HALTs at or before @p pos; the
      *         cursor then stands at HALT.
@@ -404,16 +376,6 @@ struct SampledRun
             }
         }
 
-        if (!dir.empty()) {
-            auto ck = std::make_shared<Checkpoint>();
-            if (Checkpoint::load(ckptPath(dir, workload, pos),
-                                 e->prog_hash, ck.get())) {
-                DMT_ASSERT(ck->instr_count == pos,
-                           "checkpoint file position mismatch");
-                g_ckpt_disk_hits.fetch_add(1, std::memory_order_relaxed);
-                return keep(std::move(ck));
-            }
-        }
         if (from && from->instr_count == pos)
             return built(std::move(from)); // the profile stood here
 
@@ -449,22 +411,13 @@ struct SampledRun
             Checkpoint::capture(core, e->prog_hash)));
     }
 
-    /** Count @p ck, a checkpoint this run made, as a build; persist
-     *  and keep it. */
+    /** Count @p ck, a checkpoint this run made, as a build and make it
+     *  the run's latest; a phase window's also goes into the entry,
+     *  for later runs on other machines. */
     std::shared_ptr<const Checkpoint>
     built(std::shared_ptr<const Checkpoint> ck)
     {
         g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-        if (!dir.empty()) // best-effort (warns)
-            ck->save(ckptPath(dir, workload, ck->instr_count));
-        return keep(std::move(ck));
-    }
-
-    /** Make @p ck the run's latest checkpoint; a phase window's also
-     *  goes into the entry, for later runs on other machines. */
-    std::shared_ptr<const Checkpoint>
-    keep(std::shared_ptr<const Checkpoint> ck)
-    {
         if (params.phaseMode()) {
             std::lock_guard<std::mutex> lock(e->m);
             e->by_pos.emplace(ck->instr_count, ck);
@@ -584,8 +537,6 @@ struct SampledRun
     const SimConfig &cfg;
     const std::string &workload;
     const SampleParams &params;
-    /** Read once, before any entry lock is taken (lock order). */
-    const std::string dir;
     const std::shared_ptr<WorkloadEntry> e;
     const std::chrono::steady_clock::time_point wall_start;
     /** This run's fast-forward core: it profiles, then walks to each
@@ -763,7 +714,6 @@ clearCheckpointCache()
     std::lock_guard<std::mutex> lock(g_cache_m);
     g_cache.clear();
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
-    g_ckpt_disk_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
 }
 
@@ -779,19 +729,11 @@ clearPhaseCache()
     g_phase_builds.store(0, std::memory_order_relaxed);
 }
 
-void
-setCheckpointDir(std::string dir)
-{
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    g_ckpt_dir = std::move(dir);
-}
-
 CheckpointCacheCounters
 checkpointCacheCounters()
 {
     CheckpointCacheCounters c;
     c.mem_hits = g_ckpt_mem_hits.load(std::memory_order_relaxed);
-    c.disk_hits = g_ckpt_disk_hits.load(std::memory_order_relaxed);
     c.builds = g_ckpt_builds.load(std::memory_order_relaxed);
     return c;
 }

@@ -12,18 +12,18 @@
  * the RunResult.  Per-interval CPI feeds a mean +- 95% confidence
  * interval so the aggregate comes with an error bar.
  *
- * The cache holds one entry per workload: its Program, its phase
- * analyses (exp/phase.hh) and the checkpoints at their representatives;
- * uniform windows keep none, so a uniform run holds O(1) checkpoints.
- * Both placements run every window through one code path; only where
- * windows start and how their CPIs aggregate differ.  Checkpoints share
- * their memory pages copy-on-write (sim/mainmem.hh), so taking,
+ * Checkpoints live in memory only.  The cache holds one entry per
+ * workload: its Program, its phase analyses (exp/phase.hh) and the
+ * checkpoints at their representatives; uniform windows keep none, so
+ * a uniform run holds O(1) checkpoints and a rerun walks its prefix
+ * again.  Both placements run every window through one code path; only
+ * where windows start and how their CPIs aggregate differ.  Checkpoints
+ * share their memory pages copy-on-write (sim/mainmem.hh), so taking,
  * restoring and resuming one copies a pointer per page.
  *
  * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
- * 0 or omitted = run to program end / budget).  setCheckpointDir()
- * names a directory where checkpoints persist across invocations.
+ * 0 or omitted = run to program end / budget).
  *
  * "phase:interval:warm:measure[:maxk[:dims[:seed]]]" selects
  * phase-aware placement instead (exp/phase.hh): a BBV profile over
@@ -116,32 +116,24 @@ RunResult runWorkloadSampled(const SimConfig &cfg,
 
 /**
  * Drop every per-workload entry — checkpoints and phase analyses alike
- * (test hook; on-disk checkpoint files are left alone so persistence
- * can be exercised separately).  Zeroes the checkpoint counters below;
- * the phase counters belong to clearPhaseCache().
+ * (test hook; afterwards a run sees what a fresh process sees).
+ * Zeroes the checkpoint counters below; the phase counters belong to
+ * clearPhaseCache().
  */
 void clearCheckpointCache();
 
 /**
- * Persist sampled-run checkpoints under @p dir (created, one level, on
- * first use) and look there before fast-forwarding; "" (the default)
- * keeps the cache memory-only.  Process-wide, like the cache itself.
- * A file that fails its integrity check is rebuilt and rewritten.
- */
-void setCheckpointDir(std::string dir);
-
-/**
  * Process-lifetime accounting for the shared checkpoint cache.  A
  * sampled window first looks for its start checkpoint in memory
- * (mem_hits; only phase windows keep theirs), then on disk under the
- * checkpoint directory (disk_hits), and only then pays for functional
- * fast-forward to build one (builds).  The daemon reports these in its
+ * (mem_hits; only phase windows keep theirs), and only then builds one
+ * on its run's cursor (builds).  The daemon reports these in its
  * `stats` reply and the local harness mains print them in their stderr
  * summaries, so warm-cache behaviour is visible in both deployments.
  */
 struct CheckpointCacheCounters
 {
     u64 mem_hits = 0;
+    /** Always 0: kept only because dmtbench/layers.cc still reads it. */
     u64 disk_hits = 0;
     u64 builds = 0;
 };

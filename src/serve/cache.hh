@@ -24,12 +24,13 @@
  * computed entry is also written to disk — atomically, temp-file +
  * rename, with a magic header and an FNV-1a integrity footer — at
  * compute time, not at shutdown, so a kill -9'd daemon loses nothing
- * already answered.  A memory miss probes the directory before
- * simulating; torn, truncated or corrupted files are rejected (and
- * deleted) at load time, mirroring the checkpoint store's guards, and
- * the entry is simply recomputed and rewritten.  Disk entries are
- * content-addressed by the same key as memory entries and are not
- * LRU-bounded: the directory is the durable record.
+ * already answered.  The files use the checksummed record framing of
+ * common/record.hh, whose only store they are.  A memory miss probes
+ * the directory before simulating; torn, truncated or corrupted files
+ * are rejected (and deleted) at load time, and the entry is simply
+ * recomputed and rewritten.  Disk entries are content-addressed by the
+ * same key as memory entries and are not LRU-bounded: the directory is
+ * the durable record, and the one durable tier in the simulator.
  */
 
 #ifndef DMT_SERVE_CACHE_HH

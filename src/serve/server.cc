@@ -497,7 +497,6 @@ Server::statsJson() const
     w.key("ckpt_cache");
     w.beginObject();
     w.key("mem_hits").value(kc.mem_hits);
-    w.key("disk_hits").value(kc.disk_hits);
     w.key("builds").value(kc.builds);
     w.endObject();
     w.endObject();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <vector>
 
 #include "casm/program.hh"
 #include "common/log.hh"
@@ -28,26 +27,6 @@ MainMemory::loadProgram(const Program &prog)
         std::memcpy(touchPage(addr).data(), prog.data.data() + done,
                     std::min<size_t>(size - done, kPageSize));
     }
-}
-
-void
-MainMemory::forEachPage(
-    const std::function<void(u32, const u8 *)> &fn) const
-{
-    std::vector<u32> indices;
-    indices.reserve(pages.size());
-    for (const auto &[idx, page] : pages)
-        indices.push_back(idx);
-    std::sort(indices.begin(), indices.end());
-    for (const u32 idx : indices)
-        fn(idx, pages.at(idx)->data());
-}
-
-void
-MainMemory::setPageRaw(u32 index, const u8 *bytes)
-{
-    std::memcpy(touchPage(Addr{index} << kPageBits).data(), bytes,
-                kPageSize);
 }
 
 bool

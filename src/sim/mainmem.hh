@@ -16,7 +16,6 @@
 #define DMT_SIM_MAINMEM_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -91,21 +90,9 @@ class MainMemory
     u8 *pageDataWritable(Addr addr);
 
     /**
-     * Visit every allocated page in ascending page-index order (the
-     * deterministic order checkpoints serialize in).  @p fn receives
-     * the page index and a pointer to its kPageSize bytes.
-     */
-    void forEachPage(
-        const std::function<void(u32, const u8 *)> &fn) const;
-
-    /** Install a full page's bytes at @p index (checkpoint load);
-     *  a shared page at @p index is cloned first. */
-    void setPageRaw(u32 index, const u8 *bytes);
-
-    /**
      * Sparse-page-exact equality: same allocated page set with
      * byte-identical contents.  An allocated all-zero page and an
-     * absent page compare *unequal* — checkpoints must round-trip the
+     * absent page compare *unequal* — a checkpoint must carry the
      * sparse structure itself, not just the values it implies.  A
      * page both sides share compares equal without a byte compare.
      */

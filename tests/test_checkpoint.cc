@@ -2,27 +2,22 @@
  * @file
  * Checkpointed fast-forward and interval sampling: the functional core
  * must be instruction-for-instruction equivalent to functionalStep(),
- * checkpoints must round-trip sparse memory exactly (including pages
- * that exist only because a speculative wild store touched them),
- * binary save/load must reject stale files, and a detailed engine
- * resumed from the same checkpoint twice must produce bit-identical
- * results.  A checked-in sampled-run signature (tests/golden/
- * sampled_go.json, regenerated with DMT_UPDATE_GOLDEN=1) pins the
- * whole sampled pipeline.
+ * checkpoints must capture sparse memory exactly (including pages that
+ * exist only because a speculative wild store touched them), a core or
+ * detailed engine resumed from a checkpoint must continue exactly as
+ * the straight run does, and a sampled run must print the same bytes
+ * whatever the in-memory cache holds.  A checked-in sampled-run
+ * signature (tests/golden/sampled_go.json, regenerated with
+ * DMT_UPDATE_GOLDEN=1) pins the whole sampled pipeline.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -40,14 +35,6 @@ namespace dmt
 {
 namespace
 {
-
-std::string
-tempDir(const char *name)
-{
-    std::string d = std::string("ckpt_test_") + name;
-    ::mkdir(d.c_str(), 0755);
-    return d;
-}
 
 TEST(MainMemoryCkpt, SparsePageExactEquality)
 {
@@ -69,28 +56,6 @@ TEST(MainMemoryCkpt, SparsePageExactEquality)
     c.write8(0x30000000, 0); // allocates a page, leaves it all zero
     EXPECT_FALSE(a == c);
     EXPECT_EQ(c.numPages(), a.numPages() + 1);
-}
-
-TEST(MainMemoryCkpt, PageVisitRoundTrip)
-{
-    MainMemory a;
-    a.write32(0x2000, 1);
-    a.write32(0x50000, 2);
-    a.write32(0x7fff0000, 3);
-
-    // Rebuild through the checkpoint-serialization primitives.
-    MainMemory b;
-    u32 last_index = 0;
-    bool first = true;
-    a.forEachPage([&](u32 index, const u8 *bytes) {
-        if (!first) {
-            EXPECT_GT(index, last_index) << "pages must visit in order";
-        }
-        first = false;
-        last_index = index;
-        b.setPageRaw(index, bytes);
-    });
-    EXPECT_TRUE(a == b);
 }
 
 TEST(FunctionalCoreCkpt, MatchesFunctionalStepExactly)
@@ -140,53 +105,6 @@ TEST(FunctionalCoreCkpt, FullProgramMatchesReference)
     EXPECT_TRUE(core.memory() == mem);
 }
 
-TEST(CheckpointCkpt, BinarySaveLoadRoundTrip)
-{
-    const Program prog = buildWorkload("go");
-    FunctionalCore core(prog);
-    core.run(50000);
-    ASSERT_FALSE(core.halted());
-
-    const Checkpoint ck = Checkpoint::capture(core);
-    EXPECT_EQ(ck.instr_count, 50000u);
-    EXPECT_EQ(ck.prog_hash, Checkpoint::programHash(prog));
-
-    const std::string dir = tempDir("roundtrip");
-    const std::string path = dir + "/go-50000.ckpt";
-    ASSERT_TRUE(ck.save(path));
-
-    Checkpoint back;
-    std::string err;
-    ASSERT_TRUE(Checkpoint::load(path, ck.prog_hash, &back, &err)) << err;
-    EXPECT_EQ(back.instr_count, ck.instr_count);
-    EXPECT_EQ(back.state.pc, ck.state.pc);
-    EXPECT_EQ(back.state.regs, ck.state.regs);
-    EXPECT_EQ(back.state.out_count, ck.state.out_count);
-    EXPECT_EQ(back.state.out_hash, ck.state.out_hash);
-    EXPECT_EQ(back.state.halted, ck.state.halted);
-    EXPECT_TRUE(back.mem == ck.mem);
-
-    // A checkpoint for a different program image must refuse to load.
-    Checkpoint wrong;
-    EXPECT_FALSE(Checkpoint::load(path, ck.prog_hash + 1, &wrong, &err));
-    EXPECT_NE(err.find("stale"), std::string::npos) << err;
-
-    // A torn/truncated file must refuse to load, not crash.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::string full = buf.str();
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(full.data(),
-                  static_cast<long>(full.size() / 2));
-    }
-    EXPECT_FALSE(Checkpoint::load(path, ck.prog_hash, &wrong, &err));
-
-    std::remove(path.c_str());
-    ::rmdir(dir.c_str());
-}
-
 TEST(CheckpointCkpt, RestoredCoreContinuesIdentically)
 {
     const Program prog = buildWorkload("go");
@@ -197,6 +115,8 @@ TEST(CheckpointCkpt, RestoredCoreContinuesIdentically)
     FunctionalCore hopped(prog, /*stream_output=*/false);
     hopped.run(30000);
     const Checkpoint ck = Checkpoint::capture(hopped);
+    EXPECT_EQ(ck.instr_count, 30000u);
+    EXPECT_EQ(ck.prog_hash, Checkpoint::programHash(prog));
     FunctionalCore resumed(prog, /*stream_output=*/false);
     resumed.restore(ck.state, ck.mem, ck.instr_count);
     resumed.run(50000);
@@ -300,8 +220,9 @@ TEST(EngineResume, RejectsCheckpointOfAnotherProgram)
 
 TEST(Sampled, DeterministicAcrossCacheStates)
 {
-    // Same sampled run with a cold cache, a warm cache, and an on-disk
-    // checkpoint directory: all three must be bit-identical.
+    // Same sampled run with a cold cache, a warm cache, and a cache
+    // cleared as a fresh process finds it: all three must be
+    // bit-identical.
     SampleParams p;
     p.skip = 50000;
     p.warm = 500;
@@ -328,22 +249,14 @@ TEST(Sampled, DeterministicAcrossCacheStates)
     EXPECT_GT(cold.sampling.ff_blocks_translated, 0u);
     EXPECT_GT(cold.sampling.ff_chain_hits, 0u);
 
-    const std::string dir = "ckpt_test_persist";
-    std::filesystem::remove_all(dir);
-    setCheckpointDir(dir);
     clearCheckpointCache();
-    const RunResult disk1 = runWorkloadSampled(cfg, "go", p);
-    clearCheckpointCache(); // second run must reload from disk files
-    const RunResult disk2 = runWorkloadSampled(cfg, "go", p);
-    setCheckpointDir("");
+    clearPhaseCache();
+    const RunResult fresh = runWorkloadSampled(cfg, "go", p);
+    const CheckpointCacheCounters after_fresh = checkpointCacheCounters();
     clearCheckpointCache();
-
-    EXPECT_EQ(cold.jsonString(), disk1.jsonString());
-    EXPECT_EQ(cold.jsonString(), disk2.jsonString());
-
-    // The checkpoint files really were written.
-    EXPECT_TRUE(std::filesystem::exists(dir + "/go-50000.ckpt"));
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(cold.jsonString(), fresh.jsonString());
+    EXPECT_EQ(after_fresh.builds, fresh.sampling.intervals);
+    EXPECT_EQ(after_fresh.mem_hits, 0u);
 }
 
 TEST(Sampled, UniformRunHoldsNoCheckpointPerWindow)
@@ -385,57 +298,6 @@ TEST(Sampled, UniformRunHoldsNoCheckpointPerWindow)
 #else
     GTEST_SKIP() << "needs glibc's mallinfo2()";
 #endif
-}
-
-TEST(Sampled, CorruptCheckpointFileIsRebuiltNotResumed)
-{
-    // One flipped payload byte in a checkpoint file must not load: the
-    // integrity footer rejects the file, and a sampled rerun over the
-    // directory rebuilds that checkpoint and reproduces the cold run.
-    SampleParams p;
-    p.skip = 50000;
-    p.warm = 500;
-    p.measure = 1500;
-    p.max_intervals = 3;
-    const SimConfig cfg = SimConfig::dmt(6, 2);
-
-    const std::string dir = "ckpt_test_corrupt";
-    std::filesystem::remove_all(dir);
-    setCheckpointDir(dir);
-    clearCheckpointCache();
-    const RunResult cold = runWorkloadSampled(cfg, "compress", p);
-
-    // The second window's checkpoint; byte 104 lies in its registers.
-    const std::string path = dir + "/compress-102000.ckpt";
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        bytes = buf.str();
-    }
-    ASSERT_GT(bytes.size(), 104u) << path;
-    bytes[104] = static_cast<char>(bytes[104] ^ 0x01);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<long>(bytes.size()));
-    }
-    Checkpoint back;
-    std::string err;
-    EXPECT_FALSE(Checkpoint::load(
-        path, Checkpoint::programHash(buildWorkload("compress")), &back,
-        &err));
-
-    clearCheckpointCache();
-    const RunResult rerun = runWorkloadSampled(cfg, "compress", p);
-    const CheckpointCacheCounters c = checkpointCacheCounters();
-    setCheckpointDir("");
-    clearCheckpointCache();
-
-    EXPECT_EQ(cold.jsonString(), rerun.jsonString());
-    EXPECT_EQ(c.disk_hits, 2u);
-    EXPECT_EQ(c.builds, 1u) << "the corrupt checkpoint must be rebuilt";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Sampled, CoversWholeProgramAndStopsAtHalt)
