@@ -58,29 +58,14 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
     memdep.assign(kMemdepEntries, 0);
     io_waiters.resize(static_cast<size_t>(cfg.max_threads));
 
-    // Pre-size output accumulators and per-slot waiter lists so
-    // steady-state growth is rare (the hot loop itself never shrinks
-    // these; see DESIGN.md section 11).  The per-register waiter
-    // reserves cut the long per-slot warmup tail: without them each of
-    // the hundreds of physical registers grows its own vector the
-    // first few times it happens to collect subscribers.
+    // Pre-size output accumulators so steady-state growth is rare (the
+    // hot loop itself never shrinks these; see DESIGN.md section 11).
+    // The waiter, subscription and calendar lists need no reserve:
+    // their node pools grow to the in-flight high-water mark.
     out_stream.reserve(4096);
-    for (PhysSubs &s : psubs) {
-        s.waiters.reserve(16);
-        s.io_subs.reserve(16);
-    }
-    for (auto &per_thread : io_waiters) {
-        for (auto &waiters : per_thread)
-            waiters.reserve(16);
-    }
     loop_watches.reserve(8);
     ready_q.reserve(static_cast<size_t>(cfg.window_size));
     issue_retry_scratch_.reserve(static_cast<size_t>(cfg.window_size));
-    // A single calendar slot can in principle receive every in-flight
-    // instruction (they all pick a completion cycle at issue), so
-    // reserve each slot to the window bound.
-    for (auto &slot : calendar)
-        slot.reserve(static_cast<size_t>(cfg.window_size));
     drain_q.reserve(64);
 
     threads.reserve(static_cast<size_t>(cfg.max_threads));
@@ -181,8 +166,9 @@ DmtEngine::allocPhys()
     // Any subscriptions left over from the previous incarnation of this
     // register are stale by construction (see engine.hh ownership
     // rules); drop them so the lists cannot grow without bound.
-    psubs[static_cast<size_t>(p)].waiters.clear();
-    psubs[static_cast<size_t>(p)].io_subs.clear();
+    PhysSubs &subs = psubs[static_cast<size_t>(p)];
+    waiter_pool.clear(subs.waiters);
+    io_sub_pool.clear(subs.io_subs);
     return p;
 }
 
@@ -535,9 +521,8 @@ DmtEngine::squashThread(ThreadContext &t)
     tree.remove(t.id);
     t.active = false;
     ++t.gen;
-    // Per-register clear (not fill({})) keeps each list's capacity.
     for (auto &waiters : io_waiters[static_cast<size_t>(t.id)])
-        waiters.clear();
+        waiter_pool.clear(waiters);
 
     if (pred != kNoThread) {
         ThreadContext &p = ctx(pred);

@@ -28,6 +28,7 @@
 
 #include "branch/predictor.hh"
 #include "casm/program.hh"
+#include "common/list_pool.hh"
 #include "common/ring_queue.hh"
 #include "dmt/dataflow_pred.hh"
 #include "dmt/dyninst.hh"
@@ -277,37 +278,43 @@ class DmtEngine : public OrderOracle
     bool head_validated = false; ///< current head passed input check
     bool head_drain_ok = false;  ///< prior threads' stores drained
 
-    // Ready queue (age-indexed min-heap) and completion calendar.
+    // Ready queue (age-indexed min-heap) and completion calendar.  The
+    // per-slot and per-register lists below are FIFO lists over one
+    // node pool per element kind, so each family is sized by what is
+    // in flight at once rather than reserved slot by slot (DESIGN.md
+    // section 11).
     ReadyQueue ready_q;
     static constexpr int kCalendarSlots = 256;
-    std::array<std::vector<DynRef>, kCalendarSlots> calendar;
+    ListPool<DynRef> calendar_pool;
+    std::array<ListPool<DynRef>::List, kCalendarSlots> calendar;
 
-    // Physical-register subscriptions.
-    struct PhysWaiter
+    /** A consumer waiting on one source operand: of a physical
+     *  register (psubs) or of a thread input (io_waiters). */
+    struct OperandWaiter
     {
         DynRef dyn;
         u8 op;
     };
+    ListPool<OperandWaiter> waiter_pool;
+
+    // Physical-register subscriptions.
     struct IoSub
     {
         ThreadId tid;
         u32 tgen;
         LogReg reg;
     };
+    ListPool<IoSub> io_sub_pool;
     struct PhysSubs
     {
-        std::vector<PhysWaiter> waiters;
-        std::vector<IoSub> io_subs;
+        ListPool<OperandWaiter>::List waiters;
+        ListPool<IoSub>::List io_subs;
     };
     std::vector<PhysSubs> psubs;
 
     // Thread-input waiters, per thread per logical register.
-    struct IoWaiter
-    {
-        DynRef dyn;
-        u8 op;
-    };
-    std::vector<std::array<std::vector<IoWaiter>, kNumLogRegs>> io_waiters;
+    std::vector<std::array<ListPool<OperandWaiter>::List, kNumLogRegs>>
+        io_waiters;
 
     // Architectural retirement state.
     std::array<u32, kNumLogRegs> retire_regs{};
@@ -371,7 +378,6 @@ class DmtEngine : public OrderOracle
     // allocation (see DESIGN.md section 11).  Each buffer is owned by
     // exactly one non-reentrant routine.
     std::vector<ReadyQueue::Item> issue_retry_scratch_; // doIssue
-    std::vector<DynRef> wb_scratch_;                    // doWriteback
     std::vector<ThreadId> dispatch_order_scratch_;      // doDispatch
     std::vector<ThreadId> fetch_spec_scratch_;          // doFetch
     std::vector<DfItem> head_mispred_scratch_;          // headSwitch

@@ -66,12 +66,12 @@ DmtEngine::deliverInput(ThreadContext &t, LogReg r, u32 value,
     // Wake consumers that were blocked on this input.
     auto &waiters = io_waiters[static_cast<size_t>(t.id)][r];
     if (!waiters.empty()) {
-        for (const IoWaiter &w : waiters) {
+        waiter_pool.forEach(waiters, [&](const OperandWaiter &w) {
             DynInst *d = pool.get(w.dyn);
             if (d)
                 wakeOperand(d, w.op, value);
-        }
-        waiters.clear();
+        });
+        waiter_pool.clear(waiters);
         if (in.used)
             in.used_value = value;
         return; // consumers never executed with a wrong value
@@ -107,22 +107,22 @@ DmtEngine::deliverPhys(PhysReg p, u32 value)
 {
     prf.write(p, value);
     PhysSubs &subs = psubs[static_cast<size_t>(p)];
-    for (const PhysWaiter &w : subs.waiters) {
+    waiter_pool.forEach(subs.waiters, [&](const OperandWaiter &w) {
         DynInst *d = pool.get(w.dyn);
         if (d)
             wakeOperand(d, w.op, value);
-    }
-    subs.waiters.clear();
-    for (const IoSub &s : subs.io_subs) {
+    });
+    waiter_pool.clear(subs.waiters);
+    io_sub_pool.forEach(subs.io_subs, [&](const IoSub &s) {
         ThreadContext *tc = get(s.tid, s.tgen);
         if (!tc)
-            continue;
+            return;
         IoInput &in = tc->io.in[s.reg];
         if (in.watch != p || in.valid)
-            continue; // stale subscription
+            return; // stale subscription
         deliverInput(*tc, s.reg, value, false);
-    }
-    subs.io_subs.clear();
+    });
+    io_sub_pool.clear(subs.io_subs);
 }
 
 void
@@ -183,7 +183,8 @@ DmtEngine::scheduleCompletion(DynInst *d, Cycle latency)
     DMT_ASSERT(latency > 0 && latency < kCalendarSlots,
                "latency %llu out of calendar range",
                static_cast<unsigned long long>(latency));
-    calendar[(now_ + latency) % kCalendarSlots].push_back(d->self);
+    calendar_pool.push_back(calendar[(now_ + latency) % kCalendarSlots],
+                            d->self);
 }
 
 void
@@ -222,7 +223,8 @@ DmtEngine::executeMem(DynInst *d, TBEntry &entry)
     if (cfg.memdep_sync && memdepConservative(entry.pc)
         && lsq.hasUnexecutedEarlierStore(d->tid, d->tb_id, *this)) {
         d->state = DynState::Issued; // re-poll via the calendar
-        calendar[(now_ + 2) % kCalendarSlots].push_back(d->self);
+        calendar_pool.push_back(calendar[(now_ + 2) % kCalendarSlots],
+                                d->self);
         d->poll_retry = true;
         return;
     }
@@ -521,25 +523,22 @@ DmtEngine::doWriteback()
     if (slot.empty())
         return;
     // completeDyn can trigger squashes that touch the calendar only by
-    // marking instructions squashed — the slot vector itself is stable
-    // (scheduleCompletion asserts latency > 0, so nothing lands in the
-    // current slot).  Ping-pong with a member scratch: the slot gets
-    // the scratch's empty-but-capacitied buffer back, so neither side
-    // ever frees its allocation.
-    wb_scratch_.swap(slot);
-    for (const DynRef &ref : wb_scratch_) {
+    // marking instructions squashed, and it schedules completions only
+    // into later slots (scheduleCompletion asserts latency > 0), so
+    // this slot's list is stable while it is walked.
+    calendar_pool.forEach(slot, [this](DynRef ref) {
         DynInst *d = pool.get(ref);
         if (!d || d->squashed || d->state != DynState::Issued)
-            continue;
+            return;
         if (d->poll_retry) {
             // Throttled load: retry the memory access.
             d->poll_retry = false;
             executeDyn(d);
-            continue;
+            return;
         }
         completeDyn(d);
-    }
-    wb_scratch_.clear();
+    });
+    calendar_pool.clear(slot);
 }
 
 // ---------------------------------------------------------------------

@@ -18,8 +18,8 @@ DmtEngine::subscribePhys(PhysReg p, DynInst *d, int op)
     DMT_ASSERT(p != kNoPhysReg, "subscribe to no register");
     d->src_ready[op] = false;
     ++d->n_src_pending;
-    psubs[static_cast<size_t>(p)].waiters.push_back(
-        {d->self, static_cast<u8>(op)});
+    waiter_pool.push_back(psubs[static_cast<size_t>(p)].waiters,
+                          {d->self, static_cast<u8>(op)});
 }
 
 void
@@ -44,7 +44,8 @@ DmtEngine::resolveOperand(ThreadContext &t, const TBEntry &entry, int i,
           } else {
               d->src_ready[i] = false;
               ++d->n_src_pending;
-              io_waiters[static_cast<size_t>(t.id)][ref.reg].push_back(
+              waiter_pool.push_back(
+                  io_waiters[static_cast<size_t>(t.id)][ref.reg],
                   {d->self, static_cast<u8>(i)});
           }
           break;
@@ -177,8 +178,9 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
                     in.value = prf.value(pe.cur_phys);
                 } else {
                     in.watch = pe.cur_phys;
-                    psubs[static_cast<size_t>(pe.cur_phys)]
-                        .io_subs.push_back({c.id, c.gen, r});
+                    io_sub_pool.push_back(
+                        psubs[static_cast<size_t>(pe.cur_phys)].io_subs,
+                        {c.id, c.gen, r});
                 }
             }
         } else {
@@ -188,7 +190,8 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
                 in.value = pin.value;
             } else if (pin.watch != kNoPhysReg) {
                 in.watch = pin.watch;
-                psubs[static_cast<size_t>(pin.watch)].io_subs.push_back(
+                io_sub_pool.push_back(
+                    psubs[static_cast<size_t>(pin.watch)].io_subs,
                     {c.id, c.gen, r});
             }
         }

@@ -274,10 +274,11 @@ DmtEngine::finalRetireEntry(ThreadContext &t, TBEntry &entry)
         DMT_ASSERT(ok, "%s", checker->error().c_str());
     }
 
-    noteRetiredForPredictors(entry);
-
-    // Lookahead accounting (Figures 8 and 9).
+    // Lookahead accounting (Figures 8 and 9) and spawn-predictor
+    // training; trySpawn, the predictor's only reader, runs on DMT
+    // machines only.
     if (cfg.isDmt()) {
+        noteRetiredForPredictors(entry);
         if (branch_eps.covered(entry.fetch_cycle, entry.branch_episode))
             ++stats_.la_fetch_beyond_mispredict;
         if (entry.first_exec_cycle != 0
@@ -389,10 +390,8 @@ DmtEngine::fullyRetireThread(ThreadContext &t)
     tree.remove(t.id);
     t.active = false;
     ++t.gen;
-    // Per-element clear keeps each waiter vector's capacity (fill({})
-    // would replace them with freshly-constructed empties).
     for (auto &waiters : io_waiters[static_cast<size_t>(t.id)])
-        waiters.clear();
+        waiter_pool.clear(waiters);
     head_validated = false;
 }
 

@@ -14,15 +14,6 @@ Lsq::Lsq(int lq_per_thread_, int sq_per_thread_, int max_threads)
     const int sq_total = sq_per_thread * max_threads;
     loads.resize(static_cast<size_t>(lq_total));
     stores.resize(static_cast<size_t>(sq_total));
-    // Per-slot lists start at one thread's load-queue size.  The rare
-    // list that outgrows it grows once and keeps the capacity across
-    // reuse (DESIGN.md section 11), so the hot path stays
-    // allocation-free after warmup without every slot paying for the
-    // all-threads bound.
-    for (LsqStore &st : stores) {
-        st.stall_waiters.reserve(static_cast<size_t>(lq_per_thread));
-        st.forwardees.reserve(static_cast<size_t>(lq_per_thread));
-    }
     unexecuted_.reserve(static_cast<size_t>(sq_total));
     unexecuted_pos_.assign(static_cast<size_t>(sq_total), -1);
     for (int i = lq_total - 1; i >= 0; --i)
@@ -65,20 +56,12 @@ Lsq::allocStore(ThreadId tid, u32 tgen, u64 tb_id)
     const i32 id = free_stores.back();
     free_stores.pop_back();
     LsqStore &e = stores[static_cast<size_t>(id)];
-    // Field-wise reset: assigning LsqStore{} would free the vectors'
-    // capacity that freeStore() deliberately preserved.
+    // freeStore() returned both lists' nodes to their pools.
+    e = LsqStore{};
     e.valid = true;
     e.tid = tid;
     e.tgen = tgen;
     e.tb_id = tb_id;
-    e.executed = false;
-    e.addr = 0;
-    e.bytes = 0;
-    e.data = 0;
-    e.retired = false;
-    e.retire_seq = 0;
-    e.stall_waiters.clear();
-    e.forwardees.clear();
     ++sq_count[static_cast<size_t>(tid)];
     unexecuted_pos_[static_cast<size_t>(id)] =
         static_cast<i32>(unexecuted_.size());
@@ -123,25 +106,24 @@ Lsq::freeStore(i32 id, bool squashed)
         // they consumed phantom data and must re-execute; on a normal
         // drain their data was correct, but the dangling reference
         // must still be cleared before the slot is reused.
-        for (i32 lid : e.forwardees) {
+        fwd_pool.forEach(e.forwardees, [&](i32 lid) {
             LsqLoad &ld = loads[static_cast<size_t>(lid)];
             if (!ld.valid || !ld.issued || ld.fwd_store != id)
-                continue;
+                return;
             ld.fwd_store = -1;
             if (squashed)
                 result.orphaned_loads.push_back(lid);
-        }
+        });
     } else {
         unlistUnexecuted(id);
     }
-    // Copy (not move) so both the entry's and the scratch's capacity
-    // survive for reuse.
-    result.stall_waiters.assign(e.stall_waiters.begin(),
-                                e.stall_waiters.end());
+    stall_pool.forEach(e.stall_waiters, [&](DynRef ref) {
+        result.stall_waiters.push_back(ref);
+    });
     --sq_count[static_cast<size_t>(e.tid)];
     e.valid = false;
-    e.stall_waiters.clear();
-    e.forwardees.clear();
+    stall_pool.clear(e.stall_waiters);
+    fwd_pool.clear(e.forwardees);
     free_stores.push_back(id);
     return result;
 }
@@ -243,7 +225,7 @@ Lsq::loadIssue(i32 lq_id, Addr addr, u8 bytes, const OrderOracle &order)
     if (contains(addr, bytes, st.addr, st.bytes)) {
         result.kind = LoadIssueResult::Forward;
         ld.fwd_store = best;
-        st.forwardees.push_back(lq_id);
+        fwd_pool.push_back(st.forwardees, lq_id);
     } else {
         result.kind = LoadIssueResult::Stall;
     }
@@ -372,7 +354,7 @@ Lsq::storeBeforeLoad(const LsqStore &st, const LsqLoad &ld,
 void
 Lsq::addStallWaiter(i32 sq_id, DynRef dyn)
 {
-    store(sq_id).stall_waiters.push_back(dyn);
+    stall_pool.push_back(store(sq_id).stall_waiters, dyn);
 }
 
 bool

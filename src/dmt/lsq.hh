@@ -28,6 +28,7 @@
 
 #include <vector>
 
+#include "common/list_pool.hh"
 #include "common/types.hh"
 #include "dmt/dyninst.hh"
 #include "dmt/word_index.hh"
@@ -82,9 +83,9 @@ struct LsqStore
     u64 retire_seq = 0;
 
     /** Loads stalled until this store drains (partial overlap). */
-    std::vector<DynRef> stall_waiters;
+    ListPool<DynRef>::List stall_waiters;
     /** Loads that forwarded from this store (may contain stale ids). */
-    std::vector<i32> forwardees;
+    ListPool<i32>::List forwardees;
 };
 
 /** The combined load/store queue unit. */
@@ -210,6 +211,9 @@ class Lsq
 
     std::vector<LsqLoad> loads;
     std::vector<LsqStore> stores;
+    /** Node pools behind every store slot's two lists. */
+    ListPool<DynRef> stall_pool;
+    ListPool<i32> fwd_pool;
     std::vector<i32> free_loads;
     std::vector<i32> free_stores;
     std::vector<int> lq_count; // per thread

@@ -479,6 +479,48 @@ InvariantAuditor::auditLookaheadHorizon(const DmtEngine &e,
     return true;
 }
 
+/** Each pooled list family: every node free or on exactly one list. */
+bool
+InvariantAuditor::auditListPools(const DmtEngine &e, std::string *why)
+{
+    auto audit = [&](const char *name, const auto &pool,
+                     auto &&visit_lists) {
+        std::string pool_why;
+        return pool.audit(visit_lists, &pool_why)
+            || fail(why, "%s pool: %s", name, pool_why.c_str());
+    };
+    const Lsq &q = e.lsq;
+    return audit("calendar", e.calendar_pool,
+                 [&](auto &&list) {
+                     for (const auto &slot : e.calendar)
+                         list(slot);
+                 })
+        && audit("operand-waiter", e.waiter_pool,
+                 [&](auto &&list) {
+                     for (const auto &subs : e.psubs)
+                         list(subs.waiters);
+                     for (const auto &per_thread : e.io_waiters) {
+                         for (const auto &waiters : per_thread)
+                             list(waiters);
+                     }
+                 })
+        && audit("input-subscription", e.io_sub_pool,
+                 [&](auto &&list) {
+                     for (const auto &subs : e.psubs)
+                         list(subs.io_subs);
+                 })
+        && audit("lsq stall-waiter", q.stall_pool,
+                 [&](auto &&list) {
+                     for (const LsqStore &st : q.stores)
+                         list(st.stall_waiters);
+                 })
+        && audit("lsq forwardee", q.fwd_pool,
+                 [&](auto &&list) {
+                     for (const LsqStore &st : q.stores)
+                         list(st.forwardees);
+                 });
+}
+
 bool
 InvariantAuditor::checkNoThrow(const DmtEngine &e, std::string *why)
 {
@@ -499,6 +541,8 @@ InvariantAuditor::checkNoThrow(const DmtEngine &e, std::string *why)
     if (!auditDrainQueue(e, why))
         return false;
     if (!auditRegsAndWindow(e, why))
+        return false;
+    if (!auditListPools(e, why))
         return false;
     return true;
 }

@@ -22,7 +22,10 @@
  *    live non-squashed pipeline population;
  *  - lookahead horizon: no trace-buffer or fetch-queue entry was
  *    fetched before the cycle the episode trackers were last pruned
- *    at, which is what makes that prune exact.
+ *    at, which is what makes that prune exact;
+ *  - list pools: every node of the calendar, operand-waiter,
+ *    input-subscription and LSQ store-list pools is either free or on
+ *    exactly one list.
  *
  * Scheduling is the engine's job (SimConfig::audit_period / DMT_AUDIT);
  * when a sweep fails the auditor attaches a full JSON post-mortem to
@@ -73,6 +76,7 @@ class InvariantAuditor
     static bool auditLookaheadHorizon(const DmtEngine &e,
                                       const ThreadContext &t,
                                       std::string *why);
+    static bool auditListPools(const DmtEngine &e, std::string *why);
 };
 
 } // namespace dmt

@@ -214,13 +214,18 @@ parseRequest(std::string_view line, Request *out, std::string *err,
             return false;
     }
 
+    // A budget the job names, 0 included, wins over the daemon's
+    // default: an explicit 0 resolves as runWorkloadJob() resolves it
+    // (the whole program when sampled, kBenchRunLength when detailed).
     u64 budget = job.cfg.max_retired; // config override as fallback
+    u64 fallback = default_budget;
     if (const JsonValue *m = jobv->find("max_retired")) {
         if (!readInt(*m, "max_retired", &budget, e))
             return false;
+        fallback = 0;
     }
     job.max_retired =
-        effectiveBudget(job.sample.enabled(), budget, default_budget);
+        effectiveBudget(job.sample.enabled(), budget, fallback);
     // The budget is part of the machine's canonical identity, so the
     // cache key derived from cfg covers it.
     job.cfg.max_retired = job.max_retired;

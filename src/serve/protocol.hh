@@ -95,7 +95,9 @@ struct Request
  * workload resolves through resolveWorkload(), and the whole config
  * must pass SimConfig::validate(), the same check a local run makes.
  * A run job that names no budget gets @p default_budget
- * (ServeOptions::default_budget) through effectiveBudget().
+ * (ServeOptions::default_budget) through effectiveBudget(); one that
+ * names "max_retired", 0 included, gets exactly what runWorkloadJob()
+ * would make of it.
  * @retval false with a description in @p err (when given); the caller
  * turns that into an error reply.
  */

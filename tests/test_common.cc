@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the common infrastructure: bit utilities, the
- * deterministic RNG, statistics primitives and string helpers.
+ * deterministic RNG, statistics primitives, string helpers and the
+ * pooled FIFO lists.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bitutils.hh"
+#include "common/list_pool.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/strutil.hh"
@@ -202,6 +205,114 @@ TEST(StrUtil, StrPrintf)
 {
     EXPECT_EQ(strprintf("%d-%s", 7, "x"), "7-x");
     EXPECT_EQ(strprintf("%04x", 0xab), "00ab");
+}
+
+using IntPool = ListPool<int>;
+
+std::vector<int>
+contents(const IntPool &pool, const IntPool::List &l)
+{
+    std::vector<int> out;
+    pool.forEach(l, [&](int v) { out.push_back(v); });
+    return out;
+}
+
+/** Audit @p pool against exactly @p lists. */
+bool
+auditOver(const IntPool &pool, const std::vector<const IntPool::List *> &lists,
+          std::string *why = nullptr)
+{
+    return pool.audit(
+        [&](auto &&list) {
+            for (const IntPool::List *l : lists)
+                list(*l);
+        },
+        why);
+}
+
+TEST(ListPool, FifoOrderAcrossNodeReuse)
+{
+    IntPool pool;
+    IntPool::List a, b;
+    for (int i = 0; i < 5; ++i)
+        pool.push_back(a, i);
+    pool.clear(a);
+    EXPECT_TRUE(a.empty());
+    // Interleaved pushes draw the freed nodes in LIFO order; each list
+    // must still read back in its own push order.
+    for (int i = 0; i < 4; ++i) {
+        pool.push_back(b, 10 + i);
+        pool.push_back(a, 20 + i);
+    }
+    EXPECT_EQ(contents(pool, a), (std::vector<int>{20, 21, 22, 23}));
+    EXPECT_EQ(contents(pool, b), (std::vector<int>{10, 11, 12, 13}));
+    EXPECT_EQ(pool.capacity(), 8u) << "freed nodes were not reused";
+    std::string why;
+    EXPECT_TRUE(auditOver(pool, {&a, &b}, &why)) << why;
+}
+
+TEST(ListPool, ClearReturnsEveryNode)
+{
+    IntPool pool;
+    std::vector<IntPool::List> lists(16);
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 200; ++i)
+            pool.push_back(lists[static_cast<size_t>(i * 7 % 16)], i);
+        for (IntPool::List &l : lists)
+            pool.clear(l);
+        std::string why;
+        EXPECT_TRUE(auditOver(pool, {}, &why))
+            << "round " << round << ": " << why;
+        EXPECT_EQ(pool.capacity(), 200u)
+            << "round " << round << " grew past the in-flight peak";
+    }
+    // A node held by no list and absent from the free list is a leak.
+    IntPool::List kept;
+    pool.push_back(kept, 1);
+    std::string why;
+    EXPECT_FALSE(auditOver(pool, {}, &why));
+    EXPECT_NE(why.find("leaked"), std::string::npos) << why;
+}
+
+TEST(ListPool, GrowthLeavesLiveAndWalkedListsIntact)
+{
+    IntPool pool;
+    std::vector<IntPool::List> lists(5);
+    std::vector<std::vector<int>> expect(lists.size());
+    // Several live lists while the pool doubles many times over.
+    for (int i = 0; i < 1000; ++i) {
+        const size_t k = static_cast<size_t>(i % 5);
+        pool.push_back(lists[k], i);
+        expect[k].push_back(i);
+    }
+    for (size_t k = 0; k < lists.size(); ++k)
+        EXPECT_EQ(contents(pool, lists[k]), expect[k]);
+
+    // Walk list 0 while every visit pushes onto the other lists (the
+    // pool grows under the walk) and, for the first few, onto list 0
+    // itself (the walk must see those appends too).
+    std::vector<int> walked;
+    const size_t before = pool.capacity();
+    pool.forEach(lists[0], [&](int v) {
+        walked.push_back(v);
+        for (size_t k = 1; k < lists.size(); ++k) {
+            pool.push_back(lists[k], -v);
+            expect[k].push_back(-v);
+        }
+        if (v < 20) {
+            pool.push_back(lists[0], 5000 + v);
+            expect[0].push_back(5000 + v);
+        }
+    });
+    EXPECT_GT(pool.capacity(), before) << "the walk never grew the pool";
+    EXPECT_EQ(walked, expect[0]);
+    for (size_t k = 0; k < lists.size(); ++k)
+        EXPECT_EQ(contents(pool, lists[k]), expect[k]) << "list " << k;
+    std::string why;
+    EXPECT_TRUE(auditOver(pool, {&lists[0], &lists[1], &lists[2],
+                                 &lists[3], &lists[4]},
+                          &why))
+        << why;
 }
 
 } // namespace

@@ -10,9 +10,10 @@
  *    a node-based container on a hot path) fails this test
  *    deterministically.
  *
- * 2. Construction footprint: the same allocator sums the bytes an
- *    engine allocates while it is built, so tables sized for the
- *    worst case (or for a feature the machine never uses) show up.
+ * 2. Construction footprint: the same allocator sums the bytes and
+ *    counts the allocations an engine makes while it is built, so
+ *    tables sized for the worst case (or for a feature the machine
+ *    never uses) and per-slot reserves show up.
  *
  * 3. Issue-order semantics: the ReadyQueue must pop oldest-first (by
  *    the dispatch-time sequence number) and an FU-stalled instruction
@@ -221,37 +222,50 @@ TEST(HotPath, ZeroAllocationsInWarmSteadyState)
 // Construction footprint
 // ---------------------------------------------------------------------
 
-/** Bytes allocated while constructing an engine for go, resumed from
+/** What constructing one engine allocated. */
+struct Footprint
+{
+    unsigned long long bytes = 0;
+    unsigned long long allocs = 0;
+};
+
+/** Allocations made while constructing an engine for go, resumed from
  *  @p resume when set. */
-unsigned long long
-constructionBytes(const SimConfig &cfg,
-                  const Checkpoint *resume = nullptr)
+Footprint
+constructionFootprint(const SimConfig &cfg,
+                      const Checkpoint *resume = nullptr)
 {
     const Program prog = buildWorkload("go");
     g_alloc_bytes.store(0, std::memory_order_relaxed);
+    g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
     {
         const DmtEngine engine(cfg, prog, resume);
         g_count_allocs.store(false, std::memory_order_relaxed);
     }
-    return g_alloc_bytes.load(std::memory_order_relaxed);
+    return {g_alloc_bytes.load(std::memory_order_relaxed),
+            g_alloc_count.load(std::memory_order_relaxed)};
 }
 
 TEST(HotPath, EngineConstructionFootprint)
 {
     // Tables are sized for what a machine can use, and reserved when
     // it first does: the lookahead trackers on their first episode,
-    // each store slot's waiter lists for one thread's load queue.
+    // and the per-slot waiter, subscription and calendar lists as
+    // their node pools fill, not one reserve per slot.
     constexpr unsigned long long kMiB = 1ull << 20;
-    const unsigned long long base = constructionBytes(exp::baseline());
-    const unsigned long long dmt6 =
-        constructionBytes(SimConfig::dmt(6, 2));
-    RecordProperty("baseline_bytes", std::to_string(base));
-    RecordProperty("dmt6_bytes", std::to_string(dmt6));
-    EXPECT_LT(base, 2 * kMiB) << "baseline engine allocated " << base
-                              << " bytes";
-    EXPECT_LT(dmt6, 4 * kMiB) << "dmt6 engine allocated " << dmt6
-                              << " bytes";
+    const Footprint base = constructionFootprint(exp::baseline());
+    const Footprint dmt6 = constructionFootprint(SimConfig::dmt(6, 2));
+    RecordProperty("baseline_bytes", std::to_string(base.bytes));
+    RecordProperty("baseline_allocs", std::to_string(base.allocs));
+    RecordProperty("dmt6_bytes", std::to_string(dmt6.bytes));
+    RecordProperty("dmt6_allocs", std::to_string(dmt6.allocs));
+    EXPECT_LT(base.bytes, 3 * kMiB / 4)
+        << "baseline engine allocated " << base.bytes << " bytes";
+    EXPECT_LT(dmt6.bytes, kMiB)
+        << "dmt6 engine allocated " << dmt6.bytes << " bytes";
+    EXPECT_LT(dmt6.allocs, 200u)
+        << "dmt6 engine made " << dmt6.allocs << " allocations";
 
     // A resumed engine and its golden checker share the checkpoint's
     // pages, so sixteen more pages in the checkpoint cost map entries,
@@ -264,9 +278,9 @@ TEST(HotPath, EngineConstructionFootprint)
     for (u32 i = 0; i < 16; ++i)
         big.mem.write32(0x40000000u + i * MainMemory::kPageSize, i + 1);
     const unsigned long long resumed_small =
-        constructionBytes(SimConfig::dmt(6, 2), &small);
+        constructionFootprint(SimConfig::dmt(6, 2), &small).bytes;
     const unsigned long long resumed_big =
-        constructionBytes(SimConfig::dmt(6, 2), &big);
+        constructionFootprint(SimConfig::dmt(6, 2), &big).bytes;
     RecordProperty("dmt6_resumed_bytes", std::to_string(resumed_small));
     EXPECT_LT(resumed_big, resumed_small + MainMemory::kPageSize)
         << "resuming from 16 more pages allocated "

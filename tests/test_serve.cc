@@ -359,6 +359,32 @@ TEST(Protocol, BudgetDefaultsMatchLocalRuns)
                              &req, &err));
     EXPECT_EQ(req.job.max_retired, 0u)
         << "sampled with no default budget = whole program";
+
+    // A budget the job names, 0 included, wins over the daemon's
+    // default and resolves as runWorkloadJob() resolves it.
+    ASSERT_TRUE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
+                             "\"go\",\"sample\":\"1000:100:200\","
+                             "\"max_retired\":0}}",
+                             &req, &err, kDefault))
+        << err;
+    EXPECT_EQ(req.job.max_retired, 0u)
+        << "sampled with an explicit 0 = whole program";
+    EXPECT_EQ(req.job.cfg.max_retired, 0u);
+
+    ASSERT_TRUE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
+                             "\"go\",\"max_retired\":0}}",
+                             &req, &err, kDefault))
+        << err;
+    EXPECT_EQ(req.job.max_retired, kBenchRunLength)
+        << "detailed with an explicit 0 = runWorkloadJob()'s default";
+    EXPECT_EQ(req.job.cfg.max_retired, kBenchRunLength);
+
+    ASSERT_TRUE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
+                             "\"go\",\"max_retired\":3000}}",
+                             &req, &err, kDefault))
+        << err;
+    EXPECT_EQ(req.job.max_retired, 3000u)
+        << "an explicit budget wins over the daemon's default";
 }
 
 TEST(Protocol, ExtractRawResult)

@@ -4,7 +4,8 @@
  * must produce a catchable SimError carrying a machine-parseable JSON
  * post-mortem (and write it to the configured crash file), naming the
  * context that stopped retiring; a deliberately corrupted order tree
- * must be caught by the auditor, not by undefined behaviour later.
+ * or pooled list must be caught by the auditor, not by undefined
+ * behaviour later.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,8 @@
 namespace dmt
 {
 
-/** White-box sabotage hooks (friend of DmtEngine and OrderTree). */
+/** White-box sabotage hooks (friend of DmtEngine, OrderTree and
+ *  ListPool). */
 class EngineInspector
 {
   public:
@@ -58,6 +60,21 @@ class EngineInspector
         e.tree.parent[static_cast<size_t>(tid)] = tid;
         e.tree.kids[static_cast<size_t>(tid)].push_back(tid);
         e.tree.invalidate();
+    }
+
+    /** Point the first node of a non-empty completion-calendar list
+     *  back at itself (a cycle).  @return false when every slot is
+     *  empty. */
+    static bool
+    loopCalendarList(DmtEngine &e)
+    {
+        for (const auto &slot : e.calendar) {
+            if (!slot.empty()) {
+                e.calendar_pool.nodes_[slot.head].next = slot.head;
+                return true;
+            }
+        }
+        return false;
     }
 };
 
@@ -179,6 +196,25 @@ TEST(Auditor, OrderTreeCycleIsCaughtNotWalkedForever)
     EngineInspector::selfParent(e, 0);
     std::string why;
     EXPECT_FALSE(InvariantAuditor::checkNoThrow(e, &why));
+    EXPECT_THROW(InvariantAuditor::check(e), SimError);
+}
+
+TEST(Auditor, CorruptedListLinkIsCaughtNotWalkedForever)
+{
+    SimConfig cfg = SimConfig::dmt(4, 2);
+    cfg.crash_file.clear();
+    DmtEngine e(cfg, spinProgram());
+    bool corrupted = false;
+    for (int i = 0; i < 1000 && !corrupted; ++i) {
+        e.step();
+        std::string why;
+        ASSERT_TRUE(InvariantAuditor::checkNoThrow(e, &why)) << why;
+        corrupted = EngineInspector::loopCalendarList(e);
+    }
+    ASSERT_TRUE(corrupted) << "no completion was ever in flight";
+    std::string why;
+    EXPECT_FALSE(InvariantAuditor::checkNoThrow(e, &why));
+    EXPECT_NE(why.find("calendar pool"), std::string::npos) << why;
     EXPECT_THROW(InvariantAuditor::check(e), SimError);
 }
 
