@@ -3,8 +3,9 @@
  * Ablation bench (beyond the paper's figures): the design choices
  * DESIGN.md calls out, each toggled on the 4-thread machine —
  * early divergence repair vs the paper's retirement-time flush,
- * dataflow-sync vs speculate-and-recover, recovery stall policies, and
- * spawn-source restrictions (calls only / loops only).
+ * dataflow-sync vs speculate-and-recover, the memory-dependence
+ * throttle vs the paper's speculate-every-load, recovery stall
+ * policies, and spawn-source restrictions (calls only / loops only).
  */
 
 #include "bench_common.hh"
@@ -29,6 +30,11 @@ benchMain()
         SimConfig c = SimConfig::dmt(4, 2);
         c.dataflow_sync = true;
         cols.push_back({"df-sync", c});
+    }
+    {
+        SimConfig c = SimConfig::dmt(4, 2);
+        c.memdep_sync = false;
+        cols.push_back({"no-memdep", c});
     }
     {
         SimConfig c = SimConfig::dmt(4, 2);

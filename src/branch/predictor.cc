@@ -3,9 +3,8 @@
 namespace dmt
 {
 
-BranchPredictorUnit::BranchPredictorUnit(const PredictorParams &params)
-    : gshare_(params.gshare_table_bits, params.gshare_history_bits),
-      btb_(params.btb_index_bits)
+BranchPredictorUnit::BranchPredictorUnit()
+    : gshare_(kGshareTableBits, kGshareHistoryBits), btb_(kBtbIndexBits)
 {
 }
 

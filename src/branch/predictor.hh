@@ -43,14 +43,6 @@ struct BranchPrediction
     bool target_unknown = false;
 };
 
-/** Predictor sizing. */
-struct PredictorParams
-{
-    int gshare_table_bits = 16;
-    int gshare_history_bits = 12;
-    int btb_index_bits = 14;
-};
-
 /**
  * Shared predictor unit.  predict() also performs the speculative
  * per-thread updates (history shift, RAS push/pop); callers checkpoint
@@ -59,7 +51,12 @@ struct PredictorParams
 class BranchPredictorUnit
 {
   public:
-    explicit BranchPredictorUnit(const PredictorParams &params);
+    /** Table sizes: the paper's "gshare with very large tables". */
+    static constexpr int kGshareTableBits = 16;
+    static constexpr int kGshareHistoryBits = 12;
+    static constexpr int kBtbIndexBits = 14;
+
+    BranchPredictorUnit();
 
     /**
      * Predict the control transfer of @p inst at @p pc for a thread

@@ -25,33 +25,35 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
     : cfg(cfg_),
       prog(prog_),
       hier(cfg_.mem),
-      bpu(cfg_.bpred),
       prf(cfg_.physRegCount()),
       lsq(cfg_.lqSize(), cfg_.sqSize(), cfg_.max_threads),
       tree(cfg_.max_threads),
       spawn_pred(kSpawnTableBits, cfg_.max_threads, kMinThreadSize),
       df_pred(),
-      fus(cfg_.unlimited_fus, cfg_.fus, cfg_.lat_div)
+      fus(cfg_.unlimited_fus)
 {
     if (const std::string bad = cfg.validate(); !bad.empty())
         panic("%s", bad.c_str());
     tracer_.configure(cfg.trace);
     injector_.configure(cfg.fault);
+
+    // The architectural start state: the checkpoint's mid-stream state,
+    // or the program's entry conditions with its image loaded once.
+    // The golden checker forks from it, sharing every memory page
+    // copy-on-write.
+    ArchState init;
     if (resume) {
         DMT_ASSERT(!resume->state.halted,
                    "cannot resume from a halted checkpoint");
         DMT_ASSERT(resume->prog_hash == prog_hash,
                    "checkpoint was taken against a different program");
+        init = resume->state;
         mem = resume->mem;
     } else {
+        init.reset(prog);
         mem.loadProgram(prog);
     }
-    if (cfg.check_golden) {
-        checker = resume
-            ? std::make_unique<GoldenChecker>(prog, resume->state,
-                                              resume->mem)
-            : std::make_unique<GoldenChecker>(prog);
-    }
+    checker = std::make_unique<GoldenChecker>(prog, init, mem);
     warmup_pending_ = cfg.warmup_retired > 0;
 
     psubs.resize(static_cast<size_t>(prf.count()));
@@ -75,19 +77,13 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
         threads.back()->active = false;
     }
 
-    // Bring up the initial (architectural) thread — at the program's
-    // entry conditions, or at the checkpoint's mid-stream state.
+    // Bring up the initial (architectural) thread at the start state.
     ThreadContext &t0 = *threads[0];
     t0.resetFor(0, cfg.tb_size);
-    t0.start_pc = t0.pc = resume ? resume->state.pc : prog.entry;
+    t0.start_pc = t0.pc = init.pc;
     tree.resetWith(0);
 
     // Architectural initial register values are exact thread inputs.
-    ArchState init;
-    if (resume)
-        init = resume->state;
-    else
-        init.reset(prog);
     for (int r = 0; r < kNumLogRegs; ++r) {
         IoInput &in = t0.io.in[static_cast<size_t>(r)];
         in.valid = true;
@@ -195,18 +191,6 @@ DmtEngine::memBefore(ThreadId tid_a, u64 tb_a, ThreadId tid_b,
     if (tid_a == tid_b)
         return tb_a < tb_b;
     return tree.before(tid_a, tid_b);
-}
-
-bool
-DmtEngine::goldenOk() const
-{
-    return !checker || checker->ok();
-}
-
-std::string
-DmtEngine::goldenError() const
-{
-    return checker ? checker->error() : std::string();
 }
 
 void
@@ -546,14 +530,6 @@ DmtEngine::squashThreadTree(ThreadId tid)
     // Squash leaves first so tree.remove never splices live children.
     for (size_t i = victims.size(); i > 0; --i)
         squashThread(ctx(victims[i - 1]));
-}
-
-void
-DmtEngine::checkRegConservation()
-{
-    DMT_ASSERT(prf.numFree() == prf.count(),
-               "physical register leak: %d of %d free", prf.numFree(),
-               prf.count());
 }
 
 } // namespace dmt

@@ -44,6 +44,7 @@
 #include "sim/checker.hh"
 #include "sim/mainmem.hh"
 #include "trace/tracer.hh"
+#include "uarch/config.hh"
 #include "uarch/fu.hh"
 #include "uarch/physregs.hh"
 
@@ -56,6 +57,10 @@ struct Checkpoint;
 class DmtEngine : public OrderOracle
 {
   public:
+    /** Extra cycles for a load that a store in another thread's queue
+     *  forwards to (paper Section 4). */
+    static constexpr Cycle kCrossThreadForwardLatency = 2;
+
     /**
      * @param resume optional architectural checkpoint to start from:
      *        mid-stream PC, registers and memory replace the program's
@@ -107,9 +112,11 @@ class DmtEngine : public OrderOracle
     /** Values emitted by retired OUT instructions, in order. */
     const std::vector<u32> &outputStream() const { return out_stream; }
 
-    /** Golden-checker status. */
-    bool goldenOk() const;
-    std::string goldenError() const;
+    /** Golden-checker status: every finally-retired instruction is
+     *  verified, so false means the engine diverged from sequential
+     *  execution (goldenError() says where). */
+    bool goldenOk() const { return checker->ok(); }
+    const std::string &goldenError() const { return checker->error(); }
 
     /** Architectural (retired) register value. */
     u32 retiredReg(LogReg r) const { return retire_regs[r]; }
@@ -248,7 +255,6 @@ class DmtEngine : public OrderOracle
 
     bool isHead(const ThreadContext &t) const { return tree.head() == t.id; }
     PhysReg allocPhys();
-    void checkRegConservation();
     [[noreturn]] void watchdogExpired();
     void beginMeasurement();
 
@@ -266,6 +272,7 @@ class DmtEngine : public OrderOracle
     SpawnPredictor spawn_pred;
     DataflowPredictor df_pred;
     FuPool fus;
+    /** Lock-step golden model, forked from the start state. */
     std::unique_ptr<GoldenChecker> checker;
 
     // ---- machine state ------------------------------------------------------

@@ -204,7 +204,7 @@ DmtEngine::executeMem(DynInst *d, TBEntry &entry)
             handleLsqViolations(violations);
         }
         ++stats_.stores_issued;
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_alu));
+        scheduleCompletion(d, FuPool::kAluLatency);
         return;
     }
 
@@ -237,7 +237,7 @@ DmtEngine::executeMem(DynInst *d, TBEntry &entry)
         raw = Lsq::extractStoreBytes(lsq.store(res.store_id), addr,
                                      bytes);
         if (res.cross_thread) {
-            lat += static_cast<Cycle>(cfg.lat_xthread_forward);
+            lat += kCrossThreadForwardLatency;
             ++stats_.fwd_cross_thread;
         } else {
             ++stats_.fwd_same_thread;
@@ -279,15 +279,15 @@ DmtEngine::executeDyn(DynInst *d)
     switch (inst.info().opClass) {
       case OpClass::IntAlu:
         d->result = aluCompute(inst, d->src_val[0], d->src_val[1]);
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_alu));
+        scheduleCompletion(d, FuPool::kAluLatency);
         break;
       case OpClass::IntMul:
         d->result = aluCompute(inst, d->src_val[0], d->src_val[1]);
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_mul));
+        scheduleCompletion(d, FuPool::kMulLatency);
         break;
       case OpClass::IntDiv:
         d->result = aluCompute(inst, d->src_val[0], d->src_val[1]);
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_div));
+        scheduleCompletion(d, FuPool::kDivLatency);
         break;
       case OpClass::MemRead:
       case OpClass::MemWrite:
@@ -296,12 +296,12 @@ DmtEngine::executeDyn(DynInst *d)
       case OpClass::Control:
         if (inst.isCall())
             d->result = d->pc + 4; // link value
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_alu));
+        scheduleCompletion(d, FuPool::kAluLatency);
         break;
       case OpClass::Other:
         if (inst.op == Opcode::OUT)
             d->result = d->src_val[0];
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_alu));
+        scheduleCompletion(d, FuPool::kAluLatency);
         break;
     }
 }

@@ -79,7 +79,7 @@ DmtEngine::doStoreDrain()
 {
     if (drain_q.empty())
         return;
-    int budget = cfg.unlimited_fus ? 8 : cfg.fus.mem_ports;
+    int budget = cfg.unlimited_fus ? 8 : FuPool::kMemPorts;
     while (!drain_q.empty() && budget > 0) {
         if (!cfg.unlimited_fus
             && !fus.tryIssue(OpClass::MemWrite, now_)) {
@@ -269,10 +269,8 @@ DmtEngine::finalRetireEntry(ThreadContext &t, TBEntry &entry)
         out_stream.push_back(entry.result);
     }
 
-    if (checker) {
-        const bool ok = checker->onRetire(rec);
-        DMT_ASSERT(ok, "%s", checker->error().c_str());
-    }
+    const bool ok = checker->onRetire(rec);
+    DMT_ASSERT(ok, "%s", checker->error().c_str());
 
     // Lookahead accounting (Figures 8 and 9) and spawn-predictor
     // training; trySpawn, the predictor's only reader, runs on DMT

@@ -4,7 +4,7 @@ namespace dmt
 {
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2)
+    : l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2)
 {
 }
 

@@ -13,23 +13,23 @@
 namespace dmt
 {
 
-/** Hierarchy geometry and penalties. */
+/** Hierarchy geometry. */
 struct HierarchyParams
 {
     CacheParams l1i{"l1i", 16 * 1024, 2, 32};
     CacheParams l1d{"l1d", 16 * 1024, 2, 32};
     CacheParams l2{"l2", 256 * 1024, 4, 64};
-    Cycle l1_miss_penalty = 4;
-    Cycle l2_miss_penalty = 20;
-    /** When true every access hits (used by idealized configs). */
-    bool perfect_icache = false;
-    bool perfect_dcache = false;
 };
 
 /** Shared-L2 two-level hierarchy, timing only. */
 class MemHierarchy
 {
   public:
+    /** Cycles an L1 miss adds when the L2 hits. */
+    static constexpr Cycle kL1MissPenalty = 4;
+    /** Cycles an L2 miss adds on top of the L1 miss penalty. */
+    static constexpr Cycle kL2MissPenalty = 20;
+
     explicit MemHierarchy(const HierarchyParams &params);
 
     /**
@@ -39,26 +39,22 @@ class MemHierarchy
     Cycle
     instAccess(Addr addr)
     {
-        if (params_.perfect_icache)
-            return 0;
         if (l1i_.access(addr, false))
             return 0;
         if (l2_.access(addr, false))
-            return params_.l1_miss_penalty;
-        return params_.l1_miss_penalty + params_.l2_miss_penalty;
+            return kL1MissPenalty;
+        return kL1MissPenalty + kL2MissPenalty;
     }
 
     /** Data lookup; @p write marks the line dirty. */
     Cycle
     dataAccess(Addr addr, bool write)
     {
-        if (params_.perfect_dcache)
-            return 0;
         if (l1d_.access(addr, write))
             return 0;
         if (l2_.access(addr, write))
-            return params_.l1_miss_penalty;
-        return params_.l1_miss_penalty + params_.l2_miss_penalty;
+            return kL1MissPenalty;
+        return kL1MissPenalty + kL2MissPenalty;
     }
 
     void reset();
@@ -66,10 +62,8 @@ class MemHierarchy
     const Cache &l1i() const { return l1i_; }
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
-    const HierarchyParams &params() const { return params_; }
 
   private:
-    HierarchyParams params_;
     Cache l1i_;
     Cache l1d_;
     Cache l2_;

@@ -7,13 +7,6 @@
 namespace dmt
 {
 
-GoldenChecker::GoldenChecker(const Program &prog_)
-    : prog(prog_)
-{
-    state.reset(prog);
-    mem.loadProgram(prog);
-}
-
 GoldenChecker::GoldenChecker(const Program &prog_,
                              const ArchState &state_, const MainMemory &mem_)
     : prog(prog_), state(state_), mem(mem_)

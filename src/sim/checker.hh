@@ -39,13 +39,11 @@ struct RetireRecord
 class GoldenChecker
 {
   public:
-    explicit GoldenChecker(const Program &prog);
-
     /**
-     * Start checking mid-stream from a checkpointed architectural
-     * state (@p state, @p mem) instead of the program's entry
-     * conditions.  The timing simulator being checked must resume from
-     * the identical snapshot.
+     * Start checking from the architectural state (@p state, @p mem)
+     * the timing simulator being checked starts from: the program's
+     * entry conditions or a mid-stream checkpoint.  The copy of @p mem
+     * shares its pages copy-on-write.
      */
     GoldenChecker(const Program &prog, const ArchState &state,
                   const MainMemory &mem);

@@ -2,6 +2,7 @@
 
 #include "common/json.hh"
 #include "common/strutil.hh"
+#include "uarch/fu.hh"
 
 namespace dmt
 {
@@ -61,8 +62,6 @@ SimConfig::validate() const
         return bad;
     if (window_size < fetch_block)
         return "window smaller than one fetch block";
-    if (lat_alu < 1 || lat_mul < 1 || lat_div < 1)
-        return "latencies must be at least 1 cycle";
     if (max_retired > 0 && warmup_retired >= max_retired) {
         return strprintf(
             "warmup_retired %llu leaves no measurement window before "
@@ -115,8 +114,8 @@ SimConfig::summary() const
         isDmt() ? "DMT" : "base", max_threads, fetch_ports, window_size,
         tb_size, tb_latency, tb_read_block,
         unlimited_fus ? "unlimited"
-                      : strprintf("%dalu/%dmd/%dmem", fus.alu, fus.muldiv,
-                                  fus.mem_ports)
+                      : strprintf("%dalu/%dmd/%dmem", FuPool::kAlus,
+                                  FuPool::kMulDivUnits, FuPool::kMemPorts)
                             .c_str());
 }
 

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <string>
 
-#include "branch/predictor.hh"
 #include "fault/options.hh"
 #include "memory/hierarchy.hh"
 #include "trace/options.hh"
@@ -21,17 +20,6 @@ namespace dmt
 {
 
 class JsonWriter;
-
-/** Execution resource counts for the realistic configuration. */
-struct FuParams
-{
-    /** Total ALUs; address calculations of issued memory ops use them. */
-    int alu = 4;
-    /** Multiply/divide units (divide is unpipelined). */
-    int muldiv = 1;
-    /** Loads+stores issued to the DCache per cycle. */
-    int mem_ports = 2;
-};
 
 /** Complete machine description. */
 struct SimConfig
@@ -69,20 +57,16 @@ struct SimConfig
     int window_size = 128;
     /** Early/final retirement width (per cycle). */
     int retire_width = 4;
-    /** Unlimited execution units (Figures 4 and 5). */
+    /** Unlimited execution units (Figures 4 and 5); false gives the
+     *  paper's Figure 6 units (FuPool). */
     bool unlimited_fus = true;
-    FuParams fus;
     /** Physical registers; 0 derives a generous default. */
     int phys_regs = 0;
 
     // ---- latencies ----------------------------------------------------
-    int lat_alu = 1;
-    int lat_mul = 3;
-    int lat_div = 20;
-    /** Load-to-use latency including address calculation (DCache hit). */
+    /** Load-to-use latency including address calculation (DCache hit).
+     *  The ALU, multiply and divide latencies are FuPool constants. */
     int lat_mem = 3;
-    /** Extra latency for cross-thread store-to-load forwarding. */
-    int lat_xthread_forward = 2;
 
     // ---- trace buffer ---------------------------------------------------
     /** Trace buffer capacity per thread (instructions). */
@@ -111,9 +95,10 @@ struct SimConfig
     /** Per-thread store queue entries; 0 derives tb_size/4 (paper). */
     int sq_size = 0;
 
-    // ---- memory & prediction --------------------------------------------
+    // ---- memory ---------------------------------------------------------
+    /** Cache geometry; the miss penalties are MemHierarchy constants
+     *  and the predictor tables BranchPredictorUnit constants. */
     HierarchyParams mem;
-    PredictorParams bpred;
 
     // ---- run control ------------------------------------------------------
     /** Stop after this many finally-retired instructions (0 = none). */
@@ -129,10 +114,9 @@ struct SimConfig
      * full-run behaviour).
      */
     u64 warmup_retired = 0;
-    /** Hard cycle bound (0 = none); exceeding it is a fatal error. */
+    /** Hard cycle bound (0 = none): the run stops (done() turns
+     *  true) once this many cycles have elapsed. */
     u64 max_cycles = 0;
-    /** Verify every retired instruction against the golden model. */
-    bool check_golden = true;
     /** Deadlock watchdog: panic (SimError + post-mortem) when no
      *  instruction finally retires for this many cycles (0 = off;
      *  binaries map DMT_WATCHDOG here, cli/env.hh). */
@@ -211,9 +195,10 @@ struct SimConfig
      * order.  Calls @p v (key, field, lo, hi) for an integer field and
      * @p v (key, field) for a flag.  This one list drives jsonOn(), the
      * range checks of validate() and the daemon's config parser.  The
-     * fields no job can set (cache geometry, predictor tables,
-     * lat_alu/mul/div, the ablation policies) stay out of it, and so
-     * out of the canonical JSON.
+     * fields no job can set (cache geometry, the ablation policies,
+     * max_cycles) stay out of it, and so out of the canonical JSON; the
+     * paper's fixed machine parameters (FU counts and latencies,
+     * predictor tables, miss penalties) are constants, not fields.
      */
     template <typename Config, typename Visit>
     static void

@@ -3,14 +3,16 @@
  * Execution-unit pool for the realistic configuration (Figure 6): four
  * ALUs of which memory-op address calculations consume up to two, one
  * unpipelined multiply/divide unit, and two DCache ports.  The
- * "unlimited" mode used by Figures 4/5 grants every request.
+ * "unlimited" mode used by Figures 4/5 grants every request.  The
+ * paper fixes these counts and the execution latencies (Section 4), so
+ * they are constants, not settings.
  */
 
 #ifndef DMT_UARCH_FU_HH
 #define DMT_UARCH_FU_HH
 
+#include "common/types.hh"
 #include "isa/opcodes.hh"
-#include "uarch/config.hh"
 
 namespace dmt
 {
@@ -19,15 +21,28 @@ namespace dmt
 class FuPool
 {
   public:
-    FuPool(bool unlimited, const FuParams &params, int lat_div);
+    /** Total ALUs; address calculations of issued memory ops use them. */
+    static constexpr int kAlus = 4;
+    /** Multiply/divide units (divide is unpipelined). */
+    static constexpr int kMulDivUnits = 1;
+    /** Loads+stores issued to the DCache per cycle. */
+    static constexpr int kMemPorts = 2;
+
+    /** Execution latencies in cycles; they hold with unlimited units
+     *  too. */
+    static constexpr Cycle kAluLatency = 1;
+    static constexpr Cycle kMulLatency = 3;
+    static constexpr Cycle kDivLatency = 20;
+
+    explicit FuPool(bool unlimited_) : unlimited(unlimited_) {}
 
     /** Begin a new cycle: replenish per-cycle slots. */
     void
     newCycle(Cycle now)
     {
-        alu_left = params.alu;
-        mem_left = params.mem_ports;
-        muldiv_left = params.muldiv;
+        alu_left = kAlus;
+        mem_left = kMemPorts;
+        muldiv_left = kMulDivUnits;
     }
 
     /**
@@ -55,7 +70,7 @@ class FuPool
             if (muldiv_left <= 0 || now < div_busy_until)
                 return false;
             --muldiv_left;
-            div_busy_until = now + static_cast<Cycle>(lat_div);
+            div_busy_until = now + kDivLatency;
             return true;
           case OpClass::MemRead:
           case OpClass::MemWrite:
@@ -79,8 +94,6 @@ class FuPool
 
   private:
     bool unlimited;
-    FuParams params;
-    int lat_div;
 
     int alu_left = 0;
     int mem_left = 0;

@@ -18,7 +18,6 @@
 
 #include "casm/builder.hh"
 #include "common/rng.hh"
-#include "sim/functional.hh"
 #include "workloads/generator.hh"
 
 namespace dmt
@@ -236,18 +235,6 @@ fuzzCorpusProgram(u64 seed)
     p.alias = static_cast<int>(pick.below(101));
     p.units = 6 + static_cast<int>(pick.below(30));
     return buildGenWorkload(p);
-}
-
-/** Reference output stream from the functional simulator. */
-inline std::vector<u32>
-fuzzGolden(const Program &prog)
-{
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog, 5'000'000);
-    return st.output;
 }
 
 } // namespace dmt

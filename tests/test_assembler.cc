@@ -8,24 +8,12 @@
 
 #include "casm/assembler.hh"
 #include "isa/regs.hh"
-#include "sim/functional.hh"
+#include "reference_run.hh"
 
 namespace dmt
 {
 namespace
 {
-
-std::vector<u32>
-runSource(const std::string &src)
-{
-    const Program prog = assembleOrDie(src);
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog);
-    return st.output;
-}
 
 TEST(Assembler, MinimalProgram)
 {
@@ -49,21 +37,21 @@ TEST(Assembler, CommentsAndBlankLines)
 
 TEST(Assembler, LabelsAndBranches)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             li   $t0, 0
             li   $t1, 5
     loop:   addi $t0, $t0, 1
             blt  $t0, $t1, loop
             out  $t0
             halt
-    )");
+    )"));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 5u);
 }
 
 TEST(Assembler, DataDirectivesAndLoads)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             .data
     words:  .word 10, 20, 30
     halves: .half 7, 9
@@ -84,7 +72,7 @@ TEST(Assembler, DataDirectivesAndLoads)
             lbu  $t7, 1($t6)
             out  $t7
             halt
-    )");
+    )"));
     ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out[0], 20u);
     EXPECT_EQ(out[1], 9u);
@@ -94,7 +82,7 @@ TEST(Assembler, DataDirectivesAndLoads)
 
 TEST(Assembler, PseudoOps)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             li   $t0, 0x12345678
             out  $t0
             li   $t1, -7
@@ -108,7 +96,7 @@ TEST(Assembler, PseudoOps)
             subi $t5, $t4, 3
             out  $t5
             halt
-    )");
+    )"));
     ASSERT_EQ(out.size(), 6u);
     EXPECT_EQ(out[0], 0x12345678u);
     EXPECT_EQ(out[1], static_cast<u32>(-7));
@@ -120,7 +108,7 @@ TEST(Assembler, PseudoOps)
 
 TEST(Assembler, ConditionalPseudoBranches)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             li   $t0, -3
             li   $t1, 0
             bltz $t0, neg_path
@@ -132,14 +120,14 @@ TEST(Assembler, ConditionalPseudoBranches)
             addi $t1, $t1, 100
     done:   out  $t1
             halt
-    )");
+    )"));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 1u);
 }
 
 TEST(Assembler, CallAndStack)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             li   $a0, 6
             jal  twice
             out  $v0
@@ -148,7 +136,7 @@ TEST(Assembler, CallAndStack)
             pop  $t0
             sll  $v0, $t0, 1
             ret
-    )");
+    )"));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 12u);
 }
@@ -167,7 +155,7 @@ TEST(Assembler, EntryDirective)
 
 TEST(Assembler, SymbolArithmetic)
 {
-    const auto out = runSource(R"(
+    const auto out = referenceOutput(assembleOrDie(R"(
             .data
     tab:    .word 5, 6, 7
             .text
@@ -175,7 +163,7 @@ TEST(Assembler, SymbolArithmetic)
             lw  $t1, 0($t0)
             out $t1
             halt
-    )");
+    )"));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 7u);
 }

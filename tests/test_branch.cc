@@ -101,7 +101,7 @@ TEST(Ras, CopySemantics)
 
 TEST(PredictorFacade, DirectBranchUsesGshare)
 {
-    BranchPredictorUnit bpu(PredictorParams{});
+    BranchPredictorUnit bpu;
     ThreadBranchState ts;
     Instruction br{Opcode::BNE, 0, 8, 9, 64};
     const Addr pc = 0x400040;
@@ -118,7 +118,7 @@ TEST(PredictorFacade, DirectBranchUsesGshare)
 
 TEST(PredictorFacade, CallPushesReturnPops)
 {
-    BranchPredictorUnit bpu(PredictorParams{});
+    BranchPredictorUnit bpu;
     ThreadBranchState ts;
     Instruction call{Opcode::JAL, reg::ra, 0, 0,
                      static_cast<i32>(0x400100)};
@@ -136,7 +136,7 @@ TEST(PredictorFacade, CallPushesReturnPops)
 
 TEST(PredictorFacade, IndirectUsesBtb)
 {
-    BranchPredictorUnit bpu(PredictorParams{});
+    BranchPredictorUnit bpu;
     ThreadBranchState ts;
     Instruction jalr{Opcode::JALR, reg::ra, 8, 0, 0};
     const Addr pc = 0x400300;
@@ -165,7 +165,7 @@ TEST(PredictorFacade, SpawnStateClearsHistoryCopiesRas)
 
 TEST(PredictorFacade, NonControlIsFallThrough)
 {
-    BranchPredictorUnit bpu(PredictorParams{});
+    BranchPredictorUnit bpu;
     ThreadBranchState ts;
     Instruction add{Opcode::ADD, 1, 2, 3, 0};
     const BranchPrediction p = bpu.predict(add, 0x400000, ts);

@@ -8,7 +8,7 @@
 
 #include "casm/assembler.hh"
 #include "casm/builder.hh"
-#include "sim/functional.hh"
+#include "reference_run.hh"
 
 namespace dmt
 {
@@ -16,17 +16,6 @@ namespace
 {
 
 using namespace reg;
-
-std::vector<u32>
-runProgram(const Program &prog)
-{
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog);
-    return st.output;
-}
 
 TEST(Builder, ForwardAndBackwardBranches)
 {
@@ -43,7 +32,7 @@ TEST(Builder, ForwardAndBackwardBranches)
     b.bind(fwd);
     b.out(t0);
     b.halt();
-    const auto out = runProgram(b.finish());
+    const auto out = referenceOutput(b.finish());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 3u);
 }
@@ -63,7 +52,7 @@ TEST(Builder, JumpAndCallFixups)
     b.ret();
     b.bind(done);
     b.halt();
-    const auto out = runProgram(b.finish());
+    const auto out = referenceOutput(b.finish());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 16u);
 }
@@ -88,7 +77,7 @@ TEST(Builder, DataSection)
     b.lbu(t3, 1, t2);
     b.out(t3);
     b.halt();
-    const auto out = runProgram(b.finish());
+    const auto out = referenceOutput(b.finish());
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0], 33u);
     EXPECT_EQ(out[1], 0xBBu);
@@ -109,7 +98,7 @@ TEST(Builder, LiSelectsEncodings)
     EXPECT_EQ(p.text[1].op, Opcode::ORI);
     EXPECT_EQ(p.text[2].op, Opcode::LUI);
     EXPECT_EQ(p.text[3].op, Opcode::ORI);
-    const auto out = runProgram(p);
+    const auto out = referenceOutput(p);
     EXPECT_EQ(out[0], 5u);
     EXPECT_EQ(out[1], 0xFFFFu);
     EXPECT_EQ(out[2], 0xDEADBEEFu);
@@ -129,7 +118,7 @@ TEST(Builder, EnterLeaveFrame)
     b.lw(t0, 0, sp);
     b.addi(v0, t0, 1);
     b.leave(16);
-    const auto out = runProgram(b.finish());
+    const auto out = referenceOutput(b.finish());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0], 11u);
 }
@@ -178,7 +167,7 @@ TEST(Builder, AgreesWithTextAssembler)
             halt
     )");
 
-    EXPECT_EQ(runProgram(b.finish()), runProgram(text_prog));
+    EXPECT_EQ(referenceOutput(b.finish()), referenceOutput(text_prog));
 }
 
 TEST(Program, FetchOutOfRangeIsHalt)

@@ -139,7 +139,6 @@ TEST(EngineResume, GoldenCheckedWindowFromCheckpoint)
     SimConfig cfg = SimConfig::dmt(6, 2);
     cfg.max_retired = 3000;
     cfg.warmup_retired = 500;
-    ASSERT_TRUE(cfg.check_golden);
 
     DmtEngine engine(cfg, prog, &ck);
     EXPECT_FALSE(engine.measurementActive());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "dmt/engine.hh"
+#include "reference_run.hh"
 #include "sim/functional.hh"
 #include "workloads/workloads.hh"
 
@@ -18,17 +19,6 @@ namespace dmt
 namespace
 {
 
-std::vector<u32>
-golden(const Program &prog)
-{
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog);
-    return st.output;
-}
-
 void
 expectCorrect(const Program &prog, const SimConfig &cfg)
 {
@@ -36,7 +26,7 @@ expectCorrect(const Program &prog, const SimConfig &cfg)
     e.run();
     ASSERT_TRUE(e.programCompleted());
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(prog));
+    EXPECT_EQ(e.outputStream(), referenceOutput(prog));
 }
 
 // ---- correctness across the configuration space -----------------------

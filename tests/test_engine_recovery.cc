@@ -13,7 +13,7 @@
 
 #include "casm/builder.hh"
 #include "dmt/engine.hh"
-#include "sim/functional.hh"
+#include "reference_run.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -45,17 +45,6 @@ namespace
 {
 
 using namespace reg;
-
-std::vector<u32>
-golden(const Program &prog)
-{
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog);
-    return st.output;
-}
 
 /**
  * A program whose after-call thread *must* load a value the procedure
@@ -106,7 +95,7 @@ TEST(Recovery, MemoryViolationsAreDetectedAndRepaired)
     e.run();
     ASSERT_TRUE(e.programCompleted());
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(p));
+    EXPECT_EQ(e.outputStream(), referenceOutput(p));
     EXPECT_GT(e.stats().lsq_violations.value(), 0u)
         << "the scenario must actually trigger violations";
     EXPECT_GT(e.stats().recoveries.value(), 0u);
@@ -180,7 +169,7 @@ TEST(Recovery, MispredictedInputsAreCorrected)
     DmtEngine e(cfg, p);
     e.run();
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(p));
+    EXPECT_EQ(e.outputStream(), referenceOutput(p));
     EXPECT_GT(e.stats().inputs_used.value(), 0u);
     EXPECT_LT(e.stats().inputs_hit.value(),
               e.stats().inputs_used.value())
@@ -256,7 +245,7 @@ TEST(Recovery, DivergenceEarlyRepair)
     DmtEngine e(cfg, p);
     e.run();
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(p));
+    EXPECT_EQ(e.outputStream(), referenceOutput(p));
 }
 
 TEST(Recovery, DivergenceRetirementFlush)
@@ -267,7 +256,7 @@ TEST(Recovery, DivergenceRetirementFlush)
     DmtEngine e(cfg, p);
     e.run();
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(p));
+    EXPECT_EQ(e.outputStream(), referenceOutput(p));
 }
 
 // ---- conservation under stress -----------------------------------------
@@ -318,7 +307,7 @@ TEST(Recovery, TinyLsqStillCorrect)
     e.run();
     ASSERT_TRUE(e.programCompleted());
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_EQ(e.outputStream(), golden(p));
+    EXPECT_EQ(e.outputStream(), referenceOutput(p));
 }
 
 TEST(Recovery, PaperLsqSizingRule)

@@ -47,8 +47,8 @@ TEST(PaperConfig, CacheHierarchy)
     EXPECT_EQ(c.mem.l1d.assoc, 2u);
     EXPECT_EQ(c.mem.l2.size_bytes, 256u * 1024);
     EXPECT_EQ(c.mem.l2.assoc, 4u);
-    EXPECT_EQ(c.mem.l1_miss_penalty, 4u);
-    EXPECT_EQ(c.mem.l2_miss_penalty, 20u);
+    EXPECT_EQ(MemHierarchy::kL1MissPenalty, 4u);
+    EXPECT_EQ(MemHierarchy::kL2MissPenalty, 20u);
 }
 
 TEST(PaperConfig, Figure4Machine)
@@ -73,16 +73,16 @@ TEST(PaperConfig, Figure6ExecutionUnits)
     //  the ALU, 3 for multiply, 20 for divide, and 3 cycles for a load"
     const SimConfig c = exp::fig6Dmt(6, true);
     EXPECT_FALSE(c.unlimited_fus);
-    EXPECT_EQ(c.fus.alu, 4);
-    EXPECT_EQ(c.fus.muldiv, 1);
-    EXPECT_EQ(c.fus.mem_ports, 2);
-    EXPECT_EQ(c.lat_alu, 1);
-    EXPECT_EQ(c.lat_mul, 3);
-    EXPECT_EQ(c.lat_div, 20);
+    EXPECT_EQ(FuPool::kAlus, 4);
+    EXPECT_EQ(FuPool::kMulDivUnits, 1);
+    EXPECT_EQ(FuPool::kMemPorts, 2);
+    EXPECT_EQ(FuPool::kAluLatency, 1u);
+    EXPECT_EQ(FuPool::kMulLatency, 3u);
+    EXPECT_EQ(FuPool::kDivLatency, 20u);
     EXPECT_EQ(c.lat_mem, 3);
     // "we have assumed additional 2 cycles of latency for loads that
     //  hit stores in other thread queues"
-    EXPECT_EQ(c.lat_xthread_forward, 2);
+    EXPECT_EQ(DmtEngine::kCrossThreadForwardLatency, 2u);
 }
 
 TEST(PaperConfig, FigureSweeps)

@@ -18,6 +18,7 @@
 #include "dmt/engine.hh"
 #include "fault/injector.hh"
 #include "fuzz_corpus.hh"
+#include "reference_run.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
@@ -37,7 +38,7 @@ void
 runClean(const SimConfig &cfg, int seed, const char *what)
 {
     const Program prog = corpusProgram(seed);
-    const std::vector<u32> want = fuzzGolden(prog);
+    const std::vector<u32> want = referenceOutput(prog);
     DmtEngine e(cfg, prog);
     e.run();
     ASSERT_TRUE(e.programCompleted())
@@ -62,7 +63,7 @@ TEST_P(FaultSiteTest, SingleSiteInjectionRetiresGoldenClean)
     u64 injected = 0;
     for (int seed = 0; seed < 6; ++seed) {
         const Program prog = corpusProgram(seed);
-        const std::vector<u32> want = fuzzGolden(prog);
+        const std::vector<u32> want = referenceOutput(prog);
 
         SimConfig cfg = SimConfig::dmt(4, 2);
         cfg.fault.enabled = true;
@@ -127,7 +128,7 @@ TEST(FaultStorm, AllSitesStormRetiresGoldenCleanViaRecovery)
 
     for (int seed = 0; seed < 8; ++seed) {
         const Program prog = corpusProgram(seed);
-        const std::vector<u32> want = fuzzGolden(prog);
+        const std::vector<u32> want = referenceOutput(prog);
 
         SimConfig cfg = SimConfig::dmt(6, 2);
         {
@@ -169,7 +170,7 @@ TEST(FaultStorm, MixedCorpusStormRetiresGoldenClean)
     for (int seed = 0; seed < 10; ++seed) {
         const Program prog =
             fuzzCorpusProgram(static_cast<u64>(seed) * 6271 + 5);
-        const std::vector<u32> want = fuzzGolden(prog);
+        const std::vector<u32> want = referenceOutput(prog);
 
         SimConfig cfg = SimConfig::dmt(6, 2);
         cfg.fault.enabled = true;

@@ -220,6 +220,17 @@ TEST(Functional, StepCountBound)
     EXPECT_THROW(runFunctional(st, mem, p, 5), SimError);
 }
 
+/** A checker at @p p's entry conditions, as a fresh engine builds it. */
+GoldenChecker
+checkerAtEntry(const Program &p)
+{
+    ArchState st;
+    MainMemory mem;
+    st.reset(p);
+    mem.loadProgram(p);
+    return GoldenChecker(p, st, mem);
+}
+
 TEST(Checker, AcceptsCorrectStream)
 {
     const Program p = mkSumLoop(5);
@@ -227,7 +238,7 @@ TEST(Checker, AcceptsCorrectStream)
     MainMemory mem;
     st.reset(p);
     mem.loadProgram(p);
-    GoldenChecker chk(p);
+    GoldenChecker chk(p, st, mem);
     while (!st.halted) {
         const StepResult s = functionalStep(st, mem, p);
         RetireRecord rec;
@@ -248,7 +259,7 @@ TEST(Checker, AcceptsCorrectStream)
 TEST(Checker, DetectsWrongValue)
 {
     const Program p = mkSumLoop(5);
-    GoldenChecker chk(p);
+    GoldenChecker chk = checkerAtEntry(p);
     RetireRecord rec;
     rec.pc = p.entry;
     rec.dest = 8; // $t0 = li 0
@@ -261,7 +272,7 @@ TEST(Checker, DetectsWrongValue)
 TEST(Checker, DetectsWrongPc)
 {
     const Program p = mkSumLoop(5);
-    GoldenChecker chk(p);
+    GoldenChecker chk = checkerAtEntry(p);
     RetireRecord rec;
     rec.pc = p.entry + 8;
     EXPECT_FALSE(chk.onRetire(rec));

@@ -11,6 +11,7 @@
 
 #include "dmt/engine.hh"
 #include "fuzz_corpus.hh"
+#include "reference_run.hh"
 
 namespace dmt
 {
@@ -25,7 +26,7 @@ TEST_P(FuzzDifferential, AllMachinesAgree)
 {
     ProgramFuzzer fuzzer(static_cast<u64>(GetParam()) * 7919 + 17);
     const Program prog = fuzzer.generate();
-    const std::vector<u32> want = fuzzGolden(prog);
+    const std::vector<u32> want = referenceOutput(prog);
 
     std::vector<SimConfig> configs;
     configs.push_back(SimConfig::baseline());
@@ -71,7 +72,7 @@ TEST_P(MixedCorpusDifferential, AllMachinesAgree)
 {
     const Program prog =
         fuzzCorpusProgram(static_cast<u64>(GetParam()) * 6271 + 5);
-    const std::vector<u32> want = fuzzGolden(prog);
+    const std::vector<u32> want = referenceOutput(prog);
 
     const std::vector<SimConfig> configs = {
         SimConfig::baseline(),

@@ -13,7 +13,8 @@
  * 2. Construction footprint: the same allocator sums the bytes and
  *    counts the allocations an engine makes while it is built, so
  *    tables sized for the worst case (or for a feature the machine
- *    never uses) and per-slot reserves show up.
+ *    never uses), per-slot reserves and a second copy of the program
+ *    image show up.
  *
  * 3. Issue-order semantics: the ReadyQueue must pop oldest-first (by
  *    the dispatch-time sequence number) and an FU-stalled instruction
@@ -229,13 +230,12 @@ struct Footprint
     unsigned long long allocs = 0;
 };
 
-/** Allocations made while constructing an engine for go, resumed from
- *  @p resume when set. */
+/** Allocations made while constructing an engine for @p prog, resumed
+ *  from @p resume when set. */
 Footprint
-constructionFootprint(const SimConfig &cfg,
+constructionFootprint(const SimConfig &cfg, const Program &prog,
                       const Checkpoint *resume = nullptr)
 {
-    const Program prog = buildWorkload("go");
     g_alloc_bytes.store(0, std::memory_order_relaxed);
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
@@ -254,8 +254,9 @@ TEST(HotPath, EngineConstructionFootprint)
     // and the per-slot waiter, subscription and calendar lists as
     // their node pools fill, not one reserve per slot.
     constexpr unsigned long long kMiB = 1ull << 20;
-    const Footprint base = constructionFootprint(exp::baseline());
-    const Footprint dmt6 = constructionFootprint(SimConfig::dmt(6, 2));
+    const Program prog = buildWorkload("go");
+    const Footprint base = constructionFootprint(exp::baseline(), prog);
+    const Footprint dmt6 = constructionFootprint(SimConfig::dmt(6, 2), prog);
     RecordProperty("baseline_bytes", std::to_string(base.bytes));
     RecordProperty("baseline_allocs", std::to_string(base.allocs));
     RecordProperty("dmt6_bytes", std::to_string(dmt6.bytes));
@@ -270,7 +271,6 @@ TEST(HotPath, EngineConstructionFootprint)
     // A resumed engine and its golden checker share the checkpoint's
     // pages, so sixteen more pages in the checkpoint cost map entries,
     // not page bytes.
-    const Program prog = buildWorkload("go");
     FunctionalCore core(prog);
     core.run(20000);
     const Checkpoint small = Checkpoint::capture(core);
@@ -278,13 +278,35 @@ TEST(HotPath, EngineConstructionFootprint)
     for (u32 i = 0; i < 16; ++i)
         big.mem.write32(0x40000000u + i * MainMemory::kPageSize, i + 1);
     const unsigned long long resumed_small =
-        constructionFootprint(SimConfig::dmt(6, 2), &small).bytes;
+        constructionFootprint(SimConfig::dmt(6, 2), prog, &small).bytes;
     const unsigned long long resumed_big =
-        constructionFootprint(SimConfig::dmt(6, 2), &big).bytes;
+        constructionFootprint(SimConfig::dmt(6, 2), prog, &big).bytes;
     RecordProperty("dmt6_resumed_bytes", std::to_string(resumed_small));
     EXPECT_LT(resumed_big, resumed_small + MainMemory::kPageSize)
         << "resuming from 16 more pages allocated "
         << (resumed_big - resumed_small) << " more bytes";
+
+    // A fresh engine loads the program image once and forks its
+    // checker from it, so it allocates one copy of the data segment
+    // more than an engine resumed at instruction 0, whose memory and
+    // checker share the checkpoint's pages.  Loading a second copy for
+    // the checker would add the segment again.
+    for (const char *name : {"compress", "go"}) {
+        const Program image = buildWorkload(name);
+        const Checkpoint start = Checkpoint::capture(FunctionalCore(image));
+        const unsigned long long data_bytes =
+            start.mem.numPages() * MainMemory::kPageSize;
+        const unsigned long long fresh =
+            constructionFootprint(exp::baseline(), image).bytes;
+        const unsigned long long resumed =
+            constructionFootprint(exp::baseline(), image, &start).bytes;
+        RecordProperty(std::string(name) + "_fresh_excess_bytes",
+                       std::to_string(fresh - resumed));
+        EXPECT_LT(fresh, resumed + data_bytes + MainMemory::kPageSize / 2)
+            << name << ": a fresh engine allocated " << (fresh - resumed)
+            << " bytes more than one resumed at instruction 0 ("
+            << data_bytes << " bytes of data pages)";
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -90,17 +90,7 @@ TEST(Hierarchy, L2CatchesL1Evictions)
     h.instAccess(0x0000);
     h.instAccess(0x0100); // evicts 0x0000 from the tiny L1
     const Cycle lat = h.instAccess(0x0000);
-    EXPECT_EQ(lat, p.l1_miss_penalty) << "L1 miss, L2 hit";
-}
-
-TEST(Hierarchy, PerfectModes)
-{
-    HierarchyParams p;
-    p.perfect_icache = true;
-    p.perfect_dcache = true;
-    MemHierarchy h(p);
-    EXPECT_EQ(h.instAccess(0xABCDEF0), 0u);
-    EXPECT_EQ(h.dataAccess(0xABCDEF0, true), 0u);
+    EXPECT_EQ(lat, MemHierarchy::kL1MissPenalty) << "L1 miss, L2 hit";
 }
 
 TEST(Hierarchy, SharedL2)
@@ -109,7 +99,7 @@ TEST(Hierarchy, SharedL2)
     MemHierarchy h(p);
     h.instAccess(0x8000);            // fills L2 line
     const Cycle lat = h.dataAccess(0x8000, false);
-    EXPECT_EQ(lat, p.l1_miss_penalty)
+    EXPECT_EQ(lat, MemHierarchy::kL1MissPenalty)
         << "data side hits the line the instruction side brought in";
 }
 

@@ -9,24 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "dmt/engine.hh"
-#include "sim/functional.hh"
+#include "reference_run.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
 {
 namespace
 {
-
-std::vector<u32>
-goldenOutput(const Program &prog)
-{
-    ArchState st;
-    MainMemory mem;
-    st.reset(prog);
-    mem.loadProgram(prog);
-    runFunctional(st, mem, prog);
-    return st.output;
-}
 
 void
 checkProgram(const Program &prog, const SimConfig &cfg)
@@ -36,7 +25,7 @@ checkProgram(const Program &prog, const SimConfig &cfg)
     ASSERT_TRUE(engine.programCompleted())
         << "program did not reach HALT";
     ASSERT_TRUE(engine.goldenOk()) << engine.goldenError();
-    EXPECT_EQ(engine.outputStream(), goldenOutput(prog));
+    EXPECT_EQ(engine.outputStream(), referenceOutput(prog));
 }
 
 SimConfig
