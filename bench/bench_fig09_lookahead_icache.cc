@@ -5,8 +5,8 @@
  * earlier thread's fetch was blocked on an instruction-cache miss.
  * Zero on a conventional superscalar.  A small L1I makes the effect
  * visible at benchmark scale (the paper's SPEC runs miss in 16KB; our
- * kernels are smaller, so a concurrency-equivalent 2KB L1I is also
- * reported).
+ * kernels are smaller, so a machine with a 512B L1I and a 4KB L2 is
+ * also reported).
  */
 
 #include "bench_common.hh"
@@ -26,11 +26,11 @@ benchMain()
     std::vector<BenchColumn> machines;
     for (const u32 l1i_bytes : {16u * 1024, 512u}) {
         SimConfig cfg = exp::fig89Dmt();
-        cfg.mem.l1i.size_bytes = l1i_bytes;
+        cfg.mem.l1i_bytes = l1i_bytes;
         if (l1i_bytes < 1024) {
             // Pressure variant: misses go all the way to memory,
             // like SPEC-sized code in a 16KB L1I + 256KB L2.
-            cfg.mem.l2.size_bytes = 4 * 1024;
+            cfg.mem.l2_bytes = 4 * 1024;
         }
         machines.push_back(
             {l1i_bytes >= 1024 ? "16K" : "512B", cfg});

@@ -14,8 +14,11 @@
  *
  * `run` key=value pairs: `max_retired`, `sample` (skip:warm:measure
  * spec string) and `priority` are job-level; every other key is a
- * config override (a SimConfig::forEachJobField() key, plus
- * `machine=dmt|baseline`).  Values `true`/`false` are booleans,
+ * config override: `machine=dmt|baseline` or a
+ * SimConfig::forEachJobField() key, the list of every setting that
+ * changes a result, such as `tb_size`, the ablation policies
+ * (`memdep_sync`, `recovery_fetch_stall`, ...) or Figure 9's
+ * `l1i_bytes` and `l2_bytes`.  Values `true`/`false` are booleans,
  * anything else must be a number.
  *
  * `batch` grid files hold {"jobs":[{...job...},...]} (or a bare

@@ -66,8 +66,8 @@ DmtEngine::DmtEngine(const SimConfig &cfg_, const Program &prog_,
     // their node pools grow to the in-flight high-water mark.
     out_stream.reserve(4096);
     loop_watches.reserve(8);
-    ready_q.reserve(static_cast<size_t>(cfg.window_size));
-    issue_retry_scratch_.reserve(static_cast<size_t>(cfg.window_size));
+    ready_q.reserve(static_cast<size_t>(SimConfig::kWindowSize));
+    issue_retry_scratch_.reserve(static_cast<size_t>(SimConfig::kWindowSize));
     drain_q.reserve(64);
 
     threads.reserve(static_cast<size_t>(cfg.max_threads));

@@ -213,7 +213,7 @@ DmtEngine::executeMem(DynInst *d, TBEntry &entry)
         // Superseded incarnation: complete quickly with a dummy value;
         // the writeback will not match the trace buffer tag anyway.
         d->result = 0;
-        scheduleCompletion(d, static_cast<Cycle>(cfg.lat_mem));
+        scheduleCompletion(d, SimConfig::kLoadLatency);
         return;
     }
 
@@ -230,7 +230,7 @@ DmtEngine::executeMem(DynInst *d, TBEntry &entry)
     }
 
     const auto res = lsq.loadIssue(entry.lq_id, addr, bytes, *this);
-    Cycle lat = static_cast<Cycle>(cfg.lat_mem);
+    Cycle lat = SimConfig::kLoadLatency;
     u32 raw = 0;
     switch (res.kind) {
       case Lsq::LoadIssueResult::Forward:
@@ -655,8 +655,8 @@ DmtEngine::recoveryStepThread(ThreadContext &t, int &dispatch_budget)
 
         if (dep) {
             const int limit = isHead(t)
-                ? cfg.window_size
-                : cfg.window_size - 2 * cfg.fetch_block;
+                ? SimConfig::kWindowSize
+                : SimConfig::kWindowSize - 2 * SimConfig::kFetchBlock;
             if (dispatch_budget <= 0 || window_used >= limit)
                 return; // resume here next cycle
             redispatchEntry(t, entry);

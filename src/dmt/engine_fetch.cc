@@ -44,7 +44,7 @@ DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
         }
 
         // Frontend backpressure.
-        if (static_cast<int>(t.fq.size()) >= cfg.fetch_block * 4)
+        if (static_cast<int>(t.fq.size()) >= SimConfig::kFetchBlock * 4)
             return;
 
         // ICache lookup; a miss stalls only this thread.
@@ -152,7 +152,7 @@ DmtEngine::doFetch()
             continue;
         if (pick == head)
             head_fetched = true;
-        fetchForThread(ctx(pick), cfg.fetch_block);
+        fetchForThread(ctx(pick), SimConfig::kFetchBlock);
     }
     fetch_rr = static_cast<int>(spec_cursor);
 }

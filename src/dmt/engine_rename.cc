@@ -155,14 +155,6 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
         const LogReg r = static_cast<LogReg>(ri);
         IoInput &in = c.io.in[r];
         in = IoInput{};
-        if (!cfg.value_prediction) {
-            if (r == 0) {
-                in.valid = true;
-                in.value = 0;
-                in.valid_at_spawn = true;
-            }
-            continue;
-        }
         u64 wid;
         if (parent.tb.lastWriter(r, &wid)) {
             if (!parent.tb.contains(wid)) {
@@ -295,8 +287,8 @@ DmtEngine::dispatchOne(ThreadContext &t, const FetchedInst &fi)
     // must always be able to dispatch (and run recovery), otherwise
     // stalled speculative consumers could wedge the whole machine.
     const int limit = isHead(t)
-        ? cfg.window_size
-        : cfg.window_size - 2 * cfg.fetch_block;
+        ? SimConfig::kWindowSize
+        : SimConfig::kWindowSize - 2 * SimConfig::kFetchBlock;
     if (window_used >= limit)
         return false;
     if (t.tb.full())
@@ -384,7 +376,7 @@ DmtEngine::doDispatch()
     dispatch_order_scratch_.assign(tree.order().begin(),
                                    tree.order().end());
     const std::vector<ThreadId> &order = dispatch_order_scratch_;
-    int budget = cfg.fetch_ports * cfg.fetch_block;
+    int budget = cfg.fetch_ports * SimConfig::kFetchBlock;
 
     for (ThreadId tid : order) {
         if (budget <= 0)

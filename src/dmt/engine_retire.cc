@@ -66,7 +66,7 @@ DmtEngine::doEarlyRetire()
 {
     for (const auto &tptr : threads) {
         if (tptr->active)
-            earlyRetireThread(*tptr, cfg.retire_width);
+            earlyRetireThread(*tptr, SimConfig::kRetireWidth);
     }
 }
 
@@ -410,14 +410,14 @@ DmtEngine::finalRetireHead()
         emitTrace(TraceStage::Retire, TraceEventKind::HeadSwitch, t.id,
                   t.start_pc);
     }
-    int width = cfg.retire_width;
+    int width = SimConfig::kRetireWidth;
     while (width > 0) {
         if (t.tb.empty()) {
             if (t.recov.busy()) {
                 ++stats_.st_recovery;
             } else if ((t.stopped || t.fetched_halt) && t.fq.empty()) {
                 fullyRetireThread(t);
-            } else if (width == cfg.retire_width) {
+            } else if (width == SimConfig::kRetireWidth) {
                 ++stats_.st_empty;
             }
             return;
@@ -427,12 +427,12 @@ DmtEngine::finalRetireHead()
         // re-dispatched with corrected inputs; everything below it is
         // final and retires under the running walk.
         if (entry.id >= t.recov.lowWater()) {
-            if (width == cfg.retire_width)
+            if (width == SimConfig::kRetireWidth)
                 ++stats_.st_recovery;
             return;
         }
         if (!entry.completed) {
-            if (width == cfg.retire_width)
+            if (width == SimConfig::kRetireWidth)
                 ++stats_.st_incomplete;
             return;
         }

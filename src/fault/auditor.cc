@@ -434,10 +434,10 @@ InvariantAuditor::auditRegsAndWindow(const DmtEngine &e, std::string *why)
                     n_alloc, held);
     }
 
-    if (e.window_used < 0 || e.window_used > e.cfg.window_size) {
+    if (e.window_used < 0 || e.window_used > SimConfig::kWindowSize) {
         return fail(why,
                     "active window occupancy %d outside [0, %d]",
-                    e.window_used, e.cfg.window_size);
+                    e.window_used, SimConfig::kWindowSize);
     }
     if (e.window_used != live_window) {
         return fail(why,

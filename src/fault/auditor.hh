@@ -18,7 +18,7 @@
  *  - physical registers: free-list/alloc-bit agreement and exact leak
  *    accounting (every allocated register is held by exactly one live
  *    DynInst's destination);
- *  - active window: 0 <= window_used <= window_size and equal to the
+ *  - active window: 0 <= window_used <= kWindowSize and equal to the
  *    live non-squashed pipeline population;
  *  - lookahead horizon: no trace-buffer or fetch-queue entry was
  *    fetched before the cycle the episode trackers were last pruned

@@ -74,6 +74,8 @@ struct FaultOptions
         for (double &x : rate)
             x = r;
     }
+
+    bool operator==(const FaultOptions &) const = default;
 };
 
 } // namespace dmt

@@ -66,7 +66,7 @@ Postmortem::json(const DmtEngine &e, const std::string &kind,
     w.key("retired_total").value(e.retired_total);
     w.key("program_done").value(e.program_done);
     w.key("window_used").value(e.window_used);
-    w.key("window_size").value(e.cfg.window_size);
+    w.key("window_size").value(SimConfig::kWindowSize);
     w.key("drain_queue").value(static_cast<u64>(e.drain_q.size()));
     w.key("phys_regs_total").value(e.prf.count());
     w.key("phys_regs_free").value(e.prf.numFree());

@@ -4,7 +4,9 @@ namespace dmt
 {
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2)
+    : l1i_({"l1i", params.l1i_bytes, 2, 32}),
+      l1d_({"l1d", 16 * 1024, 2, 32}),
+      l2_({"l2", params.l2_bytes, 4, 64})
 {
 }
 

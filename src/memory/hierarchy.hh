@@ -1,8 +1,9 @@
 /**
  * @file
  * Two-level cache hierarchy matching the paper's machine: 16KB 2-way
- * L1I and L1D, shared 256KB 4-way L2; an L1 miss costs 4 cycles and an
- * L2 miss an additional 20 (Section 4).
+ * L1I and L1D with 32B lines, shared 256KB 4-way L2 with 64B lines; an
+ * L1 miss costs 4 cycles and an L2 miss an additional 20 (Section 4).
+ * Only the L1I and L2 sizes vary (Figure 9's small-cache machine).
  */
 
 #ifndef DMT_MEMORY_HIERARCHY_HH
@@ -13,12 +14,13 @@
 namespace dmt
 {
 
-/** Hierarchy geometry. */
+/** The cache sizes a machine may vary; powers of two (validate()). */
 struct HierarchyParams
 {
-    CacheParams l1i{"l1i", 16 * 1024, 2, 32};
-    CacheParams l1d{"l1d", 16 * 1024, 2, 32};
-    CacheParams l2{"l2", 256 * 1024, 4, 64};
+    u32 l1i_bytes = 16 * 1024;
+    u32 l2_bytes = 256 * 1024;
+
+    bool operator==(const HierarchyParams &) const = default;
 };
 
 /** Shared-L2 two-level hierarchy, timing only. */

@@ -7,6 +7,7 @@
 #include "common/record.hh"
 #include "exp/report.hh"
 #include "exp/sampled.hh"
+#include "serve/model_identity.hh" // generated: src/model_identity.cmake
 #include "uarch/config.hh"
 
 namespace dmt
@@ -31,7 +32,8 @@ u64
 resultCacheKey(const SimConfig &cfg, const std::string &workload,
                u64 prog_hash, const SampleParams &sample)
 {
-    u64 h = fnv1aHash("|", canonicalHash(cfg));
+    u64 h = fnv1aHash(kModelIdentity, canonicalHash(cfg));
+    h = fnv1aHash("|", h);
     h = fnv1aHash(workload, h);
     h = fnv1aHash("|", h);
     h = fnv1aHash(hashHex(prog_hash), h);

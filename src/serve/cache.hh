@@ -2,13 +2,15 @@
  * @file
  * Content-addressed result cache with single-flight deduplication.
  *
- * Identity: a result is addressed by FNV-1a over the canonical
- * machine configuration (budget included), the canonical workload
- * name, the program-image hash of the workload, and the canonical
- * sample spec — exactly the inputs the canonical RunResult bytes
- * depend on.  Because runs are bit-reproducible (DESIGN.md section
- * 10), a cache hit *is* the simulation: the stored canonical
- * RunResult JSON is byte-identical to what re-running would produce.
+ * Identity: a result is addressed by FNV-1a over the model identity
+ * (a build-time digest of the simulator's result-determining sources),
+ * the canonical machine configuration (budget included), the canonical
+ * workload name, the program-image hash of the workload, and the
+ * canonical sample spec — exactly the inputs the canonical RunResult
+ * bytes depend on.  Because runs are bit-reproducible (DESIGN.md
+ * section 10), a cache hit *is* the simulation: the stored canonical
+ * RunResult JSON is byte-identical to what re-running this build would
+ * produce.
  *
  * Single-flight: when N requests for the same key arrive while none
  * is cached, exactly one computes; the rest block on the in-flight
@@ -53,14 +55,16 @@ struct SampleParams;
 struct SimConfig;
 
 /**
- * The cache key for (machine cfg incl. budget, workload, program
- * image, sample spec).  The RunResult embeds @p workload (the
+ * The cache key for (model identity, machine cfg incl. budget,
+ * workload, program image, sample spec).  The model identity names
+ * the build, so a rebuilt simulator never answers from an older
+ * build's durable files.  The RunResult embeds @p workload (the
  * canonical name), so two gen: specs that build one image still get
  * their own cells.  @p prog_hash is Checkpoint::programHash() of the
  * workload's built image, so a changed generator invalidates
- * naturally.  Durable files written before the workload name joined
- * the key sit under keys nothing computes any more; they are never
- * read again.
+ * naturally.  Durable files of another build, or written before the
+ * workload name joined the key, sit under keys nothing computes any
+ * more; they are never read again.
  */
 u64 resultCacheKey(const SimConfig &cfg, const std::string &workload,
                    u64 prog_hash, const SampleParams &sample);

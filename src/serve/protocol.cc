@@ -46,8 +46,8 @@ readInt(const JsonValue &v, const std::string &key, T *out,
  * Apply a job's "config" override object onto @p cfg: "machine"
  * selects a template, then every other member names a
  * SimConfig::forEachJobField() field, so a recorded config document
- * replays as an override.  Only JSON types are checked here; ranges
- * are SimConfig::validate()'s, which checkJobSpec() applies.
+ * replays as the machine it names.  Only JSON types are checked here;
+ * ranges are SimConfig::validate()'s, which checkJobSpec() applies.
  */
 bool
 applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
@@ -65,13 +65,10 @@ applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
             e = "machine must be a string";
             return false;
         }
-        if (m->asString() == "baseline")
+        // "dmt" names the template parseRequest() starts from.
+        if (m->asString() == "baseline") {
             *cfg = SimConfig::baseline();
-        else if (m->asString() == "dmt")
-            *cfg = SimConfig::dmt(cfg->max_threads > 1
-                                      ? cfg->max_threads : 6,
-                                  cfg->fetch_ports);
-        else {
+        } else if (m->asString() != "dmt") {
             e = "machine must be \"dmt\" or \"baseline\"";
             return false;
         }
@@ -109,9 +106,9 @@ applyConfigOverrides(SimConfig *cfg, const JsonValue &obj,
 }
 
 /**
- * The job-level rules on top of SimConfig::validate(): no fault
- * injection, no warmup_retired alongside sampling.  Every job must
- * pass this before it can reach a DmtEngine constructor.
+ * The job-level rule on top of SimConfig::validate(): no
+ * warmup_retired alongside sampling.  Every job must pass this before
+ * it can reach a DmtEngine constructor.
  */
 bool
 checkJobSpec(const JobSpec &job, std::string &e)
@@ -119,10 +116,6 @@ checkJobSpec(const JobSpec &job, std::string &e)
     const SimConfig &c = job.cfg;
     if (std::string bad = c.validate(); !bad.empty()) {
         e = std::move(bad);
-        return false;
-    }
-    if (c.fault.enabled) {
-        e = "fault injection is not servable";
         return false;
     }
     if (job.sample.enabled() && c.warmup_retired > 0) {

@@ -90,8 +90,9 @@ struct Request
 /**
  * Parse and validate one request line.  A run job's "config" object
  * takes "machine" (a template, applied first) and the keys of
- * SimConfig::forEachJobField() — exactly what SimConfig::jsonOn()
- * emits, so a recorded config document replays as an override.  The
+ * SimConfig::forEachJobField(), the list of every setting that changes
+ * a result.  That is exactly what SimConfig::jsonOn() emits, so a
+ * recorded config document replays as the machine it names.  The
  * workload resolves through resolveWorkload(), and the whole config
  * must pass SimConfig::validate(), the same check a local run makes.
  * A run job that names no budget gets @p default_budget

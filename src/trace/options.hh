@@ -47,6 +47,8 @@ struct TraceOptions
     /** Cycles between counter samples (Chrome counter tracks and the
      *  counters sink). */
     int sample_period = 128;
+
+    bool operator==(const TraceOptions &) const = default;
 };
 
 } // namespace dmt

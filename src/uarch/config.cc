@@ -1,5 +1,6 @@
 #include "uarch/config.hh"
 
+#include "common/bitutils.hh"
 #include "common/json.hh"
 #include "common/strutil.hh"
 #include "uarch/fu.hh"
@@ -10,25 +11,23 @@ namespace dmt
 int
 SimConfig::physRegCount() const
 {
-    if (phys_regs > 0)
-        return phys_regs;
     // Registers are freed at early retirement (results live on in the
     // trace buffer data array), so live registers are bounded by the
     // in-pipeline population; the rest is headroom for same-cycle
     // transients and per-thread state.
-    return 2 * window_size + 64 * max_threads + 128;
+    return 2 * kWindowSize + 64 * max_threads + 128;
 }
 
 int
 SimConfig::lqSize() const
 {
-    return lq_size > 0 ? lq_size : tb_size / 4;
+    return tb_size / 4;
 }
 
 int
 SimConfig::sqSize() const
 {
-    return sq_size > 0 ? sq_size : tb_size / 4;
+    return tb_size / 4;
 }
 
 namespace
@@ -60,8 +59,10 @@ SimConfig::validate() const
     forEachJobField(*this, RangeCheck{bad});
     if (!bad.empty())
         return bad;
-    if (window_size < fetch_block)
-        return "window smaller than one fetch block";
+    if (!isPowerOfTwo(mem.l1i_bytes))
+        return "l1i_bytes not a power of two";
+    if (!isPowerOfTwo(mem.l2_bytes))
+        return "l2_bytes not a power of two";
     if (max_retired > 0 && warmup_retired >= max_retired) {
         return strprintf(
             "warmup_retired %llu leaves no measurement window before "
@@ -87,8 +88,6 @@ SimConfig::baseline()
     c.spawn_on_call = false;
     c.spawn_on_loop = false;
     c.fetch_ports = 1;
-    c.fetch_block = 4;
-    c.window_size = 128;
     c.unlimited_fus = true;
     return c;
 }
@@ -99,8 +98,6 @@ SimConfig::dmt(int threads, int ports)
     SimConfig c;
     c.max_threads = threads;
     c.fetch_ports = ports;
-    c.fetch_block = 4;
-    c.window_size = 128;
     c.unlimited_fus = true;
     c.tb_size = 500;
     return c;
@@ -111,7 +108,7 @@ SimConfig::summary() const
 {
     return strprintf(
         "%s threads=%d ports=%d window=%d tb=%d/%d/%d fus=%s",
-        isDmt() ? "DMT" : "base", max_threads, fetch_ports, window_size,
+        isDmt() ? "DMT" : "base", max_threads, fetch_ports, kWindowSize,
         tb_size, tb_latency, tb_read_block,
         unlimited_fus ? "unlimited"
                       : strprintf("%dalu/%dmd/%dmem", FuPool::kAlus,
@@ -122,15 +119,9 @@ SimConfig::summary() const
 void
 SimConfig::jsonOn(JsonWriter &w) const
 {
-    // The document records what the engine uses: derived sizes, not
-    // their 0 = derive spellings.
-    SimConfig eff = *this;
-    eff.phys_regs = physRegCount();
-    eff.lq_size = lqSize();
-    eff.sq_size = sqSize();
     w.beginObject();
     w.key("machine").value(isDmt() ? "dmt" : "baseline");
-    forEachJobField(eff, [&](const char *key, const auto &field, auto...) {
+    forEachJobField(*this, [&](const char *key, const auto &field, auto...) {
         w.key(key).value(field);
     });
     w.endObject();

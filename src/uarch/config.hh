@@ -24,6 +24,17 @@ class JsonWriter;
 /** Complete machine description. */
 struct SimConfig
 {
+    // ---- the paper's fixed machine --------------------------------------
+    /** Instructions per fetch block (per port per cycle). */
+    static constexpr int kFetchBlock = 4;
+    /** Active instructions in the execution pipeline (level-1 window). */
+    static constexpr int kWindowSize = 128;
+    /** Early/final retirement width (per cycle). */
+    static constexpr int kRetireWidth = 4;
+    /** Load-to-use latency including address calculation (DCache hit).
+     *  The ALU, multiply and divide latencies are FuPool constants. */
+    static constexpr Cycle kLoadLatency = 3;
+
     // ---- threading ----------------------------------------------------
     /** Hardware thread contexts; 1 disables DMT entirely. */
     int max_threads = 1;
@@ -31,9 +42,6 @@ struct SimConfig
     bool spawn_on_call = true;
     /** Spawn at backward branches (after-loop threads). */
     bool spawn_on_loop = true;
-    /** Predict thread inputs as the parent context (always on in the
-     *  paper; exposed for ablation). */
-    bool value_prediction = true;
     /** Last-modifier dataflow prediction (paper Section 3.4). */
     bool dataflow_prediction = true;
     /** When a dataflow watch is armed for an input (history says it
@@ -47,29 +55,15 @@ struct SimConfig
      *  getting violated wait until all earlier stores have executed. */
     bool memdep_sync = true;
 
-    // ---- fetch --------------------------------------------------------
+    // ---- fetch and execute --------------------------------------------
     int fetch_ports = 1;
-    /** Instructions per fetch block (per port per cycle). */
-    int fetch_block = 4;
-
-    // ---- pipeline -----------------------------------------------------
-    /** Active instructions in the execution pipeline (level-1 window). */
-    int window_size = 128;
-    /** Early/final retirement width (per cycle). */
-    int retire_width = 4;
     /** Unlimited execution units (Figures 4 and 5); false gives the
      *  paper's Figure 6 units (FuPool). */
     bool unlimited_fus = true;
-    /** Physical registers; 0 derives a generous default. */
-    int phys_regs = 0;
-
-    // ---- latencies ----------------------------------------------------
-    /** Load-to-use latency including address calculation (DCache hit).
-     *  The ALU, multiply and divide latencies are FuPool constants. */
-    int lat_mem = 3;
 
     // ---- trace buffer ---------------------------------------------------
-    /** Trace buffer capacity per thread (instructions). */
+    /** Trace buffer capacity per thread (instructions); the load and
+     *  store queues hold a quarter of it each (paper Section 3.5). */
     int tb_size = 500;
     /** Recovery pipeline startup latency (trace buffer access). */
     int tb_latency = 4;
@@ -89,15 +83,9 @@ struct SimConfig
      */
     bool early_divergence_repair = true;
 
-    // ---- load/store queues --------------------------------------------
-    /** Per-thread load queue entries; 0 derives tb_size/4 (paper). */
-    int lq_size = 0;
-    /** Per-thread store queue entries; 0 derives tb_size/4 (paper). */
-    int sq_size = 0;
-
     // ---- memory ---------------------------------------------------------
-    /** Cache geometry; the miss penalties are MemHierarchy constants
-     *  and the predictor tables BranchPredictorUnit constants. */
+    /** The two cache sizes Figure 9 varies; the rest of the geometry,
+     *  the miss penalties and the predictor tables are constants. */
     HierarchyParams mem;
 
     // ---- run control ------------------------------------------------------
@@ -109,7 +97,7 @@ struct SimConfig
      * this many instructions have finally retired, so caches,
      * predictors and spawn tables warm up before measurement begins.
      * The boundary is evaluated between cycles, so up to
-     * retire_width-1 instructions of the crossing cycle count toward
+     * kRetireWidth-1 instructions of the crossing cycle count toward
      * warmup rather than measurement.  0 measures from cycle zero (the
      * full-run behaviour).
      */
@@ -159,21 +147,21 @@ struct SimConfig
     /** True when this machine runs DMT (more than one context). */
     bool isDmt() const { return max_threads > 1; }
 
-    /** Effective physical register count. */
+    /** Physical registers: the window plus per-thread headroom. */
     int physRegCount() const;
 
-    /** Effective per-thread load queue capacity. */
+    /** Per-thread load queue capacity: a quarter of the trace buffer. */
     int lqSize() const;
 
-    /** Effective per-thread store queue capacity. */
+    /** Per-thread store queue capacity: a quarter of the trace buffer. */
     int sqSize() const;
 
     /**
      * Check invariants: the range of every job field, then the rules
-     * that span fields.  This is the one validator; the daemon's job
-     * parser (serve/protocol.cc) checks only JSON types and leaves
-     * ranges to it.  @return the first violated rule as a message, or
-     * an empty string for a valid config.
+     * no single range expresses.  This is the one validator; the
+     * daemon's job parser (serve/protocol.cc) checks only JSON types
+     * and leaves ranges to it.  @return the first violated rule as a
+     * message, or an empty string for a valid config.
      */
     std::string validate() const;
 
@@ -190,15 +178,20 @@ struct SimConfig
      *  as a JSON object: the canonical config document. */
     void jsonOn(JsonWriter &w) const;
 
+    bool operator==(const SimConfig &) const = default;
+
     /**
-     * The job fields: the knobs a serve job may set, in canonical JSON
-     * order.  Calls @p v (key, field, lo, hi) for an integer field and
-     * @p v (key, field) for a flag.  This one list drives jsonOn(), the
-     * range checks of validate() and the daemon's config parser.  The
-     * fields no job can set (cache geometry, the ablation policies,
-     * max_cycles) stay out of it, and so out of the canonical JSON; the
-     * paper's fixed machine parameters (FU counts and latencies,
-     * predictor tables, miss penalties) are constants, not fields.
+     * The job fields: every setting that can change a result, in
+     * canonical JSON order.  Calls @p v (key, field, lo, hi) for an
+     * integer field and @p v (key, field) for a flag.  This one list
+     * drives jsonOn(), the range checks of validate(), the daemon's
+     * config parser and so the result cache key: a config document
+     * names its whole machine and replays as that machine.  Outside
+     * it: max_cycles (no job sets it), the fault options (no job may
+     * inject) and runtime state (deadline, crash_file, trace).  The
+     * paper's fixed machine (window, widths, latencies, FU counts,
+     * predictor tables, the rest of the cache geometry and the miss
+     * penalties) is constants, not fields.
      */
     template <typename Config, typename Visit>
     static void
@@ -209,25 +202,24 @@ struct SimConfig
         v("max_threads", c.max_threads, 1, 64);
         v("spawn_on_call", c.spawn_on_call);
         v("spawn_on_loop", c.spawn_on_loop);
-        v("value_prediction", c.value_prediction);
         v("dataflow_prediction", c.dataflow_prediction);
+        v("dataflow_sync", c.dataflow_sync);
+        v("memdep_sync", c.memdep_sync);
         v("fetch_ports", c.fetch_ports, 1, 64);
-        v("fetch_block", c.fetch_block, 1, 1024);
-        v("window_size", c.window_size, 1, 1 << 20);
-        v("retire_width", c.retire_width, 1, 1024);
         v("unlimited_fus", c.unlimited_fus);
-        v("phys_regs", c.phys_regs, 0, 1 << 22);
         v("tb_size", c.tb_size, 8, 1 << 22);
         v("tb_latency", c.tb_latency, 0, 1 << 20);
         v("tb_read_block", c.tb_read_block, 0, 1 << 20);
-        v("lq_size", c.lq_size, 0, 1 << 22);
-        v("sq_size", c.sq_size, 0, 1 << 22);
-        v("lat_mem", c.lat_mem, 1, 10000);
+        v("recovery_fetch_stall", c.recovery_fetch_stall, 0, 2);
+        v("recovery_dispatch_stall", c.recovery_dispatch_stall, 0, 2);
+        v("early_divergence_repair", c.early_divergence_repair);
+        // At least one set: the L1I is 2 x 32 B, the L2 4 x 64 B.
+        v("l1i_bytes", c.mem.l1i_bytes, u32{64}, u32{1} << 30);
+        v("l2_bytes", c.mem.l2_bytes, u32{256}, u32{1} << 30);
         v("max_retired", c.max_retired, u64{0}, kMaxCount);
         v("warmup_retired", c.warmup_retired, u64{0}, kMaxCount);
         v("watchdog_cycles", c.watchdog_cycles, u64{0}, kMaxCount);
         v("audit_period", c.audit_period, 0, 1 << 30);
-        v("fault_enabled", c.fault.enabled);
     }
 };
 

@@ -150,11 +150,11 @@ TEST(EngineResume, GoldenCheckedWindowFromCheckpoint)
     EXPECT_EQ(engine.retiredTotal(), 3000u);
     EXPECT_TRUE(engine.measurementActive());
     // The stat block detached at the warmup boundary.  The boundary is
-    // evaluated between cycles, so up to retire_width-1 instructions of
+    // evaluated between cycles, so up to kRetireWidth-1 instructions of
     // the crossing cycle land on the warmup side.
     EXPECT_LE(engine.stats().retired.value(), 2500u);
     EXPECT_GE(engine.stats().retired.value(),
-              2500u - static_cast<u64>(cfg.retire_width) + 1);
+              2500u - static_cast<u64>(SimConfig::kRetireWidth) + 1);
     EXPECT_LT(engine.stats().cycles.value(), engine.now());
 }
 

@@ -64,18 +64,6 @@ TEST(Baseline, IpcWithinSuperscalarBounds)
     EXPECT_LE(r.ipc, 4.0) << "cannot beat machine width";
 }
 
-TEST(Baseline, WiderWindowNeverSlower)
-{
-    SimConfig small = SimConfig::baseline();
-    small.window_size = 16;
-    SimConfig big = SimConfig::baseline();
-    big.window_size = 256;
-    const Program p = mkMatmul(10);
-    const RunStats rs = runEngine(p, small);
-    const RunStats rb = runEngine(p, big);
-    EXPECT_LE(rb.cycles, rs.cycles + rs.cycles / 20);
-}
-
 TEST(Baseline, BranchyCodePaysForMispredicts)
 {
     // A strictly alternating branch is hopeless for a history-less

@@ -88,14 +88,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- feature ablations stay correct ------------------------------------
 
-TEST(DmtAblation, NoValuePrediction)
-{
-    SimConfig cfg = SimConfig::dmt(4, 2);
-    cfg.value_prediction = false;
-    expectCorrect(mkFibRecursive(12), cfg);
-    expectCorrect(mkCallChain(200), cfg);
-}
-
 TEST(DmtAblation, NoDataflowPrediction)
 {
     SimConfig cfg = SimConfig::dmt(4, 2);

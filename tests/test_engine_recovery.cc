@@ -285,7 +285,6 @@ INSTANTIATE_TEST_SUITE_P(Suite, Conservation,
 TEST(Conservation, WindowNeverExceedsConfiguredSize)
 {
     SimConfig cfg = SimConfig::dmt(4, 2);
-    cfg.window_size = 32;
     cfg.max_retired = 5000;
     DmtEngine e(cfg, buildWorkload("li"));
     int peak = 0;
@@ -294,14 +293,13 @@ TEST(Conservation, WindowNeverExceedsConfiguredSize)
         peak = std::max(peak, EngineInspector::windowUsed(e));
     }
     ASSERT_TRUE(e.goldenOk()) << e.goldenError();
-    EXPECT_LE(peak, 32);
+    EXPECT_LE(peak, SimConfig::kWindowSize);
 }
 
 TEST(Recovery, TinyLsqStillCorrect)
 {
     SimConfig cfg = SimConfig::dmt(4, 2);
-    cfg.lq_size = 4;
-    cfg.sq_size = 4;
+    cfg.tb_size = 16; // 4-entry load and store queues
     const Program p = mkAliasStress(150);
     DmtEngine e(cfg, p);
     e.run();

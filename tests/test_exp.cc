@@ -11,6 +11,7 @@
 #include "cli/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
+#include "common/strutil.hh"
 #include "dmt/engine.hh"
 #include "exp/experiments.hh"
 #include "exp/report.hh"
@@ -28,9 +29,9 @@ TEST(PaperConfig, BaselineMachine)
     const SimConfig c = exp::baseline();
     EXPECT_EQ(c.max_threads, 1);
     EXPECT_EQ(c.fetch_ports, 1);
-    EXPECT_EQ(c.fetch_block, 4);
-    EXPECT_EQ(c.window_size, 128);
-    EXPECT_EQ(c.retire_width, 4);
+    EXPECT_EQ(SimConfig::kFetchBlock, 4);
+    EXPECT_EQ(SimConfig::kWindowSize, 128);
+    EXPECT_EQ(SimConfig::kRetireWidth, 4);
     EXPECT_TRUE(c.unlimited_fus);
     EXPECT_FALSE(c.isDmt());
 }
@@ -40,13 +41,13 @@ TEST(PaperConfig, CacheHierarchy)
     // "16KB 2-way set associative instruction and data caches and a
     //  256KB 4-way set associative L2 cache. L1 miss penalty is 4
     //  cycles, and an L2 miss costs additional 20 cycles."
-    const SimConfig c = exp::baseline();
-    EXPECT_EQ(c.mem.l1i.size_bytes, 16u * 1024);
-    EXPECT_EQ(c.mem.l1i.assoc, 2u);
-    EXPECT_EQ(c.mem.l1d.size_bytes, 16u * 1024);
-    EXPECT_EQ(c.mem.l1d.assoc, 2u);
-    EXPECT_EQ(c.mem.l2.size_bytes, 256u * 1024);
-    EXPECT_EQ(c.mem.l2.assoc, 4u);
+    const MemHierarchy h(exp::baseline().mem);
+    EXPECT_EQ(h.l1i().params().size_bytes, 16u * 1024);
+    EXPECT_EQ(h.l1i().params().assoc, 2u);
+    EXPECT_EQ(h.l1d().params().size_bytes, 16u * 1024);
+    EXPECT_EQ(h.l1d().params().assoc, 2u);
+    EXPECT_EQ(h.l2().params().size_bytes, 256u * 1024);
+    EXPECT_EQ(h.l2().params().assoc, 4u);
     EXPECT_EQ(MemHierarchy::kL1MissPenalty, 4u);
     EXPECT_EQ(MemHierarchy::kL2MissPenalty, 20u);
 }
@@ -59,7 +60,7 @@ TEST(PaperConfig, Figure4Machine)
     const SimConfig c = exp::fig4Dmt(6);
     EXPECT_EQ(c.max_threads, 6);
     EXPECT_EQ(c.fetch_ports, 2);
-    EXPECT_EQ(c.window_size, 128);
+    EXPECT_EQ(SimConfig::kWindowSize, 128);
     EXPECT_EQ(c.tb_size, 500);
     EXPECT_EQ(c.tb_latency, 4);
     EXPECT_TRUE(c.unlimited_fus);
@@ -79,7 +80,7 @@ TEST(PaperConfig, Figure6ExecutionUnits)
     EXPECT_EQ(FuPool::kAluLatency, 1u);
     EXPECT_EQ(FuPool::kMulLatency, 3u);
     EXPECT_EQ(FuPool::kDivLatency, 20u);
-    EXPECT_EQ(c.lat_mem, 3);
+    EXPECT_EQ(SimConfig::kLoadLatency, 3u);
     // "we have assumed additional 2 cycles of latency for loads that
     //  hit stores in other thread queues"
     EXPECT_EQ(DmtEngine::kCrossThreadForwardLatency, 2u);
@@ -97,6 +98,71 @@ TEST(PaperConfig, FigureSweeps)
     EXPECT_EQ(exp::fig12Dmt(6).tb_read_block, 6);
     EXPECT_EQ(exp::fig12Dmt(0).tb_read_block, 0) << "ideal queue";
     EXPECT_EQ(exp::fig13Dmt(16).tb_latency, 16);
+}
+
+TEST(PaperConfig, EveryBenchMachineHasItsOwnDocument)
+{
+    // The config document (and so the daemon's result key) must name
+    // every setting a bench varies: two bench machines that share a
+    // canonical hash are the same machine.
+    std::vector<std::pair<std::string, SimConfig>> m;
+    const auto add = [&](std::string name, SimConfig c) {
+        m.emplace_back(std::move(name), std::move(c));
+    };
+    for (bool real : {false, true}) {
+        add(strprintf("baseline(%d)", real), exp::baseline(real));
+        for (int t : {4, 6})
+            add(strprintf("fig6Dmt(%d,%d)", t, real), exp::fig6Dmt(t, real));
+        add(strprintf("fig10Dmt(%d)", real), exp::fig10Dmt(real));
+    }
+    for (int t = 1; t <= 8; ++t)
+        add(strprintf("fig4Dmt(%d)", t), exp::fig4Dmt(t));
+    for (int p : {1, 2, 4})
+        add(strprintf("fig5Dmt(%d)", p), exp::fig5Dmt(p));
+    for (int tb : {25, 50, 100, 200, 500})
+        add(strprintf("fig7Dmt(%d)", tb), exp::fig7Dmt(tb));
+    add("fig89Dmt", exp::fig89Dmt());
+    SimConfig small = exp::fig89Dmt();
+    small.mem.l1i_bytes = 512;
+    small.mem.l2_bytes = 4 * 1024;
+    add("fig09-512B", small);
+    add("fig11Dmt", exp::fig11Dmt());
+    for (int b : {0, 2, 4, 6})
+        add(strprintf("fig12Dmt(%d)", b), exp::fig12Dmt(b));
+    for (int l : {2, 4, 8, 16})
+        add(strprintf("fig13Dmt(%d)", l), exp::fig13Dmt(l));
+    // The bench_ablation columns.
+    const SimConfig dmt42 = SimConfig::dmt(4, 2);
+    add("default", dmt42);
+    SimConfig c = dmt42;
+    c.early_divergence_repair = false;
+    add("late-div", c);
+    c = dmt42;
+    c.dataflow_sync = true;
+    add("df-sync", c);
+    c = dmt42;
+    c.memdep_sync = false;
+    add("no-memdep", c);
+    c = dmt42;
+    c.recovery_fetch_stall = 2;
+    c.recovery_dispatch_stall = 2;
+    add("stall-all", c);
+    c = dmt42;
+    c.spawn_on_loop = false;
+    add("calls-only", c);
+    c = dmt42;
+    c.spawn_on_call = false;
+    add("loops-only", c);
+
+    for (size_t i = 0; i < m.size(); ++i) {
+        for (size_t j = i + 1; j < m.size(); ++j) {
+            if (canonicalHash(m[i].second) == canonicalHash(m[j].second)) {
+                EXPECT_TRUE(m[i].second == m[j].second)
+                    << m[i].first << " and " << m[j].first
+                    << " share a config document";
+            }
+        }
+    }
 }
 
 TEST(PaperConfig, ValidationCatchesNonsense)

@@ -85,10 +85,11 @@ TEST(Hierarchy, PaperLatencies)
 TEST(Hierarchy, L2CatchesL1Evictions)
 {
     HierarchyParams p;
-    p.l1i = {"l1i", 256, 1, 32}; // tiny direct-mapped L1I
+    p.l1i_bytes = 128; // two sets of two 32B ways
     MemHierarchy h(p);
     h.instAccess(0x0000);
-    h.instAccess(0x0100); // evicts 0x0000 from the tiny L1
+    h.instAccess(0x0100); // same set
+    h.instAccess(0x0200); // evicts 0x0000 (LRU) from the tiny L1
     const Cycle lat = h.instAccess(0x0000);
     EXPECT_EQ(lat, MemHierarchy::kL1MissPenalty) << "L1 miss, L2 hit";
 }

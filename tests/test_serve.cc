@@ -212,26 +212,25 @@ TEST(Protocol, RunRequestRoundTrips)
     EXPECT_EQ(canonicalHash(req.job.cfg), canonicalHash(job.cfg))
         << "replaying a recorded config must rebuild the same machine";
 
-    // Every job field off its default, the derived sizes explicit.
+    // Every job field off its default.
     JobSpec odd = smallJob();
     SimConfig &c = odd.cfg;
     c.max_threads = 5;
     c.spawn_on_call = false;
     c.spawn_on_loop = false;
-    c.value_prediction = false;
     c.dataflow_prediction = false;
+    c.dataflow_sync = true;
+    c.memdep_sync = false;
     c.fetch_ports = 3;
-    c.fetch_block = 8;
-    c.window_size = 96;
-    c.retire_width = 3;
     c.unlimited_fus = false;
-    c.phys_regs = 700;
     c.tb_size = 300;
     c.tb_latency = 7;
     c.tb_read_block = 6;
-    c.lq_size = 40;
-    c.sq_size = 30;
-    c.lat_mem = 5;
+    c.recovery_fetch_stall = 1;
+    c.recovery_dispatch_stall = 2;
+    c.early_divergence_repair = false;
+    c.mem.l1i_bytes = 512;
+    c.mem.l2_bytes = 4 * 1024;
     c.max_retired = 3000;
     c.warmup_retired = 200;
     c.watchdog_cycles = 123456;
@@ -239,6 +238,9 @@ TEST(Protocol, RunRequestRoundTrips)
     odd.max_retired = c.max_retired;
     ASSERT_TRUE(parseRequest(runRequestLine(8, odd), &req, &err)) << err;
     EXPECT_EQ(canonicalHash(req.job.cfg), canonicalHash(odd.cfg))
+        << runRequestLine(8, odd);
+    EXPECT_TRUE(req.job.cfg == odd.cfg)
+        << "the document must name the whole machine: "
         << runRequestLine(8, odd);
 }
 
@@ -289,16 +291,18 @@ TEST(Protocol, RejectsWithoutExiting)
 
 TEST(Protocol, RejectsWhatValidateRejects)
 {
-    // A cross-field rule no per-key range catches: the daemon rejects
-    // it with SimConfig::validate()'s own message instead of letting
-    // the DmtEngine constructor exit.
+    // A rule no per-key range catches: the daemon rejects it with
+    // SimConfig::validate()'s own message instead of letting the
+    // DmtEngine constructor exit.
     Request req;
     std::string err;
     EXPECT_FALSE(parseRequest("{\"op\":\"run\",\"job\":{\"workload\":"
-                              "\"go\",\"config\":{\"window_size\":2,"
-                              "\"fetch_block\":4}}}",
+                              "\"go\",\"config\":{\"l1i_bytes\":768}}}",
                               &req, &err));
-    EXPECT_EQ(err, "window smaller than one fetch block");
+    EXPECT_EQ(err, "l1i_bytes not a power of two");
+    SimConfig local = SimConfig::dmt(6, 2);
+    local.mem.l1i_bytes = 768;
+    EXPECT_EQ(err, local.validate());
 }
 
 TEST(Protocol, DaemonAndLocalShareOneValidator)
@@ -311,9 +315,10 @@ TEST(Protocol, DaemonAndLocalShareOneValidator)
         int SimConfig::*field;
         int value;
     } cases[] = {
-        {"retire_width", &SimConfig::retire_width, 0},
-        {"lat_mem", &SimConfig::lat_mem, 10001},
-        {"window_size", &SimConfig::window_size, 1 << 21},
+        {"recovery_fetch_stall", &SimConfig::recovery_fetch_stall, 3},
+        {"recovery_dispatch_stall", &SimConfig::recovery_dispatch_stall,
+         -1},
+        {"tb_latency", &SimConfig::tb_latency, 1 << 21},
         {"max_threads", &SimConfig::max_threads, 0},
         {"tb_size", &SimConfig::tb_size, 4},
     };
