@@ -16,10 +16,20 @@
 
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "cli/env.hh"
+#include "common/json.hh"
+#include "common/log.hh"
 #include "exp/phase.hh"
+#include "exp/runner.hh"
+#include "exp/sampled.hh"
 #include "workloads/generator.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -104,7 +114,7 @@ modeJsonOn(dmt::JsonWriter &w, const ModeResult &m)
 } // namespace
 
 int
-benchMain()
+benchMain(int, char **)
 {
     using namespace dmt;
 

@@ -25,11 +25,22 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "cli/env.hh"
+#include "common/json.hh"
+#include "common/log.hh"
+#include "exp/experiments.hh"
+#include "exp/runner.hh"
+#include "exp/sampled.hh"
+#include "exp/sweep.hh"
 #include "sim/bbv.hh"
 #include "sim/functional.hh"
 #include "sim/functional_core.hh"
 #include "workloads/generator.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -228,7 +239,7 @@ funcJsonOn(dmt::JsonWriter &w, const FuncSpeed &f)
 } // namespace
 
 int
-benchMain()
+benchMain(int, char **)
 {
     using namespace dmt;
 
