@@ -1,8 +1,9 @@
 #include "casm/assembler.hh"
 
-#include <functional>
-#include <optional>
+#include <algorithm>
+#include <map>
 
+#include "casm/builder.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "isa/regs.hh"
@@ -31,35 +32,6 @@ struct Statement
     std::vector<std::string> operands;
     std::string stringArg;           // for .asciiz
     bool hasStringArg = false;
-};
-
-/** Segment being filled. */
-enum class Segment { Text, Data };
-
-class AsmContext
-{
-  public:
-    AsmContext() = default;
-
-    Program program;
-    std::vector<AsmError> errors;
-    std::string entryLabel;
-
-    void
-    error(int line, std::string msg)
-    {
-        errors.push_back({line, std::move(msg)});
-    }
-
-    bool
-    lookup(const std::string &sym, Addr *out) const
-    {
-        auto it = program.symbols.find(sym);
-        if (it == program.symbols.end())
-            return false;
-        *out = it->second;
-        return true;
-    }
 };
 
 bool
@@ -159,512 +131,493 @@ splitStatement(const std::string &raw, int line_no, Statement *out,
     return true;
 }
 
-/** Value of an immediate operand: integer literal or symbol[+/-offset]. */
-bool
-evalImm(const AsmContext &ctx, std::string_view text, i64 *out)
-{
-    text = trim(text);
-    i64 v;
-    if (parseInt(text, &v)) {
-        *out = v;
-        return true;
-    }
-    // symbol, symbol+N, symbol-N
-    size_t pos = text.find_first_of("+-", 1);
-    std::string sym(trim(text.substr(0, pos)));
-    Addr base;
-    if (!ctx.lookup(sym, &base))
-        return false;
-    i64 off = 0;
-    if (pos != std::string_view::npos) {
-        if (!parseInt(text.substr(pos), &off))
-            return false;
-    }
-    *out = static_cast<i64>(base) + off;
-    return true;
-}
+using Label = AsmBuilder::Label;
+using FixKind = AsmBuilder::FixKind;
 
-/** Parse "imm(reg)" / "(reg)" / "imm" memory operands. */
-bool
-parseMemOperand(const AsmContext &ctx, std::string_view text, LogReg *base,
-                i64 *offset)
+/** An operand that may name an address: a literal, or name[+/-N]. */
+struct Value
 {
-    text = trim(text);
-    size_t open = text.find('(');
-    if (open == std::string_view::npos) {
-        // Bare absolute address with $zero base.
-        if (!evalImm(ctx, text, offset))
-            return false;
-        *base = 0;
-        return true;
-    }
-    size_t close = text.rfind(')');
-    if (close == std::string_view::npos || close < open)
-        return false;
-    std::string_view off_text = trim(text.substr(0, open));
-    std::string_view reg_text = text.substr(open + 1, close - open - 1);
-    *offset = 0;
-    if (!off_text.empty() && !evalImm(ctx, off_text, offset))
-        return false;
-    return parseReg(reg_text, base);
-}
-
-/**
- * Size in instructions of the expansion of a text statement.  Must agree
- * exactly with emitText() below.
- */
-int
-textSize(const Statement &st)
-{
-    const std::string &m = st.mnemonic;
-    if (m == "li") {
-        i64 v;
-        if (st.operands.size() == 2 && parseInt(st.operands[1], &v)
-            && v >= -32768 && v <= 0xFFFF) {
-            return 1;
-        }
-        return 2;
-    }
-    if (m == "la")
-        return 2;
-    if (m == "push" || m == "pop")
-        return 2;
-    return 1;
-}
-
-struct OpPattern
-{
-    Opcode op;
-    enum Kind
-    {
-        RRR,       // rd, rs, rt
-        RRI,       // rd, rs, imm
-        ShiftImm,  // rd, rs, shamt
-        Mem,       // reg, imm(base)
-        BranchRR,  // rs, rt, label
-        Jump,      // label
-        JumpReg,   // rs
-        Lui,       // rd, imm
-        None,      // no operands
-        OutOp,     // rs
-    } kind;
+    i64 num = 0;        ///< the literal, or the name's addend
+    Label label = -1;   ///< the name's label; -1 for a literal
 };
 
-const std::map<std::string, OpPattern> &
-opPatterns()
+/** beqz rs, L is beq rs, $zero, L; a swapped one compares $zero, rs. */
+struct PseudoBranch
 {
-    static const std::map<std::string, OpPattern> table = {
-        {"add", {Opcode::ADD, OpPattern::RRR}},
-        {"sub", {Opcode::SUB, OpPattern::RRR}},
-        {"and", {Opcode::AND, OpPattern::RRR}},
-        {"or", {Opcode::OR, OpPattern::RRR}},
-        {"xor", {Opcode::XOR, OpPattern::RRR}},
-        {"nor", {Opcode::NOR, OpPattern::RRR}},
-        {"sllv", {Opcode::SLLV, OpPattern::RRR}},
-        {"srlv", {Opcode::SRLV, OpPattern::RRR}},
-        {"srav", {Opcode::SRAV, OpPattern::RRR}},
-        {"slt", {Opcode::SLT, OpPattern::RRR}},
-        {"sltu", {Opcode::SLTU, OpPattern::RRR}},
-        {"mul", {Opcode::MUL, OpPattern::RRR}},
-        {"mulh", {Opcode::MULH, OpPattern::RRR}},
-        {"div", {Opcode::DIV, OpPattern::RRR}},
-        {"divu", {Opcode::DIVU, OpPattern::RRR}},
-        {"rem", {Opcode::REM, OpPattern::RRR}},
-        {"remu", {Opcode::REMU, OpPattern::RRR}},
-        {"sll", {Opcode::SLL, OpPattern::ShiftImm}},
-        {"srl", {Opcode::SRL, OpPattern::ShiftImm}},
-        {"sra", {Opcode::SRA, OpPattern::ShiftImm}},
-        {"addi", {Opcode::ADDI, OpPattern::RRI}},
-        {"andi", {Opcode::ANDI, OpPattern::RRI}},
-        {"ori", {Opcode::ORI, OpPattern::RRI}},
-        {"xori", {Opcode::XORI, OpPattern::RRI}},
-        {"slti", {Opcode::SLTI, OpPattern::RRI}},
-        {"sltiu", {Opcode::SLTIU, OpPattern::RRI}},
-        {"lui", {Opcode::LUI, OpPattern::Lui}},
-        {"lw", {Opcode::LW, OpPattern::Mem}},
-        {"lh", {Opcode::LH, OpPattern::Mem}},
-        {"lhu", {Opcode::LHU, OpPattern::Mem}},
-        {"lb", {Opcode::LB, OpPattern::Mem}},
-        {"lbu", {Opcode::LBU, OpPattern::Mem}},
-        {"sw", {Opcode::SW, OpPattern::Mem}},
-        {"sh", {Opcode::SH, OpPattern::Mem}},
-        {"sb", {Opcode::SB, OpPattern::Mem}},
-        {"beq", {Opcode::BEQ, OpPattern::BranchRR}},
-        {"bne", {Opcode::BNE, OpPattern::BranchRR}},
-        {"blt", {Opcode::BLT, OpPattern::BranchRR}},
-        {"bge", {Opcode::BGE, OpPattern::BranchRR}},
-        {"bltu", {Opcode::BLTU, OpPattern::BranchRR}},
-        {"bgeu", {Opcode::BGEU, OpPattern::BranchRR}},
-        {"j", {Opcode::J, OpPattern::Jump}},
-        {"jal", {Opcode::JAL, OpPattern::Jump}},
-        {"jr", {Opcode::JR, OpPattern::JumpReg}},
-        {"jalr", {Opcode::JALR, OpPattern::JumpReg}},
-        {"nop", {Opcode::NOP, OpPattern::None}},
-        {"halt", {Opcode::HALT, OpPattern::None}},
-        {"out", {Opcode::OUT, OpPattern::OutOp}},
-    };
-    return table;
-}
+    const char *mnemonic;
+    Opcode op;
+    bool swap;
+};
 
-class Emitter
+constexpr PseudoBranch kPseudoBranches[] = {
+    {"beqz", Opcode::BEQ, false}, {"bnez", Opcode::BNE, false},
+    {"bltz", Opcode::BLT, false}, {"bgez", Opcode::BGE, false},
+    {"bgtz", Opcode::BLT, true},  {"blez", Opcode::BGE, true},
+};
+
+/** Assembles statements in one pass through an AsmBuilder. */
+class Assembler
 {
   public:
-    Emitter(AsmContext &ctx_, bool final_pass)
-        : ctx(ctx_), final(final_pass)
-    {
-    }
-
-    /** Emit the expansion of @p st; returns false and records an error
-     *  on malformed statements. */
-    bool emitText(const Statement &st);
+    AsmResult run(std::string_view source);
 
   private:
-    AsmContext &ctx;
-    bool final;
+    enum class Segment { Text, Data };
+
+    /** A name in the source, as a builder label bound where the name
+     *  is defined. */
+    struct Name
+    {
+        Label label = -1;
+        bool defined = false;
+        int first_line = 0;         ///< first use, for "cannot evaluate"
+        std::string first_text;
+    };
+
+    AsmBuilder b;
+    std::map<std::string, Name> names;
+    std::vector<AsmError> errors;
+    Segment seg = Segment::Text;
+    std::string entry;
+    const Statement *cur = nullptr;
+
+    bool
+    err(std::string msg)
+    {
+        errors.push_back({cur->line, std::move(msg)});
+        return false;
+    }
 
     Addr
     pc() const
     {
-        return Program::kTextBase
-            + static_cast<Addr>(ctx.program.text.size()) * 4;
+        return Program::kTextBase + static_cast<Addr>(b.textSize()) * 4;
     }
 
-    void
-    push(Instruction inst)
-    {
-        ctx.program.text.push_back(inst);
-    }
+    Name &named(const std::string &name);
+    void define(const std::string &label);
+    bool wantOps(size_t n);
+    bool reg(size_t i, LogReg *out);
+    bool number(size_t i, const char *what, i64 *out);
+    bool value(size_t i, Value *out);
+    bool memOperand(size_t i, LogReg *base, i32 *offset);
+    void emitValue(Instruction inst, FixKind kind, const Value &v);
+    void wide(LogReg rd, const Value &v);
 
-    bool
-    err(const Statement &st, std::string msg)
-    {
-        if (final)
-            ctx.error(st.line, std::move(msg));
-        // During pass 1 errors are suppressed — unresolved forward
-        // references are expected; sizes are still correct.
-        return false;
-    }
-
-    bool reg(const Statement &st, int i, LogReg *out);
-    bool imm(const Statement &st, int i, i64 *out);
-    bool wantOps(const Statement &st, size_t n);
-
-    bool emitReal(const Statement &st, const OpPattern &pat);
-    bool emitPseudo(const Statement &st);
-    void emitLi(LogReg rd, i64 value);
+    void statement(const Statement &st);
+    bool directive();
+    bool real(Opcode op);
+    bool pseudo();
 };
 
-bool
-Emitter::wantOps(const Statement &st, size_t n)
+Assembler::Name &
+Assembler::named(const std::string &name)
 {
-    if (st.operands.size() != n) {
-        return err(st, strprintf("'%s' expects %zu operands, got %zu",
-                                 st.mnemonic.c_str(), n,
-                                 st.operands.size()));
-    }
-    return true;
-}
-
-bool
-Emitter::reg(const Statement &st, int i, LogReg *out)
-{
-    if (i >= static_cast<int>(st.operands.size()))
-        return err(st, "missing register operand");
-    if (!parseReg(st.operands[static_cast<size_t>(i)], out)) {
-        return err(st, strprintf("bad register '%s'",
-                                 st.operands[static_cast<size_t>(i)]
-                                     .c_str()));
-    }
-    return true;
-}
-
-bool
-Emitter::imm(const Statement &st, int i, i64 *out)
-{
-    if (i >= static_cast<int>(st.operands.size()))
-        return err(st, "missing immediate operand");
-    const std::string &text = st.operands[static_cast<size_t>(i)];
-    if (!evalImm(ctx, text, out)) {
-        // Unresolved forward reference: fine in pass 1.
-        if (!final) {
-            *out = 0;
-            return true;
-        }
-        return err(st, strprintf("cannot evaluate '%s'", text.c_str()));
-    }
-    return true;
+    auto [it, fresh] = names.try_emplace(name);
+    if (fresh)
+        it->second.label = b.newLabel(name);
+    return it->second;
 }
 
 void
-Emitter::emitLi(LogReg rd, i64 value)
+Assembler::define(const std::string &label)
 {
-    const u32 v = static_cast<u32>(value);
-    if (value >= -32768 && value <= 32767) {
-        push({Opcode::ADDI, rd, reg::zero, 0,
-              static_cast<i32>(value)});
-    } else if (value >= 0 && value <= 0xFFFF) {
-        push({Opcode::ORI, rd, reg::zero, 0, static_cast<i32>(value)});
-    } else {
-        push({Opcode::LUI, rd, 0, 0, static_cast<i32>(v >> 16)});
-        push({Opcode::ORI, rd, rd, 0, static_cast<i32>(v & 0xFFFF)});
+    Name &n = named(label);
+    if (n.defined) {
+        err(strprintf("duplicate label '%s'", label.c_str()));
+        return;
     }
+    n.defined = true;
+    if (seg == Segment::Text)
+        b.bind(n.label);
+    else
+        b.bindData(n.label);
 }
 
 bool
-Emitter::emitReal(const Statement &st, const OpPattern &pat)
+Assembler::wantOps(size_t n)
 {
-    Instruction inst;
-    inst.op = pat.op;
-    switch (pat.kind) {
-      case OpPattern::RRR:
-        if (!wantOps(st, 3) || !reg(st, 0, &inst.rd)
-            || !reg(st, 1, &inst.rs) || !reg(st, 2, &inst.rt)) {
-            return false;
-        }
-        break;
-      case OpPattern::RRI: {
-          i64 v;
-          if (!wantOps(st, 3) || !reg(st, 0, &inst.rd)
-              || !reg(st, 1, &inst.rs) || !imm(st, 2, &v)) {
-              return false;
-          }
-          inst.imm = static_cast<i32>(v);
-          break;
-      }
-      case OpPattern::ShiftImm: {
-          i64 v;
-          if (!wantOps(st, 3) || !reg(st, 0, &inst.rd)
-              || !reg(st, 1, &inst.rs) || !imm(st, 2, &v)) {
-              return false;
-          }
-          if (v < 0 || v > 31)
-              return err(st, "shift amount out of range");
-          inst.imm = static_cast<i32>(v);
-          break;
-      }
-      case OpPattern::Mem: {
-          LogReg value_reg;
-          LogReg base;
-          i64 off;
-          if (!wantOps(st, 2) || !reg(st, 0, &value_reg))
-              return false;
-          if (!parseMemOperand(ctx, st.operands[1], &base, &off)) {
-              if (!final) {
-                  base = 0;
-                  off = 0;
-              } else {
-                  return err(st, strprintf("bad memory operand '%s'",
-                                           st.operands[1].c_str()));
-              }
-          }
-          if (final && (off < -32768 || off > 32767))
-              return err(st, "memory offset out of range");
-          inst.rs = base;
-          inst.imm = static_cast<i32>(off);
-          if (inst.isStore()) {
-              inst.rt = value_reg;
-          } else {
-              inst.rd = value_reg;
-          }
-          break;
-      }
-      case OpPattern::BranchRR: {
-          i64 target;
-          if (!wantOps(st, 3) || !reg(st, 0, &inst.rs)
-              || !reg(st, 1, &inst.rt) || !imm(st, 2, &target)) {
-              return false;
-          }
-          inst.imm = static_cast<i32>(static_cast<i64>(target)
-                                      - static_cast<i64>(pc()) - 4);
-          break;
-      }
-      case OpPattern::Jump: {
-          i64 target;
-          if (!wantOps(st, 1) || !imm(st, 0, &target))
-              return false;
-          inst.imm = static_cast<i32>(target);
-          if (inst.op == Opcode::JAL)
-              inst.rd = reg::ra;
-          break;
-      }
-      case OpPattern::JumpReg:
-        if (inst.op == Opcode::JALR) {
-            // jalr rs  (link in $ra)  or  jalr rd, rs
-            if (st.operands.size() == 1) {
-                if (!reg(st, 0, &inst.rs))
-                    return false;
-                inst.rd = reg::ra;
-            } else if (!wantOps(st, 2) || !reg(st, 0, &inst.rd)
-                       || !reg(st, 1, &inst.rs)) {
-                return false;
-            }
-        } else {
-            if (!wantOps(st, 1) || !reg(st, 0, &inst.rs))
-                return false;
-        }
-        break;
-      case OpPattern::Lui: {
-          i64 v;
-          if (!wantOps(st, 2) || !reg(st, 0, &inst.rd) || !imm(st, 1, &v))
-              return false;
-          if (final && (v < 0 || v > 0xFFFF))
-              return err(st, "lui immediate out of range");
-          inst.imm = static_cast<i32>(v & 0xFFFF);
-          break;
-      }
-      case OpPattern::None:
-        if (!wantOps(st, 0))
-            return false;
-        break;
-      case OpPattern::OutOp:
-        if (!wantOps(st, 1) || !reg(st, 0, &inst.rs))
-            return false;
-        break;
+    if (cur->operands.size() != n) {
+        return err(strprintf("'%s' expects %zu operands, got %zu",
+                             cur->mnemonic.c_str(), n,
+                             cur->operands.size()));
     }
-    push(inst);
     return true;
 }
 
 bool
-Emitter::emitPseudo(const Statement &st)
+Assembler::reg(size_t i, LogReg *out)
 {
-    const std::string &m = st.mnemonic;
-    if (m == "li") {
-        LogReg rd;
-        i64 v;
-        if (!wantOps(st, 2) || !reg(st, 0, &rd) || !imm(st, 1, &v))
-            return false;
-        // Symbolic values always use the wide form so that pass-1 sizing
-        // (which cannot resolve forward references) stays correct.
-        i64 literal;
-        if (parseInt(st.operands[1], &literal) && literal >= -32768
-            && literal <= 0xFFFF) {
-            emitLi(rd, v);
-        } else {
-            const u32 addr = static_cast<u32>(v);
-            push({Opcode::LUI, rd, 0, 0, static_cast<i32>(addr >> 16)});
-            push({Opcode::ORI, rd, rd, 0,
-                  static_cast<i32>(addr & 0xFFFF)});
-        }
-        return true;
+    if (!parseReg(cur->operands[i], out))
+        return err(strprintf("bad register '%s'", cur->operands[i].c_str()));
+    return true;
+}
+
+/** An operand that can never hold an address: a literal only. */
+bool
+Assembler::number(size_t i, const char *what, i64 *out)
+{
+    if (!parseInt(cur->operands[i], out)) {
+        return err(strprintf("%s '%s' must be a number", what,
+                             cur->operands[i].c_str()));
     }
-    if (m == "la") {
-        LogReg rd;
-        i64 v;
-        if (!wantOps(st, 2) || !reg(st, 0, &rd) || !imm(st, 1, &v))
-            return false;
-        const u32 addr = static_cast<u32>(v);
-        push({Opcode::LUI, rd, 0, 0, static_cast<i32>(addr >> 16)});
-        push({Opcode::ORI, rd, rd, 0, static_cast<i32>(addr & 0xFFFF)});
-        return true;
-    }
-    if (m == "move") {
-        LogReg rd;
-        LogReg rs;
-        if (!wantOps(st, 2) || !reg(st, 0, &rd) || !reg(st, 1, &rs))
-            return false;
-        push({Opcode::ADD, rd, rs, reg::zero, 0});
-        return true;
-    }
-    if (m == "not") {
-        LogReg rd;
-        LogReg rs;
-        if (!wantOps(st, 2) || !reg(st, 0, &rd) || !reg(st, 1, &rs))
-            return false;
-        push({Opcode::NOR, rd, rs, reg::zero, 0});
-        return true;
-    }
-    if (m == "neg") {
-        LogReg rd;
-        LogReg rs;
-        if (!wantOps(st, 2) || !reg(st, 0, &rd) || !reg(st, 1, &rs))
-            return false;
-        push({Opcode::SUB, rd, reg::zero, rs, 0});
-        return true;
-    }
-    if (m == "subi") {
-        LogReg rd;
-        LogReg rs;
-        i64 v;
-        if (!wantOps(st, 3) || !reg(st, 0, &rd) || !reg(st, 1, &rs)
-            || !imm(st, 2, &v)) {
-            return false;
-        }
-        push({Opcode::ADDI, rd, rs, 0, static_cast<i32>(-v)});
-        return true;
-    }
-    if (m == "b") {
-        i64 target;
-        if (!wantOps(st, 1) || !imm(st, 0, &target))
-            return false;
-        Instruction inst{Opcode::BEQ, 0, reg::zero, reg::zero, 0};
-        inst.imm = static_cast<i32>(target - static_cast<i64>(pc()) - 4);
-        push(inst);
-        return true;
-    }
-    if (m == "beqz" || m == "bnez" || m == "bltz" || m == "bgez"
-        || m == "bgtz" || m == "blez") {
-        LogReg rs;
-        i64 target;
-        if (!wantOps(st, 2) || !reg(st, 0, &rs) || !imm(st, 1, &target))
-            return false;
-        Instruction inst;
-        if (m == "beqz") {
-            inst = {Opcode::BEQ, 0, rs, reg::zero, 0};
-        } else if (m == "bnez") {
-            inst = {Opcode::BNE, 0, rs, reg::zero, 0};
-        } else if (m == "bltz") {
-            inst = {Opcode::BLT, 0, rs, reg::zero, 0};
-        } else if (m == "bgez") {
-            inst = {Opcode::BGE, 0, rs, reg::zero, 0};
-        } else if (m == "bgtz") {
-            inst = {Opcode::BLT, 0, reg::zero, rs, 0};
-        } else { // blez: rs <= 0  <=>  0 >= rs
-            inst = {Opcode::BGE, 0, reg::zero, rs, 0};
-        }
-        inst.imm = static_cast<i32>(target - static_cast<i64>(pc()) - 4);
-        push(inst);
-        return true;
-    }
-    if (m == "ret") {
-        if (!wantOps(st, 0))
-            return false;
-        push({Opcode::JR, 0, reg::ra, 0, 0});
-        return true;
-    }
-    if (m == "call") {
-        i64 target;
-        if (!wantOps(st, 1) || !imm(st, 0, &target))
-            return false;
-        push({Opcode::JAL, reg::ra, 0, 0, static_cast<i32>(target)});
-        return true;
-    }
-    if (m == "push") {
-        LogReg rs;
-        if (!wantOps(st, 1) || !reg(st, 0, &rs))
-            return false;
-        push({Opcode::ADDI, reg::sp, reg::sp, 0, -4});
-        push({Opcode::SW, 0, reg::sp, rs, 0});
-        return true;
-    }
-    if (m == "pop") {
-        LogReg rd;
-        if (!wantOps(st, 1) || !reg(st, 0, &rd))
-            return false;
-        push({Opcode::LW, rd, reg::sp, 0, 0});
-        push({Opcode::ADDI, reg::sp, reg::sp, 0, 4});
-        return true;
-    }
-    return err(st, strprintf("unknown mnemonic '%s'", m.c_str()));
+    return true;
 }
 
 bool
-Emitter::emitText(const Statement &st)
+Assembler::value(size_t i, Value *out)
 {
-    auto it = opPatterns().find(st.mnemonic);
-    if (it != opPatterns().end())
-        return emitReal(st, it->second);
-    return emitPseudo(st);
+    const std::string &text = cur->operands[i];
+    if (parseInt(text, &out->num))
+        return true;
+    // name, name+N, name-N
+    const size_t pos = text.find_first_of("+-", 1);
+    out->num = 0;
+    if (pos != std::string::npos && !parseInt(text.substr(pos), &out->num))
+        return err(strprintf("cannot evaluate '%s'", text.c_str()));
+    Name &n = named(std::string(trim(std::string_view(text).substr(0, pos))));
+    if (n.first_line == 0) {
+        n.first_line = cur->line;
+        n.first_text = text;
+    }
+    out->label = n.label;
+    return true;
+}
+
+/** "imm(reg)", "(reg)", or a bare "imm" with base $zero. */
+bool
+Assembler::memOperand(size_t i, LogReg *base, i32 *offset)
+{
+    const std::string_view text = cur->operands[i];
+    const size_t open = text.find('(');
+    const size_t close = text.rfind(')');
+    const std::string_view off_text = trim(text.substr(0, open));
+    i64 off = 0;
+    bool ok = off_text.empty() || parseInt(off_text, &off);
+    *base = 0;
+    if (open != std::string_view::npos) {
+        ok = ok && close != std::string_view::npos && close > open
+            && parseReg(text.substr(open + 1, close - open - 1), base);
+    }
+    if (!ok) {
+        return err(strprintf("bad memory operand '%s'",
+                             cur->operands[i].c_str()));
+    }
+    if (off < -32768 || off > 32767)
+        return err("memory offset out of range");
+    *offset = static_cast<i32>(off);
+    return true;
+}
+
+/** Emit @p inst with @p v as its immediate: a literal is resolved now,
+ *  a name in finish(). */
+void
+Assembler::emitValue(Instruction inst, FixKind kind, const Value &v)
+{
+    if (v.label >= 0) {
+        b.emitRef(inst, kind, v.label, v.num);
+        return;
+    }
+    inst.imm = static_cast<i32>(kind == FixKind::Branch
+                                    ? v.num - static_cast<i64>(pc()) - 4
+                                    : v.num);
+    b.emit(inst);
+}
+
+/** LUI+ORI of @p v into @p rd. */
+void
+Assembler::wide(LogReg rd, const Value &v)
+{
+    if (v.label >= 0) {
+        b.la(rd, v.label, v.num);
+        return;
+    }
+    const u32 x = static_cast<u32>(v.num);
+    b.lui(rd, x >> 16);
+    b.ori(rd, rd, x & 0xFFFF);
+}
+
+bool
+Assembler::directive()
+{
+    const std::string &m = cur->mnemonic;
+    const auto &ops = cur->operands;
+    if (m == ".text" || m == ".data") {
+        seg = m == ".text" ? Segment::Text : Segment::Data;
+        return true;
+    }
+    if (m == ".entry") {
+        if (ops.size() != 1)
+            return err(".entry expects one label");
+        entry = ops[0];
+        return true;
+    }
+    if (seg != Segment::Data)
+        return err(strprintf("data directive '%s' outside .data", m.c_str()));
+
+    i64 n = 0;
+    if (m == ".word" || m == ".half" || m == ".byte") {
+        // Packed as written: no implicit alignment.
+        const int bytes = m == ".word" ? 4 : m == ".half" ? 2 : 1;
+        for (size_t i = 0; i < ops.size(); ++i) {
+            Value v;
+            if (!value(i, &v))
+                continue;
+            if (v.label >= 0) {
+                b.dataRef(bytes, v.label, v.num);
+                continue;
+            }
+            std::vector<u8> le(static_cast<size_t>(bytes));
+            for (int k = 0; k < bytes; ++k)
+                le[static_cast<size_t>(k)] = static_cast<u8>(v.num >> (8 * k));
+            b.dataBytes(le);
+        }
+    } else if (m == ".space") {
+        if (ops.size() != 1 || !parseInt(ops[0], &n) || n < 0)
+            return err(".space expects a size");
+        b.dataSpace(static_cast<u32>(n));
+    } else if (m == ".align") {
+        if (ops.size() != 1 || !parseInt(ops[0], &n) || n <= 0)
+            return err(".align expects an alignment");
+        b.dataAlign(static_cast<u32>(n));
+    } else if (m == ".asciiz") {
+        std::vector<u8> bytes(cur->stringArg.begin(), cur->stringArg.end());
+        bytes.push_back(0);
+        b.dataBytes(bytes);
+    } else {
+        return err(strprintf("unknown directive '%s'", m.c_str()));
+    }
+    return true;
+}
+
+/** A real instruction: its operands follow from the opcode's form. */
+bool
+Assembler::real(Opcode op)
+{
+    const OpInfo &info = opInfo(op);
+    Instruction inst{op};
+    Value v;
+    i64 n = 0;
+    switch (info.form) {
+      case Form::RRR:
+        if (!wantOps(3) || !reg(0, &inst.rd) || !reg(1, &inst.rs)
+            || !reg(2, &inst.rt)) {
+            return false;
+        }
+        break;
+      case Form::RRI:
+      case Form::RRIU:
+        if (!wantOps(3) || !reg(0, &inst.rd) || !reg(1, &inst.rs)
+            || !value(2, &v)) {
+            return false;
+        }
+        emitValue(inst, FixKind::Abs, v);
+        return true;
+      case Form::Shift:
+        if (!wantOps(3) || !reg(0, &inst.rd) || !reg(1, &inst.rs)
+            || !number(2, "shift amount", &n)) {
+            return false;
+        }
+        if (n < 0 || n > 31)
+            return err("shift amount out of range");
+        inst.imm = static_cast<i32>(n);
+        break;
+      case Form::Lui:
+        if (!wantOps(2) || !reg(0, &inst.rd)
+            || !number(1, "lui immediate", &n)) {
+            return false;
+        }
+        if (n < 0 || n > 0xFFFF)
+            return err("lui immediate out of range");
+        inst.imm = static_cast<i32>(n);
+        break;
+      case Form::Load:
+      case Form::Store:
+        if (!wantOps(2) || !reg(0, info.isStore ? &inst.rt : &inst.rd)
+            || !memOperand(1, &inst.rs, &inst.imm)) {
+            return false;
+        }
+        break;
+      case Form::Branch:
+        if (!wantOps(3) || !reg(0, &inst.rs) || !reg(1, &inst.rt)
+            || !value(2, &v)) {
+            return false;
+        }
+        emitValue(inst, FixKind::Branch, v);
+        return true;
+      case Form::Jump:
+        if (!wantOps(1) || !value(0, &v))
+            return false;
+        if (info.isCall)
+            inst.rd = reg::ra;
+        emitValue(inst, FixKind::Abs, v);
+        return true;
+      case Form::JumpReg:
+        if (!info.isCall) {
+            if (!wantOps(1) || !reg(0, &inst.rs))
+                return false;
+        } else if (cur->operands.size() == 1) {
+            // jalr rs links through $ra
+            inst.rd = reg::ra;
+            if (!reg(0, &inst.rs))
+                return false;
+        } else if (!wantOps(2) || !reg(0, &inst.rd) || !reg(1, &inst.rs)) {
+            return false;
+        }
+        break;
+      case Form::Out:
+        if (!wantOps(1) || !reg(0, &inst.rs))
+            return false;
+        break;
+      case Form::None:
+        if (!wantOps(0))
+            return false;
+        break;
+    }
+    b.emit(inst);
+    return true;
+}
+
+bool
+Assembler::pseudo()
+{
+    const std::string &m = cur->mnemonic;
+    LogReg rd;
+    LogReg rs;
+    Value v;
+    i64 n;
+    if (m == "li" || m == "la") {
+        if (!wantOps(2) || !reg(0, &rd) || !value(1, &v))
+            return false;
+        // Only a literal li that fits 16 bits, signed or not, is short.
+        if (m == "li" && v.label < 0 && v.num >= -32768 && v.num <= 0xFFFF)
+            b.li(rd, static_cast<u32>(v.num));
+        else
+            wide(rd, v);
+        return true;
+    }
+    if (m == "move" || m == "not" || m == "neg") {
+        if (!wantOps(2) || !reg(0, &rd) || !reg(1, &rs))
+            return false;
+        if (m == "move")
+            b.move(rd, rs);
+        else if (m == "not")
+            b.nor_(rd, rs, reg::zero);
+        else
+            b.sub(rd, reg::zero, rs);
+        return true;
+    }
+    if (m == "subi") {
+        if (!wantOps(3) || !reg(0, &rd) || !reg(1, &rs)
+            || !number(2, "subi immediate", &n)) {
+            return false;
+        }
+        b.addi(rd, rs, static_cast<i32>(-n));
+        return true;
+    }
+    if (m == "b" || m == "call") {
+        if (!wantOps(1) || !value(0, &v))
+            return false;
+        if (m == "b")
+            emitValue({Opcode::BEQ, 0, reg::zero, reg::zero, 0},
+                      FixKind::Branch, v);
+        else
+            emitValue({Opcode::JAL, reg::ra, 0, 0, 0}, FixKind::Abs, v);
+        return true;
+    }
+    for (const PseudoBranch &pb : kPseudoBranches) {
+        if (m != pb.mnemonic)
+            continue;
+        if (!wantOps(2) || !reg(0, &rs) || !value(1, &v))
+            return false;
+        emitValue(pb.swap ? Instruction{pb.op, 0, reg::zero, rs, 0}
+                          : Instruction{pb.op, 0, rs, reg::zero, 0},
+                  FixKind::Branch, v);
+        return true;
+    }
+    if (m == "ret") {
+        if (!wantOps(0))
+            return false;
+        b.ret();
+        return true;
+    }
+    if (m == "push" || m == "pop") {
+        if (!wantOps(1) || !reg(0, &rd))
+            return false;
+        if (m == "push")
+            b.push_(rd);
+        else
+            b.pop_(rd);
+        return true;
+    }
+    return err(strprintf("unknown mnemonic '%s'", m.c_str()));
+}
+
+void
+Assembler::statement(const Statement &st)
+{
+    cur = &st;
+    for (const auto &label : st.labels)
+        define(label);
+    if (st.mnemonic.empty())
+        return;
+    if (st.mnemonic[0] == '.') {
+        directive();
+        return;
+    }
+    if (seg != Segment::Text) {
+        err("instruction outside .text");
+        return;
+    }
+    for (int i = 0; i < kNumOpcodes; ++i) {
+        const Opcode op = static_cast<Opcode>(i);
+        if (st.mnemonic == opInfo(op).mnemonic) {
+            real(op);
+            return;
+        }
+    }
+    pseudo();
+}
+
+AsmResult
+Assembler::run(std::string_view source)
+{
+    const auto lines = splitLines(source);
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const int line = static_cast<int>(i) + 1;
+        Statement st;
+        std::string perr;
+        if (splitStatement(lines[i], line, &st, &perr))
+            statement(st);
+        else
+            errors.push_back({line, perr});
+    }
+    for (const auto &[name, n] : names) {
+        if (!n.defined) {
+            errors.push_back({n.first_line,
+                              strprintf("cannot evaluate '%s'",
+                                        n.first_text.c_str())});
+        }
+    }
+    std::stable_sort(errors.begin(), errors.end(),
+                     [](const AsmError &x, const AsmError &y) {
+                         return x.line < y.line;
+                     });
+    const auto e = names.find(entry);
+    if (!entry.empty() && (e == names.end() || !e->second.defined)) {
+        errors.push_back({0, strprintf("undefined entry label '%s'",
+                                       entry.c_str())});
+    }
+
+    AsmResult result;
+    result.errors = std::move(errors);
+    result.ok = result.errors.empty();
+    if (result.ok) {
+        result.program = b.finish();
+        if (!entry.empty())
+            result.program.entry = result.program.symbol(entry);
+    }
+    return result;
 }
 
 } // namespace
@@ -672,186 +625,7 @@ Emitter::emitText(const Statement &st)
 AsmResult
 assembleSource(std::string_view source)
 {
-    AsmResult result;
-    AsmContext ctx;
-
-    // Parse all lines once.
-    std::vector<Statement> stmts;
-    const auto lines = splitLines(source);
-    for (size_t i = 0; i < lines.size(); ++i) {
-        Statement st;
-        std::string perr;
-        if (!splitStatement(lines[i], static_cast<int>(i) + 1, &st,
-                            &perr)) {
-            ctx.error(static_cast<int>(i) + 1, perr);
-            continue;
-        }
-        if (!st.labels.empty() || !st.mnemonic.empty())
-            stmts.push_back(std::move(st));
-    }
-
-    // Pass 1: lay out addresses and define symbols.
-    {
-        Segment seg = Segment::Text;
-        Addr text_pc = Program::kTextBase;
-        Addr data_off = 0;
-        for (const auto &st : stmts) {
-            const Addr here = seg == Segment::Text
-                ? text_pc : Program::kDataBase + data_off;
-            for (const auto &label : st.labels) {
-                if (ctx.program.symbols.count(label)) {
-                    ctx.error(st.line, strprintf("duplicate label '%s'",
-                                                 label.c_str()));
-                } else {
-                    ctx.program.symbols[label] = here;
-                }
-            }
-            if (st.mnemonic.empty())
-                continue;
-            if (st.mnemonic == ".text") {
-                seg = Segment::Text;
-            } else if (st.mnemonic == ".data") {
-                seg = Segment::Data;
-            } else if (st.mnemonic == ".entry") {
-                if (st.operands.size() == 1)
-                    ctx.entryLabel = st.operands[0];
-                else
-                    ctx.error(st.line, ".entry expects one label");
-            } else if (st.mnemonic[0] == '.') {
-                if (seg != Segment::Data) {
-                    ctx.error(st.line, strprintf(
-                        "data directive '%s' outside .data",
-                        st.mnemonic.c_str()));
-                    continue;
-                }
-                if (st.mnemonic == ".word") {
-                    data_off += 4 * static_cast<Addr>(st.operands.size());
-                } else if (st.mnemonic == ".half") {
-                    data_off += 2 * static_cast<Addr>(st.operands.size());
-                } else if (st.mnemonic == ".byte") {
-                    data_off += static_cast<Addr>(st.operands.size());
-                } else if (st.mnemonic == ".space") {
-                    i64 n = 0;
-                    if (st.operands.size() != 1
-                        || !parseInt(st.operands[0], &n) || n < 0) {
-                        ctx.error(st.line, ".space expects a size");
-                    } else {
-                        data_off += static_cast<Addr>(n);
-                    }
-                } else if (st.mnemonic == ".align") {
-                    i64 n = 0;
-                    if (st.operands.size() != 1
-                        || !parseInt(st.operands[0], &n) || n <= 0) {
-                        ctx.error(st.line, ".align expects an alignment");
-                    } else {
-                        const Addr a = static_cast<Addr>(n);
-                        data_off = (data_off + a - 1) / a * a;
-                    }
-                } else if (st.mnemonic == ".asciiz") {
-                    data_off += static_cast<Addr>(st.stringArg.size()) + 1;
-                } else {
-                    ctx.error(st.line, strprintf("unknown directive '%s'",
-                                                 st.mnemonic.c_str()));
-                }
-            } else {
-                if (seg != Segment::Text) {
-                    ctx.error(st.line, "instruction outside .text");
-                    continue;
-                }
-                // Pass-1 sizing: emit into a scratch, or compute size.
-                text_pc += 4 * static_cast<Addr>(textSize(st));
-            }
-        }
-        // Fix label addresses: labels bound to data addresses already
-        // recorded relative to kDataBase during the walk above.
-    }
-
-    if (!ctx.errors.empty()) {
-        result.errors = ctx.errors;
-        return result;
-    }
-
-    // Pass 2: emit code and data.
-    {
-        Segment seg = Segment::Text;
-        Emitter emitter(ctx, true);
-        auto &data = ctx.program.data;
-        auto emit_scalar = [&](const Statement &st, int bytes) {
-            for (const auto &op : st.operands) {
-                i64 v;
-                if (!evalImm(ctx, op, &v)) {
-                    ctx.error(st.line, strprintf("bad data value '%s'",
-                                                 op.c_str()));
-                    v = 0;
-                }
-                for (int b = 0; b < bytes; ++b)
-                    data.push_back(static_cast<u8>(v >> (8 * b)));
-            }
-        };
-        for (const auto &st : stmts) {
-            if (st.mnemonic.empty())
-                continue;
-            if (st.mnemonic == ".text") {
-                seg = Segment::Text;
-            } else if (st.mnemonic == ".data") {
-                seg = Segment::Data;
-            } else if (st.mnemonic == ".entry") {
-                // handled in pass 1
-            } else if (st.mnemonic[0] == '.') {
-                if (st.mnemonic == ".word") {
-                    emit_scalar(st, 4);
-                } else if (st.mnemonic == ".half") {
-                    emit_scalar(st, 2);
-                } else if (st.mnemonic == ".byte") {
-                    emit_scalar(st, 1);
-                } else if (st.mnemonic == ".space") {
-                    i64 n = 0;
-                    parseInt(st.operands[0], &n);
-                    data.insert(data.end(), static_cast<size_t>(n), 0);
-                } else if (st.mnemonic == ".align") {
-                    i64 n = 1;
-                    parseInt(st.operands[0], &n);
-                    const Addr a = static_cast<Addr>(n);
-                    while (data.size() % a != 0)
-                        data.push_back(0);
-                } else if (st.mnemonic == ".asciiz") {
-                    for (char c : st.stringArg)
-                        data.push_back(static_cast<u8>(c));
-                    data.push_back(0);
-                }
-            } else if (seg == Segment::Text) {
-                const size_t before = ctx.program.text.size();
-                const int expected = textSize(st);
-                if (!emitter.emitText(st)) {
-                    // Keep layout identical to pass 1 even on error.
-                    while (ctx.program.text.size()
-                           < before + static_cast<size_t>(expected)) {
-                        ctx.program.text.push_back(makeNop());
-                    }
-                } else {
-                    DMT_ASSERT(ctx.program.text.size()
-                               == before + static_cast<size_t>(expected),
-                               "pass1/pass2 size mismatch for '%s'",
-                               st.mnemonic.c_str());
-                }
-            }
-        }
-    }
-
-    if (!ctx.entryLabel.empty()) {
-        Addr e;
-        if (ctx.lookup(ctx.entryLabel, &e))
-            ctx.program.entry = e;
-        else
-            ctx.error(0, strprintf("undefined entry label '%s'",
-                                   ctx.entryLabel.c_str()));
-    }
-
-    result.errors = ctx.errors;
-    result.ok = ctx.errors.empty();
-    if (result.ok)
-        result.program = std::move(ctx.program);
-    return result;
+    return Assembler().run(source);
 }
 
 Program

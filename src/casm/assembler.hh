@@ -1,6 +1,10 @@
 /**
  * @file
- * Two-pass textual assembler for the simulator ISA.
+ * Textual assembler for the simulator ISA.  It reads the source once
+ * and emits through an AsmBuilder: a real mnemonic is found in the
+ * opcode table and its operands parsed by the opcode's form, a pseudo-op
+ * calls the builder, and a name becomes a builder label at its first
+ * use or definition, so forward references are resolved in finish().
  *
  * Syntax summary:
  *
@@ -25,7 +29,14 @@
  *             .asciiz "hello"
  *
  * The optional ".entry label" directive sets the start PC (default: the
- * first text instruction).
+ * first text instruction).  A name may carry an addend (`tab+8`)
+ * wherever an address fits: ALU immediates, branch and jump targets,
+ * li / la and .word / .half / .byte.  Shift amounts, lui, memory offsets
+ * and subi take literals only.  `li` of a literal in [-32768, 0xFFFF]
+ * is one instruction; any other literal, or a name, is LUI+ORI.
+ *
+ * Every error is reported, in line order; a name used but never
+ * defined is reported once, at its first use.
  */
 
 #ifndef DMT_CASM_ASSEMBLER_HH

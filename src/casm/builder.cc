@@ -72,6 +72,15 @@ AsmBuilder::dataAlign(u32 n)
         data.push_back(0);
 }
 
+void
+AsmBuilder::dataRef(int bytes, Label target, i64 addend)
+{
+    DMT_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
+               "bad data reference width %d", bytes);
+    fixups.push_back({data.size(), target, FixKind::Data, bytes, addend});
+    data.insert(data.end(), static_cast<size_t>(bytes), 0);
+}
+
 Addr
 AsmBuilder::pcAt(size_t idx) const
 {
@@ -86,10 +95,12 @@ AsmBuilder::emit(Instruction inst)
 }
 
 void
-AsmBuilder::emitBranch(Opcode op, LogReg rs, LogReg rt, Label target)
+AsmBuilder::emitRef(Instruction inst, FixKind kind, Label target,
+                    i64 addend)
 {
-    fixups.push_back({text.size(), target, FixKind::Branch});
-    emit({op, 0, rs, rt, 0});
+    DMT_ASSERT(kind != FixKind::Data, "data reference in text");
+    fixups.push_back({text.size(), target, kind, 0, addend});
+    emit(inst);
 }
 
 // ---- ALU ----------------------------------------------------------------
@@ -188,17 +199,17 @@ void AsmBuilder::sb(LogReg rt, i32 off, LogReg base)
 // ---- control ----------------------------------------------------------------
 
 void AsmBuilder::beq(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BEQ, rs, rt, t); }
+{ emitRef({Opcode::BEQ, 0, rs, rt, 0}, FixKind::Branch, t); }
 void AsmBuilder::bne(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BNE, rs, rt, t); }
+{ emitRef({Opcode::BNE, 0, rs, rt, 0}, FixKind::Branch, t); }
 void AsmBuilder::blt(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BLT, rs, rt, t); }
+{ emitRef({Opcode::BLT, 0, rs, rt, 0}, FixKind::Branch, t); }
 void AsmBuilder::bge(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BGE, rs, rt, t); }
+{ emitRef({Opcode::BGE, 0, rs, rt, 0}, FixKind::Branch, t); }
 void AsmBuilder::bltu(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BLTU, rs, rt, t); }
+{ emitRef({Opcode::BLTU, 0, rs, rt, 0}, FixKind::Branch, t); }
 void AsmBuilder::bgeu(LogReg rs, LogReg rt, Label t)
-{ emitBranch(Opcode::BGEU, rs, rt, t); }
+{ emitRef({Opcode::BGEU, 0, rs, rt, 0}, FixKind::Branch, t); }
 
 void AsmBuilder::beqz(LogReg rs, Label t) { beq(rs, reg::zero, t); }
 void AsmBuilder::bnez(LogReg rs, Label t) { bne(rs, reg::zero, t); }
@@ -208,19 +219,10 @@ void AsmBuilder::bgtz(LogReg rs, Label t) { blt(reg::zero, rs, t); }
 void AsmBuilder::blez(LogReg rs, Label t) { bge(reg::zero, rs, t); }
 void AsmBuilder::b(Label t) { beq(reg::zero, reg::zero, t); }
 
-void
-AsmBuilder::j(Label target)
-{
-    fixups.push_back({text.size(), target, FixKind::Jump});
-    emit({Opcode::J, 0, 0, 0, 0});
-}
-
-void
-AsmBuilder::jal(Label target)
-{
-    fixups.push_back({text.size(), target, FixKind::Jump});
-    emit({Opcode::JAL, reg::ra, 0, 0, 0});
-}
+void AsmBuilder::j(Label t)
+{ emitRef({Opcode::J, 0, 0, 0, 0}, FixKind::Abs, t); }
+void AsmBuilder::jal(Label t)
+{ emitRef({Opcode::JAL, reg::ra, 0, 0, 0}, FixKind::Abs, t); }
 
 void AsmBuilder::jr(LogReg rs) { emit({Opcode::JR, 0, rs, 0, 0}); }
 void AsmBuilder::jalr(LogReg rs) { emit({Opcode::JALR, reg::ra, rs, 0, 0}); }
@@ -243,12 +245,10 @@ AsmBuilder::li(LogReg rd, u32 value)
 }
 
 void
-AsmBuilder::la(LogReg rd, Label data_label)
+AsmBuilder::la(LogReg rd, Label label, i64 addend)
 {
-    fixups.push_back({text.size(), data_label, FixKind::LuiHi});
-    emit({Opcode::LUI, rd, 0, 0, 0});
-    fixups.push_back({text.size(), data_label, FixKind::OriLo});
-    emit({Opcode::ORI, rd, rd, 0, 0});
+    emitRef({Opcode::LUI, rd, 0, 0, 0}, FixKind::LuiHi, label, addend);
+    emitRef({Opcode::ORI, rd, rd, 0, 0}, FixKind::OriLo, label, addend);
 }
 
 void AsmBuilder::move(LogReg rd, LogReg rs) { add(rd, rs, reg::zero); }
@@ -301,21 +301,30 @@ AsmBuilder::finish()
             fatal("unbound label %d ('%s')", fix.label,
                   info.name.c_str());
         }
-        Instruction &inst = text.at(fix.text_idx);
+        const i64 target = static_cast<i64>(info.addr) + fix.addend;
+        const u32 addr = static_cast<u32>(target);
+        if (fix.kind == FixKind::Data) {
+            for (int b = 0; b < fix.bytes; ++b)
+                data.at(fix.at + static_cast<size_t>(b)) =
+                    static_cast<u8>(addr >> (8 * b));
+            continue;
+        }
+        Instruction &inst = text.at(fix.at);
         switch (fix.kind) {
           case FixKind::Branch:
             inst.imm = static_cast<i32>(
-                static_cast<i64>(info.addr)
-                - static_cast<i64>(pcAt(fix.text_idx)) - 4);
+                target - static_cast<i64>(pcAt(fix.at)) - 4);
             break;
-          case FixKind::Jump:
-            inst.imm = static_cast<i32>(info.addr);
+          case FixKind::Abs:
+            inst.imm = static_cast<i32>(addr);
             break;
           case FixKind::LuiHi:
-            inst.imm = static_cast<i32>(info.addr >> 16);
+            inst.imm = static_cast<i32>(addr >> 16);
             break;
           case FixKind::OriLo:
-            inst.imm = static_cast<i32>(info.addr & 0xFFFF);
+            inst.imm = static_cast<i32>(addr & 0xFFFF);
+            break;
+          case FixKind::Data:
             break;
         }
     }

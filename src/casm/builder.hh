@@ -6,7 +6,9 @@
  * error-prone.
  *
  * Labels are integer handles; forward references are recorded as fixups
- * and patched in finish().
+ * and patched in finish().  A reference may carry an addend (the
+ * address of `table + 8`).  The textual assembler drives this builder
+ * too, so every Program is built here.
  */
 
 #ifndef DMT_CASM_BUILDER_HH
@@ -26,6 +28,16 @@ class AsmBuilder
 {
   public:
     using Label = int;
+
+    /** How a reference patches the instruction or data it sits in. */
+    enum class FixKind
+    {
+        Branch,     ///< imm = target - (pc + 4)
+        Abs,        ///< imm = target (jumps and ALU immediates)
+        LuiHi,      ///< imm = target >> 16
+        OriLo,      ///< imm = target & 0xFFFF
+        Data,       ///< little-endian target in 1, 2 or 4 data bytes
+    };
 
     AsmBuilder() = default;
 
@@ -63,6 +75,10 @@ class AsmBuilder
 
     /** Pad the data section to an @p n-byte boundary. */
     void dataAlign(u32 n);
+
+    /** Append @p bytes bytes holding the address of @p target plus
+     *  @p addend, patched in finish(). */
+    void dataRef(int bytes, Label target, i64 addend = 0);
 
     // ---- ALU -----------------------------------------------------------
 
@@ -129,7 +145,8 @@ class AsmBuilder
     // ---- pseudo / misc ----------------------------------------------------
 
     void li(LogReg rd, u32 value);
-    void la(LogReg rd, Label data_label);
+    /** LUI+ORI of the address of @p label plus @p addend. */
+    void la(LogReg rd, Label label, i64 addend = 0);
     void move(LogReg rd, LogReg rs);
     void nop();
     void halt();
@@ -146,6 +163,14 @@ class AsmBuilder
     /** Matching epilogue: restore $ra, pop the frame, return. */
     void leave(int frame_bytes);
 
+    /** Append one instruction as given. */
+    void emit(Instruction inst);
+
+    /** Append @p inst with its immediate patched in finish() from the
+     *  address of @p target plus @p addend. */
+    void emitRef(Instruction inst, FixKind kind, Label target,
+                 i64 addend = 0);
+
     /** Number of instructions emitted so far. */
     size_t textSize() const { return text.size(); }
 
@@ -156,8 +181,6 @@ class AsmBuilder
     Program finish();
 
   private:
-    enum class FixKind { Branch, Jump, LuiHi, OriLo };
-
     struct LabelInfo
     {
         std::string name;
@@ -167,14 +190,14 @@ class AsmBuilder
 
     struct Fixup
     {
-        size_t text_idx;
+        size_t at;          ///< text index, or data offset for Data
         Label label;
         FixKind kind;
+        int bytes;          ///< Data only: bytes patched
+        i64 addend;
     };
 
     Addr pcAt(size_t idx) const;
-    void emit(Instruction inst);
-    void emitBranch(Opcode op, LogReg rs, LogReg rt, Label target);
 
     std::vector<Instruction> text;
     std::vector<u8> data;

@@ -174,7 +174,6 @@ class DmtEngine : public OrderOracle
 
     // ---- fetch helpers (engine_fetch.cc) ---------------------------------
     void fetchForThread(ThreadContext &t, int max_insts);
-    Addr successorStartPc(const ThreadContext &t) const;
     void checkThreadMispredictions();
 
     // ---- dispatch helpers (engine_rename.cc) -----------------------------

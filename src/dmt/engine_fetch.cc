@@ -12,15 +12,6 @@
 namespace dmt
 {
 
-Addr
-DmtEngine::successorStartPc(const ThreadContext &t) const
-{
-    const ThreadId succ = tree.successor(t.id);
-    if (succ == kNoThread)
-        return 0;
-    return ctx(succ).start_pc;
-}
-
 void
 DmtEngine::fetchForThread(ThreadContext &t, int max_insts)
 {

@@ -49,10 +49,6 @@ compareFinalState(const DmtEngine &engine, const FunctionalFinal &ref,
                             static_cast<unsigned long long>(ref.steps));
         return false;
     }
-    if (!engine.goldenOk()) {
-        *detail = "golden checker: " + engine.goldenError();
-        return false;
-    }
     if (engine.retiredTotal() != ref.steps) {
         *detail = strprintf("retired count %llu != functional steps "
                             "%llu",

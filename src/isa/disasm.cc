@@ -10,46 +10,45 @@ std::string
 disassemble(const Instruction &inst, Addr pc)
 {
     const OpInfo &info = inst.info();
-    const std::string m = info.mnemonic;
+    const char *m = info.mnemonic;
+    // Only the fields the form carries are named: the others may hold
+    // anything.
+    const auto rd = [&] { return regName(inst.rd); };
+    const auto rs = [&] { return regName(inst.rs); };
+    const auto rt = [&] { return regName(inst.rt); };
 
-    if (inst.op == Opcode::NOP || inst.op == Opcode::HALT)
-        return m;
-    if (inst.op == Opcode::OUT)
-        return m + " " + regName(inst.rs);
-    if (inst.op == Opcode::J || inst.op == Opcode::JAL)
-        return strprintf("%s 0x%x", m.c_str(), inst.jumpTarget());
-    if (inst.op == Opcode::JR)
-        return m + " " + regName(inst.rs);
-    if (inst.op == Opcode::JALR) {
-        return m + " " + regName(inst.rd) + ", " + regName(inst.rs);
+    switch (info.form) {
+      case Form::RRR:
+        return strprintf("%s %s, %s, %s", m, rd().c_str(), rs().c_str(),
+                         rt().c_str());
+      case Form::RRI:
+      case Form::RRIU:
+      case Form::Shift:
+        return strprintf("%s %s, %s, %d", m, rd().c_str(), rs().c_str(),
+                         inst.imm);
+      case Form::Lui:
+        return strprintf("%s %s, 0x%x", m, rd().c_str(), inst.imm);
+      case Form::Load:
+        return strprintf("%s %s, %d(%s)", m, rd().c_str(), inst.imm,
+                         rs().c_str());
+      case Form::Store:
+        return strprintf("%s %s, %d(%s)", m, rt().c_str(), inst.imm,
+                         rs().c_str());
+      case Form::Branch:
+        return strprintf("%s %s, %s, 0x%x", m, rs().c_str(), rt().c_str(),
+                         inst.branchTarget(pc));
+      case Form::Jump:
+        return strprintf("%s 0x%x", m, inst.jumpTarget());
+      case Form::JumpReg:
+        if (info.isCall)
+            return strprintf("%s %s, %s", m, rd().c_str(), rs().c_str());
+        return strprintf("%s %s", m, rs().c_str());
+      case Form::Out:
+        return strprintf("%s %s", m, rs().c_str());
+      case Form::None:
+        break;
     }
-    if (inst.isCondBranch()) {
-        return strprintf("%s %s, %s, 0x%x", m.c_str(),
-                         regName(inst.rs).c_str(),
-                         regName(inst.rt).c_str(), inst.branchTarget(pc));
-    }
-    if (inst.isLoad()) {
-        return strprintf("%s %s, %d(%s)", m.c_str(),
-                         regName(inst.rd).c_str(), inst.imm,
-                         regName(inst.rs).c_str());
-    }
-    if (inst.isStore()) {
-        return strprintf("%s %s, %d(%s)", m.c_str(),
-                         regName(inst.rt).c_str(), inst.imm,
-                         regName(inst.rs).c_str());
-    }
-    if (inst.op == Opcode::LUI)
-        return strprintf("%s %s, 0x%x", m.c_str(),
-                         regName(inst.rd).c_str(), inst.imm);
-    if (info.hasImm) {
-        // ALU immediates (including shift amounts).
-        return strprintf("%s %s, %s, %d", m.c_str(),
-                         regName(inst.rd).c_str(),
-                         regName(inst.rs).c_str(), inst.imm);
-    }
-    // Three-register ALU forms.
-    return strprintf("%s %s, %s, %s", m.c_str(), regName(inst.rd).c_str(),
-                     regName(inst.rs).c_str(), regName(inst.rt).c_str());
+    return m;
 }
 
 } // namespace dmt

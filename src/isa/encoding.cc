@@ -9,53 +9,31 @@ namespace dmt
 namespace
 {
 
-enum class Format { R, I, JFmt };
+enum class Format { R, I, J };
 
 Format
-formatOf(Opcode op)
+formatOf(Form form)
 {
-    switch (op) {
-      case Opcode::J:
-      case Opcode::JAL:
-        return Format::JFmt;
-      case Opcode::ADDI:
-      case Opcode::ANDI:
-      case Opcode::ORI:
-      case Opcode::XORI:
-      case Opcode::SLTI:
-      case Opcode::SLTIU:
-      case Opcode::LUI:
-      case Opcode::LW:
-      case Opcode::LH:
-      case Opcode::LHU:
-      case Opcode::LB:
-      case Opcode::LBU:
-      case Opcode::SW:
-      case Opcode::SH:
-      case Opcode::SB:
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
+    switch (form) {
+      case Form::Jump:
+        return Format::J;
+      case Form::RRI:
+      case Form::RRIU:
+      case Form::Lui:
+      case Form::Load:
+      case Form::Store:
+      case Form::Branch:
         return Format::I;
       default:
         return Format::R;
     }
 }
 
+/** True when the form's 16-bit immediate is zero-extended. */
 bool
-isLogicalImm(Opcode op)
+zeroExtends(Form form)
 {
-    return op == Opcode::ANDI || op == Opcode::ORI || op == Opcode::XORI
-        || op == Opcode::LUI;
-}
-
-bool
-isShiftImm(Opcode op)
-{
-    return op == Opcode::SLL || op == Opcode::SRL || op == Opcode::SRA;
+    return form == Form::RRIU || form == Form::Lui;
 }
 
 } // namespace
@@ -75,12 +53,14 @@ encodeInst(const Instruction &inst, u32 *word, std::string *err)
     if (inst.rd >= 32 || inst.rs >= 32 || inst.rt >= 32)
         return fail("register index out of range");
 
+    const Form form = inst.info().form;
     u32 w = insertBits(op, 31, 26);
-    switch (formatOf(inst.op)) {
+    switch (formatOf(form)) {
       case Format::R: {
-          if (isShiftImm(inst.op) && (inst.imm < 0 || inst.imm > 31))
+          const bool shift = form == Form::Shift;
+          if (shift && (inst.imm < 0 || inst.imm > 31))
               return fail("shift amount out of range");
-          if (!isShiftImm(inst.op) && inst.imm != 0)
+          if (!shift && inst.imm != 0)
               return fail("R-type carries an immediate");
           w |= insertBits(inst.rd, 25, 21);
           w |= insertBits(inst.rs, 20, 16);
@@ -95,7 +75,7 @@ encodeInst(const Instruction &inst, u32 *word, std::string *err)
                   return fail("branch offset not word aligned");
               field >>= 2;
           }
-          if (isLogicalImm(inst.op)) {
+          if (zeroExtends(form)) {
               if (field < 0 || field > 0xFFFF)
                   return fail(strprintf("logical immediate 0x%x out of "
                                         "range", field));
@@ -110,7 +90,7 @@ encodeInst(const Instruction &inst, u32 *word, std::string *err)
           w |= insertBits(static_cast<u32>(field) & 0xFFFF, 15, 0);
           break;
       }
-      case Format::JFmt: {
+      case Format::J: {
           const u32 target = static_cast<u32>(inst.imm);
           if (target & 3)
               return fail("jump target not word aligned");
@@ -136,7 +116,8 @@ decodeInst(u32 word)
     Instruction inst;
     inst.op = static_cast<Opcode>(opField);
 
-    switch (formatOf(inst.op)) {
+    const Form form = inst.info().form;
+    switch (formatOf(form)) {
       case Format::R:
         inst.rd = static_cast<LogReg>(bits(word, 25, 21));
         inst.rs = static_cast<LogReg>(bits(word, 20, 16));
@@ -152,7 +133,7 @@ decodeInst(u32 word)
           }
           inst.rs = static_cast<LogReg>(bits(word, 20, 16));
           const u32 raw = bits(word, 15, 0);
-          if (isLogicalImm(inst.op)) {
+          if (zeroExtends(form)) {
               inst.imm = static_cast<i32>(raw);
           } else {
               inst.imm = signExtend(raw, 16);
@@ -161,7 +142,7 @@ decodeInst(u32 word)
               inst.imm <<= 2;
           break;
       }
-      case Format::JFmt:
+      case Format::J:
         inst.imm = static_cast<i32>(bits(word, 25, 0) << 2);
         if (inst.op == Opcode::JAL)
             inst.rd = 31;

@@ -53,9 +53,54 @@ enum class OpClass : std::uint8_t
     Other,      ///< NOP / HALT / OUT
 };
 
+/**
+ * Operand form: the assembly operands an opcode takes, which also fixes
+ * its encoding format, how its immediate extends, and how it prints.
+ */
+enum class Form : std::uint8_t
+{
+    RRR,        ///< rd, rs, rt
+    RRI,        ///< rd, rs, imm (sign-extended)
+    RRIU,       ///< rd, rs, imm (zero-extended: andi / ori / xori)
+    Shift,      ///< rd, rs, shift amount
+    Lui,        ///< rd, imm
+    Load,       ///< rd, imm(rs)
+    Store,      ///< rt, imm(rs)
+    Branch,     ///< rs, rt, PC-relative target
+    Jump,       ///< absolute target
+    JumpReg,    ///< rs, or rd, rs when the jump links
+    Out,        ///< rs
+    None,       ///< no operands
+};
+
 /** Static per-opcode properties. */
 struct OpInfo
 {
+    /**
+     * Derive every trait from the operand form; @p links marks the
+     * jumps that write a return address.  The flags stay stored fields
+     * because the engine reads them several times per instruction.
+     */
+    constexpr OpInfo(const char *m, OpClass c, Form f, bool links = false)
+        : mnemonic(m), opClass(c), isLoad(f == Form::Load),
+          isStore(f == Form::Store), isCondBranch(f == Form::Branch),
+          isJump(f == Form::Jump || f == Form::JumpReg), isCall(links),
+          isIndirect(f == Form::JumpReg),
+          hasImm(f != Form::RRR && f != Form::JumpReg && f != Form::Out
+                 && f != Form::None),
+          numSrcs(f == Form::RRR || f == Form::Store || f == Form::Branch
+                      ? 2
+                      : f == Form::Lui || f == Form::Jump || f == Form::None
+                      ? 0
+                      : 1),
+          hasDest(f == Form::Jump || f == Form::JumpReg
+                      ? links
+                      : f != Form::Store && f != Form::Branch
+                          && f != Form::Out && f != Form::None),
+          form(f)
+    {
+    }
+
     const char *mnemonic;
     OpClass opClass;
     bool isLoad;
@@ -69,7 +114,11 @@ struct OpInfo
     int numSrcs;
     /** true when the instruction writes a destination register. */
     bool hasDest;
+    Form form;
 };
+
+// The engine indexes the table several times per instruction.
+static_assert(sizeof(OpInfo) == 24, "OpInfo grew");
 
 /** Number of opcodes (for table sizing / iteration in tests). */
 constexpr int kNumOpcodes = static_cast<int>(Opcode::NumOpcodes);
@@ -77,105 +126,36 @@ constexpr int kNumOpcodes = static_cast<int>(Opcode::NumOpcodes);
 namespace detail
 {
 
-// Shorthand for table construction.
-constexpr OpInfo
-alu2(const char *m)
-{
-    return {m, OpClass::IntAlu, false, false, false, false, false, false,
-            false, 2, true};
-}
-
-constexpr OpInfo
-alu1Imm(const char *m)
-{
-    return {m, OpClass::IntAlu, false, false, false, false, false, false,
-            true, 1, true};
-}
-
-constexpr OpInfo
-branch(const char *m)
-{
-    return {m, OpClass::Control, false, false, true, false, false, false,
-            true, 2, false};
-}
-
-constexpr OpInfo
-load(const char *m)
-{
-    return {m, OpClass::MemRead, true, false, false, false, false, false,
-            true, 1, true};
-}
-
-constexpr OpInfo
-store(const char *m)
-{
-    return {m, OpClass::MemWrite, false, true, false, false, false, false,
-            true, 2, false};
-}
+using enum OpClass;
+using enum Form;
 
 inline constexpr OpInfo kOpTable[kNumOpcodes] = {
-    /* ADD   */ alu2("add"),
-    /* SUB   */ alu2("sub"),
-    /* AND   */ alu2("and"),
-    /* OR    */ alu2("or"),
-    /* XOR   */ alu2("xor"),
-    /* NOR   */ alu2("nor"),
-    /* SLL   */ alu1Imm("sll"),
-    /* SRL   */ alu1Imm("srl"),
-    /* SRA   */ alu1Imm("sra"),
-    /* SLLV  */ alu2("sllv"),
-    /* SRLV  */ alu2("srlv"),
-    /* SRAV  */ alu2("srav"),
-    /* SLT   */ alu2("slt"),
-    /* SLTU  */ alu2("sltu"),
-    /* MUL   */ {"mul", OpClass::IntMul, false, false, false, false, false,
-                 false, false, 2, true},
-    /* MULH  */ {"mulh", OpClass::IntMul, false, false, false, false, false,
-                 false, false, 2, true},
-    /* DIV   */ {"div", OpClass::IntDiv, false, false, false, false, false,
-                 false, false, 2, true},
-    /* DIVU  */ {"divu", OpClass::IntDiv, false, false, false, false, false,
-                 false, false, 2, true},
-    /* REM   */ {"rem", OpClass::IntDiv, false, false, false, false, false,
-                 false, false, 2, true},
-    /* REMU  */ {"remu", OpClass::IntDiv, false, false, false, false, false,
-                 false, false, 2, true},
-    /* ADDI  */ alu1Imm("addi"),
-    /* ANDI  */ alu1Imm("andi"),
-    /* ORI   */ alu1Imm("ori"),
-    /* XORI  */ alu1Imm("xori"),
-    /* SLTI  */ alu1Imm("slti"),
-    /* SLTIU */ alu1Imm("sltiu"),
-    /* LUI   */ {"lui", OpClass::IntAlu, false, false, false, false, false,
-                 false, true, 0, true},
-    /* LW    */ load("lw"),
-    /* LH    */ load("lh"),
-    /* LHU   */ load("lhu"),
-    /* LB    */ load("lb"),
-    /* LBU   */ load("lbu"),
-    /* SW    */ store("sw"),
-    /* SH    */ store("sh"),
-    /* SB    */ store("sb"),
-    /* BEQ   */ branch("beq"),
-    /* BNE   */ branch("bne"),
-    /* BLT   */ branch("blt"),
-    /* BGE   */ branch("bge"),
-    /* BLTU  */ branch("bltu"),
-    /* BGEU  */ branch("bgeu"),
-    /* J     */ {"j", OpClass::Control, false, false, false, true, false,
-                 false, true, 0, false},
-    /* JAL   */ {"jal", OpClass::Control, false, false, false, true, true,
-                 false, true, 0, true},
-    /* JR    */ {"jr", OpClass::Control, false, false, false, true, false,
-                 true, false, 1, false},
-    /* JALR  */ {"jalr", OpClass::Control, false, false, false, true, true,
-                 true, false, 1, true},
-    /* NOP   */ {"nop", OpClass::Other, false, false, false, false, false,
-                 false, false, 0, false},
-    /* HALT  */ {"halt", OpClass::Other, false, false, false, false, false,
-                 false, false, 0, false},
-    /* OUT   */ {"out", OpClass::Other, false, false, false, false, false,
-                 false, false, 1, false},
+    {"add", IntAlu, RRR},     {"sub", IntAlu, RRR},
+    {"and", IntAlu, RRR},     {"or", IntAlu, RRR},
+    {"xor", IntAlu, RRR},     {"nor", IntAlu, RRR},
+    {"sll", IntAlu, Shift},   {"srl", IntAlu, Shift},
+    {"sra", IntAlu, Shift},   {"sllv", IntAlu, RRR},
+    {"srlv", IntAlu, RRR},    {"srav", IntAlu, RRR},
+    {"slt", IntAlu, RRR},     {"sltu", IntAlu, RRR},
+    {"mul", IntMul, RRR},     {"mulh", IntMul, RRR},
+    {"div", IntDiv, RRR},     {"divu", IntDiv, RRR},
+    {"rem", IntDiv, RRR},     {"remu", IntDiv, RRR},
+    {"addi", IntAlu, RRI},    {"andi", IntAlu, RRIU},
+    {"ori", IntAlu, RRIU},    {"xori", IntAlu, RRIU},
+    {"slti", IntAlu, RRI},    {"sltiu", IntAlu, RRI},
+    {"lui", IntAlu, Lui},
+    {"lw", MemRead, Load},    {"lh", MemRead, Load},
+    {"lhu", MemRead, Load},   {"lb", MemRead, Load},
+    {"lbu", MemRead, Load},
+    {"sw", MemWrite, Store},  {"sh", MemWrite, Store},
+    {"sb", MemWrite, Store},
+    {"beq", Control, Branch}, {"bne", Control, Branch},
+    {"blt", Control, Branch}, {"bge", Control, Branch},
+    {"bltu", Control, Branch}, {"bgeu", Control, Branch},
+    {"j", Control, Jump},     {"jal", Control, Jump, true},
+    {"jr", Control, JumpReg}, {"jalr", Control, JumpReg, true},
+    {"nop", Other, None},     {"halt", Other, None},
+    {"out", Other, Out},
 };
 
 } // namespace detail

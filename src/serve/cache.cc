@@ -1,6 +1,9 @@
 #include "serve/cache.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <utility>
 
 #include "common/log.hh"
@@ -26,25 +29,59 @@ entryPath(const std::string &dir, u64 key)
     return dir + "/" + hashHex(key) + ".dmtres";
 }
 
+/** True for a subdirectory name that a build's identity could have. */
+bool
+isIdentity(const std::string &name)
+{
+    return name.size() == sizeof(kModelIdentity) - 1
+        && std::all_of(name.begin(), name.end(), [](unsigned char c) {
+               return std::isxdigit(c) != 0;
+           });
+}
+
+/**
+ * Open @p root for this build alone: entries live in its
+ * <kModelIdentity> subdirectory, and what another build left there (an
+ * identity subdirectory, or an entry from before the subdirectories)
+ * is removed, since no key of this build can name it.
+ */
+std::string
+openBuildDir(const std::string &root)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    for (const fs::directory_entry &e : fs::directory_iterator(root, ec)) {
+        const fs::path &p = e.path();
+        const std::string name = p.filename().string();
+        std::error_code ec2;
+        const bool other_build = e.is_directory(ec2)
+            ? name != kModelIdentity && isIdentity(name)
+            : p.extension() == ".dmtres";
+        if (other_build)
+            fs::remove_all(p, ec2);
+    }
+    const std::string dir = root + "/" + kModelIdentity;
+    fs::create_directories(dir, ec);
+    return dir;
+}
+
 } // namespace
 
 u64
 resultCacheKey(const SimConfig &cfg, const std::string &workload,
-               u64 prog_hash, const SampleParams &sample)
+               const SampleParams &sample)
 {
     u64 h = fnv1aHash(kModelIdentity, canonicalHash(cfg));
     h = fnv1aHash("|", h);
     h = fnv1aHash(workload, h);
     h = fnv1aHash("|", h);
-    h = fnv1aHash(hashHex(prog_hash), h);
-    h = fnv1aHash("|", h);
     h = fnv1aHash(sample.canonicalSpec(), h);
     return h;
 }
 
-ResultCache::ResultCache(size_t max_entries, std::string dir)
+ResultCache::ResultCache(size_t max_entries, const std::string &dir)
     : max_entries_(max_entries),
-      dir_(std::move(dir))
+      dir_(dir.empty() ? dir : openBuildDir(dir))
 {
     ctr_.capacity = max_entries;
 }

@@ -5,12 +5,11 @@
  * Identity: a result is addressed by FNV-1a over the model identity
  * (a build-time digest of the simulator's result-determining sources),
  * the canonical machine configuration (budget included), the canonical
- * workload name, the program-image hash of the workload, and the
- * canonical sample spec — exactly the inputs the canonical RunResult
- * bytes depend on.  Because runs are bit-reproducible (DESIGN.md
- * section 10), a cache hit *is* the simulation: the stored canonical
- * RunResult JSON is byte-identical to what re-running this build would
- * produce.
+ * workload name and the canonical sample spec — exactly the inputs the
+ * canonical RunResult bytes depend on.  Because runs are
+ * bit-reproducible (DESIGN.md section 10), a cache hit *is* the
+ * simulation: the stored canonical RunResult JSON is byte-identical to
+ * what re-running this build would produce.
  *
  * Single-flight: when N requests for the same key arrive while none
  * is cached, exactly one computes; the rest block on the in-flight
@@ -32,7 +31,10 @@
  * are rejected (and deleted) at load time, and the entry is simply
  * recomputed and rewritten.  Disk entries are content-addressed by the
  * same key as memory entries and are not LRU-bounded: the directory is
- * the durable record, and the one durable tier in the simulator.
+ * the durable record, and the one durable tier in the simulator.  It
+ * serves one build at a time: entries live under
+ * <dir>/<kModelIdentity>/, and opening the directory removes what
+ * other builds left in it.
  */
 
 #ifndef DMT_SERVE_CACHE_HH
@@ -56,18 +58,14 @@ struct SimConfig;
 
 /**
  * The cache key for (model identity, machine cfg incl. budget,
- * workload, program image, sample spec).  The model identity names
- * the build, so a rebuilt simulator never answers from an older
- * build's durable files.  The RunResult embeds @p workload (the
- * canonical name), so two gen: specs that build one image still get
- * their own cells.  @p prog_hash is Checkpoint::programHash() of the
- * workload's built image, so a changed generator invalidates
- * naturally.  Durable files of another build, or written before the
- * workload name joined the key, sit under keys nothing computes any
- * more; they are never read again.
+ * workload, sample spec).  The model identity digests every source a
+ * result or a workload image comes from, so a rebuilt simulator never
+ * answers from an older build's entries.  The RunResult embeds
+ * @p workload (the canonical name), so two gen: specs that build one
+ * image still get their own cells.
  */
 u64 resultCacheKey(const SimConfig &cfg, const std::string &workload,
-                   u64 prog_hash, const SampleParams &sample);
+                   const SampleParams &sample);
 
 /** What a compute function returns / a cache entry stores. */
 struct ComputedResult
@@ -87,9 +85,11 @@ class ResultCache
      * @param max_entries 0 disables in-memory storage (dedup still
      *        applies).
      * @param dir Spill directory for the durable tier (must already
-     *        exist); empty keeps the cache memory-only.
+     *        exist); empty keeps the cache memory-only.  Entries go to
+     *        its <kModelIdentity> subdirectory, and other builds'
+     *        entries in it are removed.
      */
-    explicit ResultCache(size_t max_entries, std::string dir = "");
+    explicit ResultCache(size_t max_entries, const std::string &dir = "");
 
     struct Outcome
     {
@@ -138,7 +138,8 @@ class ResultCache
     };
     Counters counters() const;
 
-    /** The durable-tier directory ("" when the tier is off). */
+    /** The directory this build's entries live in ("" when the
+     *  durable tier is off). */
     const std::string &dir() const { return dir_; }
 
   private:

@@ -1,7 +1,5 @@
 #include "serve/client.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,32 +14,10 @@
 #include "common/strutil.hh"
 #include "exp/report.hh"
 #include "serve/protocol.hh"
+#include "serve/socket.hh"
 
 namespace dmt
 {
-
-namespace
-{
-
-int
-connectOnce(int port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-} // namespace
 
 ServeClient::~ServeClient()
 {
@@ -66,7 +42,7 @@ ServeClient::connect(int port, std::string *err, double retry_s)
         + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(retry_s));
     for (;;) {
-        fd_ = connectOnce(port);
+        fd_ = connectLoopback(port);
         if (fd_ >= 0)
             return true;
         if (std::chrono::steady_clock::now() >= deadline)
@@ -88,19 +64,10 @@ ServeClient::sendLine(const std::string &line, std::string *err)
         return false;
     }
     const std::string out = line + "\n";
-    const char *p = out.data();
-    size_t n = out.size();
-    while (n > 0) {
-        const ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            if (err)
-                *err = std::string("send: ") + std::strerror(errno);
-            return false;
-        }
-        p += w;
-        n -= static_cast<size_t>(w);
+    if (!sendAll(fd_, out.data(), out.size())) {
+        if (err)
+            *err = std::string("send: ") + std::strerror(errno);
+        return false;
     }
     return true;
 }

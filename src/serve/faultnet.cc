@@ -1,15 +1,14 @@
 #include "serve/faultnet.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
+
+#include "serve/socket.hh"
 
 namespace dmt
 {
@@ -18,40 +17,6 @@ namespace
 {
 
 constexpr int kPollMs = 100;
-
-bool
-sendAll(int fd, const char *data, size_t n)
-{
-    while (n > 0) {
-        const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-int
-connectLoopback(int port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
 
 } // namespace
 
@@ -68,31 +33,9 @@ FaultNetProxy::~FaultNetProxy()
 bool
 FaultNetProxy::start(std::string *err)
 {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
+    listen_fd_ = listenLoopback(opts_.listen_port, &port_, err);
+    if (listen_fd_ < 0)
         return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<u16>(opts_.listen_port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0
-        || ::listen(listen_fd_, 64) < 0) {
-        if (err)
-            *err = std::string("bind/listen: ") + std::strerror(errno);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
     started_ = true;
     acceptor_ = std::thread(&FaultNetProxy::acceptLoop, this);
     return true;

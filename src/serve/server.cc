@@ -1,21 +1,17 @@
 #include "serve/server.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "common/log.hh"
 #include "common/strutil.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
-#include "sim/checkpoint.hh"
-#include "workloads/workloads.hh"
+#include "serve/socket.hh"
 
 namespace dmt
 {
@@ -31,24 +27,6 @@ constexpr int kPollMs = 100;
 
 /** A request line longer than this is a broken or hostile client. */
 constexpr size_t kMaxLine = 1u << 20;
-
-bool
-sendAll(int fd, const char *data, size_t n)
-{
-    while (n > 0) {
-        // MSG_NOSIGNAL: a client that hung up must produce an error
-        // return, not a SIGPIPE that kills the daemon.
-        const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += w;
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
 
 } // namespace
 
@@ -77,34 +55,9 @@ Server::start(std::string *err)
 {
     DMT_ASSERT(!started_, "Server::start called twice");
 
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
+    listen_fd_ = listenLoopback(opts_.port, &port_, err);
+    if (listen_fd_ < 0)
         return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<u16>(opts_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0
-        || ::listen(listen_fd_, 64) < 0) {
-        if (err)
-            *err = std::string("bind/listen 127.0.0.1:")
-                + std::to_string(opts_.port) + ": "
-                + std::strerror(errno);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr *>(&addr), &len);
-    port_ = ntohs(addr.sin_port);
 
     start_time_ = Clock::now();
     started_ = true;
@@ -248,7 +201,6 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
     job->req_hash = req_hash;
     job->spec = std::move(req.job);
     job->key = resultCacheKey(job->spec.cfg, job->spec.workload,
-                              programHashFor(job->spec.workload),
                               job->spec.sample);
     // The deadline clock starts at enqueue: queueing delay counts
     // against the budget, so an overloaded daemon sheds stale work
@@ -279,20 +231,6 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
         queue_.push(std::move(job));
     }
     queue_cv_.notify_one();
-}
-
-u64
-Server::programHashFor(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lk(prog_mu_);
-    auto it = prog_hash_.find(workload);
-    if (it != prog_hash_.end())
-        return it->second;
-    // Workload names were suite-checked at parse time, so build cannot
-    // fatal().  Build once per daemon lifetime per workload.
-    const u64 h = Checkpoint::programHash(buildWorkload(workload));
-    prog_hash_[workload] = h;
-    return h;
 }
 
 void

@@ -43,7 +43,6 @@
 #include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "serve/cache.hh"
@@ -175,7 +174,6 @@ class Server
                     std::string_view line);
     void sendReply(const std::shared_ptr<Conn> &conn,
                    const std::string &body);
-    u64 programHashFor(const std::string &workload);
 
     ServeOptions opts_;
     ResultCache cache_;
@@ -198,9 +196,6 @@ class Server
         queue_;
     u64 next_seq_ = 0;
     int active_jobs_ = 0;
-
-    std::mutex prog_mu_;
-    std::unordered_map<std::string, u64> prog_hash_;
 
     std::chrono::steady_clock::time_point start_time_;
     std::atomic<u64> requests_{0};

@@ -168,6 +168,47 @@ TEST(Assembler, SymbolArithmetic)
     EXPECT_EQ(out[0], 7u);
 }
 
+TEST(Assembler, ForwardReferencesInOnePass)
+{
+    // Every reference names a label that is defined after it.
+    AsmResult r = assembleSource(R"(
+            la   $t0, tab+8
+            li   $t1, later+4
+            beq  $t0, $t1, done
+            .data
+    tab:    .word case0, case1, later
+            .text
+    case0:  nop
+    case1:  nop
+    done:   halt
+            .data
+    later:  .word 7
+    )");
+    ASSERT_TRUE(r.ok) << r.errorText();
+    const Program &p = r.program;
+    ASSERT_EQ(p.symbol("tab"), 0x10000000u);
+    ASSERT_EQ(p.symbol("later"), 0x1000000cu);
+    ASSERT_EQ(p.symbol("case0"), 0x00400014u);
+
+    ASSERT_EQ(p.text.size(), 8u);
+    EXPECT_EQ(p.text[0], (Instruction{Opcode::LUI, reg::t0, 0, 0, 0x1000}));
+    EXPECT_EQ(p.text[1],
+              (Instruction{Opcode::ORI, reg::t0, reg::t0, 0, 0x0008}));
+    EXPECT_EQ(p.text[2], (Instruction{Opcode::LUI, reg::t1, 0, 0, 0x1000}));
+    EXPECT_EQ(p.text[3],
+              (Instruction{Opcode::ORI, reg::t1, reg::t1, 0, 0x0010}));
+    // beq at 0x400010 reaches done at 0x40001c.
+    EXPECT_EQ(p.text[4], (Instruction{Opcode::BEQ, 0, reg::t0, reg::t1, 8}));
+
+    const std::vector<u8> want = {
+        0x14, 0x00, 0x40, 0x00,  // case0
+        0x18, 0x00, 0x40, 0x00,  // case1
+        0x0c, 0x00, 0x00, 0x10,  // later
+        0x07, 0x00, 0x00, 0x00,
+    };
+    EXPECT_EQ(p.data, want);
+}
+
 TEST(AssemblerErrors, UndefinedLabel)
 {
     AsmResult r = assembleSource("j nowhere\nhalt\n");
@@ -209,6 +250,21 @@ TEST(AssemblerErrors, DataDirectiveInText)
     EXPECT_FALSE(r.ok);
 }
 
+TEST(AssemblerErrors, ReportsEveryErrorInLineOrder)
+{
+    AsmResult r = assembleSource("nop\n"
+                                 "add $t0, $t1, $t99\n"
+                                 ".data\n"
+                                 ".bogus 3\n");
+    ASSERT_FALSE(r.ok);
+    ASSERT_EQ(r.errors.size(), 2u) << r.errorText();
+    EXPECT_EQ(r.errors[0].line, 2);
+    EXPECT_NE(r.errors[0].message.find("$t99"), std::string::npos);
+    EXPECT_EQ(r.errors[1].line, 4);
+    EXPECT_NE(r.errors[1].message.find("unknown directive"),
+              std::string::npos);
+}
+
 TEST(AssemblerErrors, LineNumbersReported)
 {
     AsmResult r = assembleSource("nop\nnop\nbogus\n");
@@ -218,8 +274,8 @@ TEST(AssemblerErrors, LineNumbersReported)
 
 TEST(Assembler, LiSymbolAlwaysWide)
 {
-    // A forward-referenced symbol in li must assemble (pass-1 sizing
-    // uses the wide form regardless of final value).
+    // A forward-referenced symbol in li must assemble; a symbol always
+    // takes the wide LUI+ORI form, whatever its final value.
     AsmResult r = assembleSource(R"(
             li $t0, later
             out $t0

@@ -1,11 +1,13 @@
 /**
  * @file
- * ISA-level tests: opcode traits, instruction classification, and an
- * exhaustive encode/decode round-trip sweep over every opcode.
+ * ISA-level tests: opcode traits, instruction classification, an
+ * exhaustive encode/decode round-trip sweep over every opcode, and a
+ * disassemble/assemble round trip that holds the two to one syntax.
  */
 
 #include <gtest/gtest.h>
 
+#include "casm/assembler.hh"
 #include "common/rng.hh"
 #include "isa/disasm.hh"
 #include "isa/encoding.hh"
@@ -106,62 +108,69 @@ TEST(Regs, NumericForms)
     EXPECT_FALSE(parseReg("", &r));
 }
 
-/** Build a representative valid instruction for an opcode. */
+/**
+ * A random valid instruction of @p op, built from its operand form; the
+ * fields the form does not carry stay zero.
+ */
 Instruction
 sampleInst(Opcode op, Rng &rng)
 {
-    Instruction inst;
-    inst.op = op;
+    const auto reg = [&] { return static_cast<LogReg>(rng.below(32)); };
+    const auto simm16 = [&] {
+        return static_cast<i32>(rng.range(-32768, 32767));
+    };
     const OpInfo &info = opInfo(op);
-    inst.rs = static_cast<LogReg>(rng.below(32));
-    inst.rt = static_cast<LogReg>(rng.below(32));
-    if (info.hasDest)
-        inst.rd = static_cast<LogReg>(rng.below(32));
-
-    switch (op) {
-      case Opcode::SLL:
-      case Opcode::SRL:
-      case Opcode::SRA:
-        inst.rt = 0;
+    Instruction inst{op};
+    switch (info.form) {
+      case Form::RRR:
+        inst.rd = reg();
+        inst.rs = reg();
+        inst.rt = reg();
+        break;
+      case Form::RRI:
+      case Form::Load:
+        inst.rd = reg();
+        inst.rs = reg();
+        inst.imm = simm16();
+        break;
+      case Form::RRIU:
+        inst.rd = reg();
+        inst.rs = reg();
+        inst.imm = static_cast<i32>(rng.below(0x10000));
+        break;
+      case Form::Shift:
+        inst.rd = reg();
+        inst.rs = reg();
         inst.imm = static_cast<i32>(rng.below(32));
         break;
-      case Opcode::ANDI:
-      case Opcode::ORI:
-      case Opcode::XORI:
-      case Opcode::LUI:
+      case Form::Lui:
+        inst.rd = reg();
         inst.imm = static_cast<i32>(rng.below(0x10000));
-        if (op == Opcode::LUI)
-            inst.rs = 0;
         break;
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
+      case Form::Store:
+        inst.rt = reg();
+        inst.rs = reg();
+        inst.imm = simm16();
+        break;
+      case Form::Branch:
+        inst.rs = reg();
+        inst.rt = reg();
         inst.imm = static_cast<i32>(rng.range(-8192, 8191)) * 4;
         break;
-      case Opcode::J:
-      case Opcode::JAL:
+      case Form::Jump:
         inst.imm = static_cast<i32>(rng.below(1 << 24)) * 4;
-        inst.rs = inst.rt = 0;
-        if (op == Opcode::JAL)
+        if (info.isCall)
             inst.rd = reg::ra;
         break;
-      case Opcode::JR:
-      case Opcode::JALR:
-        inst.rt = 0;
+      case Form::JumpReg:
+        inst.rs = reg();
+        if (info.isCall)
+            inst.rd = reg();
         break;
-      case Opcode::NOP:
-      case Opcode::HALT:
-        inst.rs = inst.rt = 0;
+      case Form::Out:
+        inst.rs = reg();
         break;
-      case Opcode::OUT:
-        inst.rt = 0;
-        break;
-      default:
-        if (info.hasImm)
-            inst.imm = static_cast<i32>(rng.range(-32768, 32767));
+      case Form::None:
         break;
     }
     return inst;
@@ -230,6 +239,21 @@ TEST(Disasm, RendersCommonForms)
         disassemble({Opcode::BEQ, 0, 1, 2, 8}, 0x400000);
     EXPECT_NE(br.find("beq"), std::string::npos);
     EXPECT_NE(br.find("0x40000c"), std::string::npos);
+}
+
+TEST(Disasm, ReassemblesToTheSameInstruction)
+{
+    Rng rng(41);
+    for (int o = 0; o < kNumOpcodes; ++o) {
+        for (int i = 0; i < 20; ++i) {
+            const Instruction inst = sampleInst(static_cast<Opcode>(o), rng);
+            const std::string text = disassemble(inst, Program::kTextBase);
+            const AsmResult r = assembleSource(text);
+            ASSERT_TRUE(r.ok) << text << ": " << r.errorText();
+            ASSERT_EQ(r.program.text.size(), 1u) << text;
+            EXPECT_EQ(r.program.text[0], inst) << text;
+        }
+    }
 }
 
 } // namespace

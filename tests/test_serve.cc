@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
-#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -21,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -70,15 +70,8 @@ std::string
 tempCacheDir(const char *name)
 {
     const std::string d = std::string("serve_test_") + name;
-    ::mkdir(d.c_str(), 0755);
-    if (DIR *dp = ::opendir(d.c_str())) {
-        while (dirent *de = ::readdir(dp)) {
-            const std::string f = de->d_name;
-            if (f != "." && f != "..")
-                std::remove((d + "/" + f).c_str());
-        }
-        ::closedir(dp);
-    }
+    std::filesystem::remove_all(d);
+    std::filesystem::create_directory(d);
     return d;
 }
 
@@ -406,19 +399,17 @@ TEST(Protocol, ExtractRawResult)
 TEST(Protocol, CacheKeySeparatesComponents)
 {
     const SimConfig cfg = smallDmt();
-    const u64 base = resultCacheKey(cfg, "go", 1, SampleParams{});
-    EXPECT_EQ(base, resultCacheKey(cfg, "go", 1, SampleParams{}));
-    EXPECT_NE(base, resultCacheKey(cfg, "go", 2, SampleParams{}))
-        << "program image is part of the key";
-    EXPECT_NE(base, resultCacheKey(cfg, "li", 1, SampleParams{}))
+    const u64 base = resultCacheKey(cfg, "go", SampleParams{});
+    EXPECT_EQ(base, resultCacheKey(cfg, "go", SampleParams{}));
+    EXPECT_NE(base, resultCacheKey(cfg, "li", SampleParams{}))
         << "the RunResult embeds the workload name, so the key must too";
     SimConfig other = cfg;
     other.fetch_ports = 4;
-    EXPECT_NE(base, resultCacheKey(other, "go", 1, SampleParams{}));
+    EXPECT_NE(base, resultCacheKey(other, "go", SampleParams{}));
     SampleParams sp;
     std::string err;
     ASSERT_TRUE(SampleParams::parse("1000:100:200", &sp, &err));
-    EXPECT_NE(base, resultCacheKey(cfg, "go", 1, sp));
+    EXPECT_NE(base, resultCacheKey(cfg, "go", sp));
 }
 
 // ---- result cache ------------------------------------------------------
@@ -586,7 +577,7 @@ TEST(DurableCache, ErrorsAreNeverSpilled)
         r.error = "boom";
         return r;
     });
-    const std::string path = dir + "/" + hashHex(key) + ".dmtres";
+    const std::string path = cache.dir() + "/" + hashHex(key) + ".dmtres";
     struct stat st{};
     EXPECT_NE(::stat(path.c_str(), &st), 0)
         << "a failed compute must not leave a durable entry";
@@ -596,8 +587,9 @@ TEST(DurableCache, ErrorsAreNeverSpilled)
 TEST(DurableCache, RejectsTornCorruptAndMisplacedFiles)
 {
     const std::string dir = tempCacheDir("corrupt");
+    const std::string entries = ResultCache(0, dir).dir();
     const u64 key = 11;
-    const std::string path = dir + "/" + hashHex(key) + ".dmtres";
+    const std::string path = entries + "/" + hashHex(key) + ".dmtres";
 
     const auto spill = [&] {
         std::remove(path.c_str());
@@ -660,7 +652,7 @@ TEST(DurableCache, RejectsTornCorruptAndMisplacedFiles)
     spill();
     const u64 other = 12;
     const std::string other_path =
-        dir + "/" + hashHex(other) + ".dmtres";
+        entries + "/" + hashHex(other) + ".dmtres";
     writeAll(other_path, readAll(path));
     {
         ResultCache c(8, dir);
@@ -673,6 +665,42 @@ TEST(DurableCache, RejectsTornCorruptAndMisplacedFiles)
         EXPECT_EQ(calls, 1);
         EXPECT_EQ(c.counters().restore_rejected, 1u);
     }
+}
+
+TEST(DurableCache, OpeningRemovesOtherBuildsEntries)
+{
+    const std::string dir = tempCacheDir("builds");
+    const u64 key = 0x2024;
+    std::string mine;
+    {
+        ResultCache cache(8, dir);
+        mine = cache.dir();
+        cache.getOrCompute(key, [] { return okResult("this build"); });
+    }
+    // What another build left: its identity subdirectory, and an entry
+    // from before entries moved into one.  Other files stay.
+    const std::string foreign = dir + "/0123456789abcdef";
+    ASSERT_NE(mine, foreign);
+    std::filesystem::create_directory(foreign);
+    writeAll(foreign + "/" + hashHex(key) + ".dmtres", "old build");
+    writeAll(dir + "/" + hashHex(key) + ".dmtres", "older layout");
+    writeAll(dir + "/notes.txt", "not an entry");
+
+    ResultCache fresh(8, dir);
+    EXPECT_EQ(fresh.dir(), mine);
+    EXPECT_FALSE(std::filesystem::exists(foreign))
+        << "another build's entries are removed when the cache opens";
+    EXPECT_FALSE(
+        std::filesystem::exists(dir + "/" + hashHex(key) + ".dmtres"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/notes.txt"));
+    int calls = 0;
+    const auto out = fresh.getOrCompute(key, [&] {
+        ++calls;
+        return okResult("never");
+    });
+    EXPECT_TRUE(out.cached) << "this build's entries still restore";
+    EXPECT_EQ(out.json, "this build");
+    EXPECT_EQ(calls, 0);
 }
 
 // ---- wall-clock deadlines ----------------------------------------------
@@ -724,8 +752,8 @@ TEST(Deadline, DisarmedByDefaultAndExcludedFromIdentity)
     EXPECT_TRUE(armed.hasDeadline());
     EXPECT_EQ(canonicalHash(cfg), canonicalHash(armed))
         << "the deadline is scheduling state, not machine identity";
-    EXPECT_EQ(resultCacheKey(cfg, "go", 1, SampleParams{}),
-              resultCacheKey(armed, "go", 1, SampleParams{}))
+    EXPECT_EQ(resultCacheKey(cfg, "go", SampleParams{}),
+              resultCacheKey(armed, "go", SampleParams{}))
         << "two budgets for the same cell must share one cache entry";
 }
 
@@ -1186,8 +1214,8 @@ TEST(DeadlineService, ProtocolCarriesDeadlineMs)
     // Not part of the job identity: same cell, different budget.
     JobSpec other = smallJob();
     other.deadline_ms = 9000;
-    EXPECT_EQ(resultCacheKey(req.job.cfg, "go", 1, req.job.sample),
-              resultCacheKey(other.cfg, "go", 1, other.sample));
+    EXPECT_EQ(resultCacheKey(req.job.cfg, "go", req.job.sample),
+              resultCacheKey(other.cfg, "go", other.sample));
 }
 
 // ---- client resilience -------------------------------------------------
