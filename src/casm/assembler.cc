@@ -367,6 +367,13 @@ Assembler::directive()
                 b.dataRef(bytes, v.label, v.num);
                 continue;
             }
+            // Signed or unsigned, the value must fit as written.
+            const int bits = 8 * bytes;
+            if (v.num < -(i64{1} << (bits - 1)) || v.num >= i64{1} << bits) {
+                err(strprintf("%s value %lld out of range", m.c_str(),
+                              static_cast<long long>(v.num)));
+                continue;
+            }
             std::vector<u8> le(static_cast<size_t>(bytes));
             for (int k = 0; k < bytes; ++k)
                 le[static_cast<size_t>(k)] = static_cast<u8>(v.num >> (8 * k));
@@ -410,6 +417,12 @@ Assembler::real(Opcode op)
         if (!wantOps(3) || !reg(0, &inst.rd) || !reg(1, &inst.rs)
             || !value(2, &v)) {
             return false;
+        }
+        if (v.label < 0
+            && (info.form == Form::RRIU ? v.num < 0 || v.num > 0xFFFF
+                                        : v.num < -32768 || v.num > 32767)) {
+            return err(strprintf("immediate %lld out of range",
+                                 static_cast<long long>(v.num)));
         }
         emitValue(inst, FixKind::Abs, v);
         return true;
@@ -512,6 +525,8 @@ Assembler::pseudo()
             || !number(2, "subi immediate", &n)) {
             return false;
         }
+        if (n < -32767 || n > 32768)
+            return err("subi immediate out of range");
         b.addi(rd, rs, static_cast<i32>(-n));
         return true;
     }

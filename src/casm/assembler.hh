@@ -32,8 +32,12 @@
  * first text instruction).  A name may carry an addend (`tab+8`)
  * wherever an address fits: ALU immediates, branch and jump targets,
  * li / la and .word / .half / .byte.  Shift amounts, lui, memory offsets
- * and subi take literals only.  `li` of a literal in [-32768, 0xFFFF]
- * is one instruction; any other literal, or a name, is LUI+ORI.
+ * and subi take literals only.  A literal must fit where it goes: a
+ * signed ALU immediate, memory offset or subi in 16 bits, andi / ori /
+ * xori and lui in 0..0xFFFF, a shift amount in 0..31, and a data value
+ * in its width, signed or unsigned.  `li` of a literal in
+ * [-32768, 0xFFFF] is one instruction; any other literal, or a name,
+ * is LUI+ORI.
  *
  * Every error is reported, in line order; a name used but never
  * defined is reported once, at its first use.

@@ -10,6 +10,7 @@
 
 #include "common/env.hh"
 #include "common/log.hh"
+#include "common/strutil.hh"
 #include "exp/sweep.hh"
 
 namespace dmt
@@ -60,14 +61,8 @@ traceOptionsFromEnv(TraceOptions base)
         } else {
             base.enabled = true;
             // "1" keeps whatever the config selected (default: ring).
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty() || tok == "1" || tok == "on")
+            for (const std::string &tok : splitFields(s, ",")) {
+                if (tok == "1" || tok == "on")
                     continue;
                 if (tok == "ring")
                     base.ring = true;
@@ -78,8 +73,7 @@ traceOptionsFromEnv(TraceOptions base)
                 else if (tok == "insts")
                     base.insts = true;
                 else
-                    warn("DMT_TRACE: unknown sink '%s' ignored",
-                         tok.c_str());
+                    fatal("DMT_TRACE: unknown sink '%s'", tok.c_str());
             }
         }
     }
@@ -115,33 +109,19 @@ faultOptionsFromEnv(FaultOptions base)
             base.enabled = false;
         } else {
             base.enabled = true;
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = s.size();
-                const std::string tok = s.substr(pos, comma - pos);
-                pos = comma + 1;
-                if (tok.empty())
-                    continue;
-                if (tok == "1" || tok == "on" || tok == "all") {
-                    for (int i = 0; i < kNumFaultSites; ++i) {
-                        if (base.rate[i] <= 0.0)
-                            base.rate[i] = env_rate;
-                    }
-                    continue;
-                }
+            for (const std::string &tok : splitFields(s, ",")) {
+                const bool all = tok == "1" || tok == "on" || tok == "all";
                 bool known = false;
                 for (int i = 0; i < kNumFaultSites; ++i) {
-                    if (tok == faultSiteName(static_cast<FaultSite>(i))) {
+                    if (all
+                        || tok == faultSiteName(static_cast<FaultSite>(i))) {
                         if (base.rate[i] <= 0.0)
                             base.rate[i] = env_rate;
                         known = true;
                     }
                 }
                 if (!known)
-                    warn("DMT_FAULT: unknown site '%s' ignored",
-                         tok.c_str());
+                    fatal("DMT_FAULT: unknown site '%s'", tok.c_str());
             }
         }
     }

@@ -146,8 +146,7 @@ DmtEngine::spawnThread(ThreadContext &parent, TBEntry &entry,
     // Sequencing state: cleared history, RAS copied from the spawner at
     // the spawn point (paper Section 3.1.4).  For an after-call thread
     // the pre-call RAS is exactly the stack the post-return code sees.
-    c.bstate.history = 0;
-    c.bstate.ras = spawn_bstate.ras;
+    c.bstate.clearForSpawn(spawn_bstate);
 
     // Value-predicted inputs: the parent's register context at the
     // spawn point (paper Section 3.2.2).

@@ -1,5 +1,7 @@
 #include "exp/conformance.hh"
 
+#include <utility>
+
 #include "common/strutil.hh"
 #include "dmt/engine.hh"
 #include "sim/functional.hh"
@@ -80,22 +82,6 @@ compareFinalState(const DmtEngine &engine, const FunctionalFinal &ref,
     return true;
 }
 
-bool
-conformsOnRef(const SimConfig &cfg, const Program &prog,
-              const FunctionalFinal &ref, std::string *detail,
-              u64 *cycles)
-{
-    SimConfig run_cfg = cfg;
-    // Budget just past completion: a machine that loses instructions
-    // fails the retired-count compare instead of running away.
-    run_cfg.max_retired = ref.steps + 64;
-    DmtEngine engine(run_cfg, prog);
-    engine.run();
-    if (cycles)
-        *cycles = engine.now();
-    return compareFinalState(engine, ref, detail);
-}
-
 } // namespace
 
 ConformanceReport
@@ -114,31 +100,27 @@ checkConformance(const std::string &workload,
     }
     rep.functional_steps = ref.steps;
 
-    if (!conformsOnRef(SimConfig::baseline(), prog, ref, &detail,
-                       &rep.baseline_cycles)) {
-        rep.ok = false;
-        rep.detail = workload + " [baseline]: " + detail;
-        return rep;
-    }
-
-    const SimConfig dmt6 = SimConfig::dmt(6, 2);
-    if (!conformsOnRef(dmt6, prog, ref, &detail, &rep.dmt_cycles)) {
-        rep.ok = false;
-        rep.detail = workload + " [dmt6]: " + detail;
-        return rep;
-    }
-
-    if (opts.fault_storm) {
-        // All-site injection storm: faults corrupt speculative-only
-        // state, so recovery must land on the very same final state.
-        SimConfig storm = dmt6;
-        storm.fault.enabled = true;
-        storm.fault.seed = opts.fault_seed;
-        storm.fault.rateAll(opts.fault_rate);
-        if (!conformsOnRef(storm, prog, ref, &detail,
-                           &rep.storm_cycles)) {
+    // All-site injection storm: faults corrupt speculative-only state,
+    // so recovery must land on the very same final state.
+    SimConfig storm = SimConfig::dmt(6, 2);
+    storm.fault.enabled = true;
+    storm.fault.seed = opts.fault_seed;
+    storm.fault.rateAll(opts.fault_rate);
+    const std::pair<const char *, SimConfig> legs[] = {
+        {"baseline", SimConfig::baseline()},
+        {"dmt6", SimConfig::dmt(6, 2)},
+        {"dmt6+fault-storm", storm},
+    };
+    for (auto [name, cfg] : legs) {
+        // Budget just past completion: a machine that loses
+        // instructions fails the retired-count compare instead of
+        // running away.
+        cfg.max_retired = ref.steps + 64;
+        DmtEngine engine(cfg, prog);
+        engine.run();
+        if (!compareFinalState(engine, ref, &detail)) {
             rep.ok = false;
-            rep.detail = workload + " [dmt6+fault-storm]: " + detail;
+            rep.detail = workload + " [" + name + "]: " + detail;
             return rep;
         }
     }

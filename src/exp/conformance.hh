@@ -34,9 +34,8 @@ struct ConformanceOptions
     /** Safety bound on the functional reference run. */
     u64 max_steps = 5'000'000;
 
-    /** Also rerun the DMT machine under an all-site fault storm and
-     *  require golden-clean recovery onto the same final state. */
-    bool fault_storm = true;
+    /** The DMT machine also reruns under an all-site fault storm and
+     *  must recover golden-clean onto the same final state. */
     double fault_rate = 0.02;
     u64 fault_seed = 0xF00D;
 };
@@ -49,15 +48,12 @@ struct ConformanceReport
     std::string detail;
 
     u64 functional_steps = 0; ///< reference executed-instruction count
-    u64 baseline_cycles = 0;
-    u64 dmt_cycles = 0;
-    u64 storm_cycles = 0;     ///< 0 when the storm leg is disabled
 };
 
 /**
  * Full differential check of @p workload across the paper's two
- * machines — baseline superscalar and dmt6 (2 fetch ports) — plus an
- * optional fault-storm leg on the DMT machine.
+ * machines — baseline superscalar and dmt6 (2 fetch ports) — plus a
+ * fault-storm leg on the DMT machine.
  */
 ConformanceReport
 checkConformance(const std::string &workload,

@@ -286,7 +286,6 @@ clusterPhases(const std::vector<IntervalBbv> &bbvs,
                    && params.dims > 0,
                "phase params must be positive");
     PhaseAnalysis pa;
-    pa.interval_len = params.interval;
     const size_t n = bbvs.size();
     if (n == 0)
         return pa;

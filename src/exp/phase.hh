@@ -56,9 +56,6 @@ struct PhaseInfo
 /** Result of clustering one workload's interval BBVs. */
 struct PhaseAnalysis
 {
-    u64 interval_len = 0;
-    u64 covered = 0;   ///< instructions profiled (stream positions)
-    bool completed = false; ///< profiling reached HALT within budget
     u32 k = 0;         ///< phases found (<= max_k, 0 only if no BBVs)
     std::vector<u32> assignment; ///< interval index -> phase id
     std::vector<PhaseInfo> phases; ///< phases[i].id == i
@@ -104,21 +101,20 @@ collectBbvs(const Program &prog, u64 interval_len, u64 budget, FfMode)
 }
 
 /**
- * Project + cluster @p bbvs under @p params.  interval_len, covered
- * and completed in the result are left for the caller; assignment and
- * phases are fully populated.  Degenerate inputs stay well-defined:
- * k never exceeds the interval count, all-identical vectors collapse
- * to one phase, and an empty input yields k = 0.
+ * Project + cluster @p bbvs under @p params.  Degenerate inputs stay
+ * well-defined: k never exceeds the interval count, all-identical
+ * vectors collapse to one phase, and an empty input yields k = 0.
  */
 PhaseAnalysis clusterPhases(const std::vector<IntervalBbv> &bbvs,
                             const PhaseParams &params);
 
-/** Drop every cached phase analysis (checkpoints stay) and zero the
- *  counters below (test hook, companion to clearCheckpointCache()). */
+/** Drop every phase plan, checkpoints included (exp/sampled.hh), and
+ *  zero the counters below (test hook, companion to
+ *  clearCheckpointCache()). */
 void clearPhaseCache();
 
-/** Process-lifetime accounting for the shared phase-analysis cache:
- *  one build per (workload, params, budget), then hits. */
+/** Process-lifetime accounting for phase plans: one build per
+ *  (workload, phase fields, budget), then hits. */
 struct PhaseCacheCounters
 {
     u64 hits = 0;

@@ -119,8 +119,8 @@ runWorkloadJob(const SimConfig &cfg, const std::string &raw_workload,
                u64 max_retired, const SampleParams &sample)
 {
     // One workload, one name: gen: specs normalize to their canonical
-    // spelling here so RunResult bytes, checkpoint-cache chains and
-    // golden files never depend on which alias the caller used.
+    // spelling here so RunResult bytes, phase plans and golden files
+    // never depend on which alias the caller used.
     const std::string workload = canonicalWorkloadName(raw_workload);
 
     if (sample.enabled())

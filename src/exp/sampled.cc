@@ -1,6 +1,6 @@
 #include "exp/sampled.hh"
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/env.hh"
@@ -136,59 +137,6 @@ SampleParams::parse(std::string_view spec, SampleParams *out,
 namespace
 {
 
-/**
- * Everything the sampled path keeps for one workload across runs: its
- * Program, the phase analyses profiled from it, and the checkpoints at
- * their representatives.  Checkpoints and analyses are immutable once
- * built (shared_ptr), so concurrent sweep cells and later runs share
- * them.  Heap-allocated so the Program that runs' cursors reference
- * has a stable address.
- */
-struct WorkloadEntry
-{
-    explicit WorkloadEntry(const std::string &workload)
-        : prog(buildWorkload(workload)),
-          prog_hash(Checkpoint::programHash(prog))
-    {
-    }
-
-    const Program prog;
-    const u64 prog_hash;
-    /** Guards every member below; held across the once-per-analysis
-     *  profile, never across a walk to a window. */
-    std::mutex m;
-    /** Phase windows' start checkpoints; uniform windows keep none. */
-    std::map<u64, std::shared_ptr<const Checkpoint>> by_pos;
-    /** Keyed by (interval, max_k, dims, seed, budget). */
-    std::map<std::array<u64, 5>, std::shared_ptr<const PhaseAnalysis>>
-        analyses;
-};
-
-/** Lock order: g_cache_m before any entry's m, never the reverse. */
-std::mutex g_cache_m;
-std::map<std::string, std::shared_ptr<WorkloadEntry>> g_cache;
-
-// Shared-cache accounting (monotonic until clearCheckpointCache() /
-// clearPhaseCache()).
-std::atomic<u64> g_ckpt_mem_hits{0};
-std::atomic<u64> g_ckpt_builds{0};
-std::atomic<u64> g_phase_hits{0};
-std::atomic<u64> g_phase_builds{0};
-
-std::shared_ptr<WorkloadEntry>
-entryFor(const std::string &workload)
-{
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    auto it = g_cache.find(workload);
-    if (it == g_cache.end()) {
-        it = g_cache
-                 .emplace(workload,
-                          std::make_shared<WorkloadEntry>(workload))
-                 .first;
-    }
-    return it->second;
-}
-
 /** Longest fast-forward stretch between deadline checks: a few tens
  *  of host milliseconds. */
 constexpr u64 kDeadlineChunk = u64{1} << 22;
@@ -208,19 +156,14 @@ trailBytes(const Checkpoint &ck)
 
 /**
  * The checkpoints a phase profile lays down, kept only to shorten the
- * run's walks to its representatives: one at every multiple of a
- * stride that starts at one interval.  Past kTrailBytes, every other
+ * walks to the representatives: one at every multiple of a stride
+ * that starts at one interval.  Past kTrailBytes, every other
  * checkpoint goes and the stride doubles, so the trail of a program of
  * any length stays bounded, and a program whose footprint alone passes
  * the budget lays none.
  */
 struct Trail
 {
-    Trail(u64 interval, u64 prog_hash_)
-        : stride(interval), prog_hash(prog_hash_)
-    {
-    }
-
     /** Capture @p core if it stands on a stride multiple.
      *  @return the next multiple. */
     u64
@@ -228,10 +171,10 @@ struct Trail
     {
         const u64 pos = core.instrCount();
         if (pos > 0 && pos % stride == 0) {
-            auto ck = std::make_shared<const Checkpoint>(
-                Checkpoint::capture(core, prog_hash));
-            bytes += trailBytes(*ck);
-            at.emplace(pos, std::move(ck));
+            const Checkpoint &ck =
+                at.emplace(pos, Checkpoint::capture(core, prog_hash))
+                    .first->second;
+            bytes += trailBytes(ck);
             while (bytes > kTrailBytes) {
                 stride *= 2;
                 for (auto it = at.begin(); it != at.end();) {
@@ -239,7 +182,7 @@ struct Trail
                         ++it;
                         continue;
                     }
-                    bytes -= trailBytes(*it->second);
+                    bytes -= trailBytes(it->second);
                     it = at.erase(it);
                 }
             }
@@ -250,8 +193,63 @@ struct Trail
     u64 stride;
     const u64 prog_hash;
     u64 bytes = 0;
-    std::map<u64, std::shared_ptr<const Checkpoint>> at;
+    std::map<u64, Checkpoint> at{};
 };
+
+/**
+ * A phase plan: the one thing the sampled path keeps across runs.  It
+ * holds a workload's phase analysis and the checkpoint at each
+ * representative; immutable once built, so concurrent sweep cells and
+ * later runs on other machines share it.
+ */
+struct PhasePlan
+{
+    PhaseAnalysis analysis;
+    u64 covered = 0;        ///< instructions profiled
+    bool completed = false; ///< the profile reached HALT
+    /** starts[i] is where analysis.phases[i]'s window resumes. */
+    std::vector<Checkpoint> starts;
+};
+
+/** One key's plan, built under the slot's lock by the first run that
+ *  asks; a build that throws leaves it empty. */
+struct PlanSlot
+{
+    std::mutex m;
+    std::shared_ptr<const PhasePlan> plan;
+};
+
+/** (workload, interval, max_k, dims, seed, budget); runWorkloadJob()
+ *  passes the workload's canonical name. */
+using PlanKey = std::tuple<std::string, u64, u64, u64, u64, u64>;
+
+/** Guards the map only, never a build. */
+std::mutex g_plans_m;
+std::map<PlanKey, std::shared_ptr<PlanSlot>> g_plans;
+
+/** Forget every plan; a run still holding one keeps it alive. */
+void
+dropPlans()
+{
+    std::lock_guard<std::mutex> lock(g_plans_m);
+    g_plans.clear();
+}
+
+// Plan accounting (monotonic until clearCheckpointCache() /
+// clearPhaseCache()).
+std::atomic<u64> g_ckpt_mem_hits{0};
+std::atomic<u64> g_ckpt_builds{0};
+std::atomic<u64> g_phase_hits{0};
+std::atomic<u64> g_phase_builds{0};
+
+/** Seconds since @p t0. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now()
+                                         - t0)
+        .count();
+}
 
 /** What one window added to its run. */
 struct Window
@@ -272,17 +270,18 @@ struct Window
 
 /**
  * One sampled run.  The two placements (uniform, phase) decide only
- * where windows start and how their CPIs aggregate; checkpoint lookup,
- * the golden-checked window itself, the stat merge and the final
- * coverage and telemetry stamp live here once.
+ * where windows start and how their CPIs aggregate; the walk, the
+ * golden-checked window itself, the stat merge and the final coverage
+ * and telemetry stamp live here once.
  */
 struct SampledRun
 {
     SampledRun(const SimConfig &cfg_, const std::string &workload_,
                const SampleParams &params_)
         : cfg(cfg_), workload(workload_), params(params_),
-          e(entryFor(workload_)),
-          wall_start(std::chrono::steady_clock::now()), cursor(e->prog)
+          wall_start(std::chrono::steady_clock::now()),
+          prog(buildWorkload(workload_)),
+          prog_hash(Checkpoint::programHash(prog)), cursor(prog)
     {
         r.workload = workload;
         r.sampling.enabled = true;
@@ -302,157 +301,117 @@ struct SampledRun
         }
     }
 
+    /** Run the cursor forward to @p pos, or to HALT if that comes
+     *  first, in chunks so a long skip cannot blow past the caller's
+     *  deadline between checks. */
+    void
+    walkTo(u64 pos)
+    {
+        while (cursor.instrCount() < pos && !cursor.halted()) {
+            checkDeadline("during functional fast-forward",
+                          cursor.instrCount());
+            cursor.run(std::min(pos - cursor.instrCount(), kDeadlineChunk));
+        }
+    }
+
+    /** A window's start checkpoint, captured where the cursor stands. */
+    Checkpoint
+    capture() const
+    {
+        g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
+        return Checkpoint::capture(cursor, prog_hash);
+    }
+
     /**
-     * Phase analysis of the program, profiled once per key.  The run
-     * that builds it profiles on its own cursor, and keeps for each
-     * representative the latest trail checkpoint at or before it.
+     * The phase plan for this run's key.  The first run to ask builds
+     * it on its own cursor: profile with a trail, cluster, then walk
+     * from the nearest trail checkpoint to each representative and
+     * capture it there.
      */
-    std::shared_ptr<const PhaseAnalysis>
-    analysis(u64 budget)
+    std::shared_ptr<const PhasePlan>
+    plan(u64 budget)
     {
         const PhaseParams &pp = params.phase;
-        // Build under the entry lock: concurrent sweep cells asking for
-        // the same analysis wait for one profile instead of racing N.
-        // A profile that throws leaves the slot empty.
-        std::lock_guard<std::mutex> lock(e->m);
-        std::shared_ptr<const PhaseAnalysis> &slot =
-            e->analyses[{pp.interval, pp.max_k, pp.dims, pp.seed, budget}];
-        if (slot) {
-            g_phase_hits.fetch_add(1, std::memory_order_relaxed);
-            return slot;
+        std::shared_ptr<PlanSlot> slot;
+        {
+            std::lock_guard<std::mutex> lock(g_plans_m);
+            std::shared_ptr<PlanSlot> &s = g_plans[{
+                workload, pp.interval, pp.max_k, pp.dims, pp.seed, budget}];
+            if (!s)
+                s = std::make_shared<PlanSlot>();
+            slot = s;
         }
-        // The profile pauses at least every kDeadlineChunk
+        // Concurrent sweep cells asking for one plan wait for one build
+        // instead of racing N.
+        std::lock_guard<std::mutex> lock(slot->m);
+        if (slot->plan) {
+            g_phase_hits.fetch_add(1, std::memory_order_relaxed);
+            g_ckpt_mem_hits.fetch_add(slot->plan->starts.size(),
+                                      std::memory_order_relaxed);
+            return slot->plan;
+        }
+        // The build, profile and walks alike, lands in this run's
+        // fast-forward bucket once; a run that waits for it adds
+        // nothing.  The profile pauses at least every kDeadlineChunk
         // instructions, so the deadline is checked as often as in a
         // walk.
-        Trail laid(pp.interval, e->prog_hash);
+        const auto t0 = std::chrono::steady_clock::now();
+        Trail trail{pp.interval, prog_hash};
         BbvProfile prof = profileBbvs(
             cursor, pp.interval, budget, [&](const FunctionalCore &core) {
                 checkDeadline("during the BBV profile", core.instrCount());
-                return laid.offer(core);
+                return trail.offer(core);
             });
-        auto pa =
-            std::make_shared<PhaseAnalysis>(clusterPhases(prof.bbvs, pp));
-        pa->covered = prof.covered;
-        pa->completed = prof.completed;
-        for (const PhaseInfo &ph : pa->phases) {
-            const auto it = laid.at.upper_bound(ph.rep * pp.interval);
-            if (it != laid.at.begin())
-                trail.insert(*std::prev(it));
+        auto fresh = std::make_shared<PhasePlan>(PhasePlan{
+            clusterPhases(prof.bbvs, pp), prof.covered, prof.completed, {}});
+        // Phases come in representative order, so the cursor only
+        // restores a trail checkpoint that stands nearer than it does.
+        for (const PhaseInfo &ph : fresh->analysis.phases) {
+            const u64 pos = ph.rep * pp.interval;
+            const auto it = trail.at.upper_bound(pos);
+            if (it != trail.at.begin()) {
+                const Checkpoint &from = std::prev(it)->second;
+                if (from.instr_count > cursor.instrCount()
+                    || cursor.instrCount() > pos) {
+                    cursor.restore(from.state, from.mem, from.instr_count);
+                }
+            } else if (cursor.instrCount() > pos) {
+                cursor.reset();
+            }
+            walkTo(pos);
+            DMT_ASSERT(cursor.instrCount() == pos && !cursor.halted(),
+                       "phase representative at %llu lies past the "
+                       "profile of %s",
+                       static_cast<unsigned long long>(pos),
+                       workload.c_str());
+            fresh->starts.push_back(capture());
         }
         g_phase_builds.fetch_add(1, std::memory_order_relaxed);
-        slot = std::move(pa);
-        return slot;
+        ff_wall += secondsSince(t0);
+        slot->plan = std::move(fresh);
+        return slot->plan;
     }
 
     /**
-     * Architectural checkpoint at exactly @p pos retired instructions;
-     * @p pos never decreases within a run.  Order of preference: the
-     * entry's phase checkpoints, a trail checkpoint at @p pos, then
-     * this run's own cursor, walked forward from the furthest of where
-     * it stands, the latest checkpoint the run holds and the nearest
-     * trail checkpoint before @p pos.
-     *
-     * @return nullptr when the program HALTs at or before @p pos; the
-     *         cursor then stands at HALT.
-     */
-    std::shared_ptr<const Checkpoint>
-    checkpointAt(u64 pos)
-    {
-        DMT_ASSERT(!last || pos >= last->instr_count,
-                   "sampled window starts must not decrease");
-        // Later windows start past pos, so only the latest trail
-        // checkpoint at or before it can still serve.
-        std::shared_ptr<const Checkpoint> from;
-        if (const auto it = trail.upper_bound(pos); it != trail.begin()) {
-            from = std::prev(it)->second;
-            trail.erase(trail.begin(), it);
-        }
-        {
-            std::lock_guard<std::mutex> lock(e->m);
-            auto it = e->by_pos.find(pos);
-            if (it != e->by_pos.end()) {
-                g_ckpt_mem_hits.fetch_add(1, std::memory_order_relaxed);
-                return last = it->second;
-            }
-        }
-
-        if (from && from->instr_count == pos)
-            return built(std::move(from)); // the profile stood here
-
-        FunctionalCore &core = cursor;
-        if (last && (!from || last->instr_count > from->instr_count))
-            from = last;
-        if (core.instrCount() > pos
-            || (from && from->instr_count > core.instrCount())) {
-            if (from)
-                core.restore(from->state, from->mem, from->instr_count);
-            else
-                core.reset();
-        }
-        // With a deadline armed, fast-forward in bounded chunks so a
-        // long skip cannot blow past the caller's wall-clock budget
-        // between checks.
-        const bool armed = cfg.hasDeadline();
-        const auto t0 = std::chrono::steady_clock::now();
-        while (core.instrCount() < pos && !core.halted()) {
-            u64 gap = pos - core.instrCount();
-            if (armed && gap > kDeadlineChunk)
-                gap = kDeadlineChunk;
-            core.run(gap);
-            checkDeadline("during functional fast-forward",
-                          core.instrCount());
-        }
-        ff_wall += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        if (core.halted())
-            return nullptr;
-        return built(std::make_shared<const Checkpoint>(
-            Checkpoint::capture(core, e->prog_hash)));
-    }
-
-    /** Count @p ck, a checkpoint this run made, as a build and make it
-     *  the run's latest; a phase window's also goes into the entry,
-     *  for later runs on other machines. */
-    std::shared_ptr<const Checkpoint>
-    built(std::shared_ptr<const Checkpoint> ck)
-    {
-        g_ckpt_builds.fetch_add(1, std::memory_order_relaxed);
-        if (params.phaseMode()) {
-            std::lock_guard<std::mutex> lock(e->m);
-            e->by_pos.emplace(ck->instr_count, ck);
-        }
-        return last = std::move(ck);
-    }
-
-    /**
-     * Run one warm + measure window resumed at stream position
-     * @p start, golden-checked, and fold its measurement (if any) into
-     * the result.  A program that HALTs before @p start runs nothing:
-     * coverage extends to HALT.
+     * Run one warm + measure window resumed at @p ck, golden-checked,
+     * and fold its measurement (if any) into the result.
      */
     Window
-    window(u64 start)
+    window(const Checkpoint &ck)
     {
+        const u64 start = ck.instr_count;
         // Small detailed windows may finish under the engine's own
         // deadline-check granule, so re-check between windows too.
         checkDeadline(params.phaseMode() ? "between phase windows"
                                          : "between sampled windows",
                       start);
 
-        Window w;
-        const std::shared_ptr<const Checkpoint> ck = checkpointAt(start);
-        if (!ck) {
-            w.end = cursor.instrCount();
-            w.completed = true;
-            return w;
-        }
-
         SimConfig wcfg = cfg;
         wcfg.warmup_retired = params.warm;
         wcfg.max_retired = params.warm + params.measure;
-        DmtEngine engine(wcfg, e->prog, ck.get(), e->prog_hash);
+        DmtEngine engine(wcfg, prog, &ck, prog_hash);
         engine.run();
+        Window w;
         w.end = start + engine.retiredTotal();
         w.completed = engine.programCompleted();
         detailed_retired += engine.retiredTotal();
@@ -506,8 +465,8 @@ struct SampledRun
     {
         r.sampling.covered = covered;
         // Stream-derived (not host-work-derived) so the canonical JSON
-        // is identical whether checkpoints came from cache or fresh
-        // runs.
+        // is identical whether a plan came from memory or a fresh
+        // build.
         r.sampling.functional_instr =
             covered > detailed_retired ? covered - detailed_retired : 0;
         r.sampling.func_wall_s = ff_wall;
@@ -516,9 +475,7 @@ struct SampledRun
         r.sampling.ff_chain_hits = xs.chain_hits;
         r.sampling.ff_instr = xs.instrs_executed;
         r.completed = completed;
-        r.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
+        r.wall_s = secondsSince(wall_start);
         // The headline throughput is stream coverage per wall second —
         // the "paper-scale at functional speed" number.
         r.minstr_per_s = r.wall_s > 0.0
@@ -530,18 +487,15 @@ struct SampledRun
     const SimConfig &cfg;
     const std::string &workload;
     const SampleParams &params;
-    const std::shared_ptr<WorkloadEntry> e;
     const std::chrono::steady_clock::time_point wall_start;
-    /** This run's fast-forward core: it profiles, then walks to each
-     *  window start from the nearest state it holds. */
+    const Program prog;
+    const u64 prog_hash;
+    /** This run's fast-forward core: a uniform run walks it forward to
+     *  each window; a phase run builds its plan on it, if no earlier
+     *  run has. */
     FunctionalCore cursor;
-    /** The checkpoint of the latest window start. */
-    std::shared_ptr<const Checkpoint> last;
-    /** Trail checkpoints the windows have not passed yet, by
-     *  position: for each phase representative, the latest one at or
-     *  before it. */
-    std::map<u64, std::shared_ptr<const Checkpoint>> trail;
-    /** Host seconds spent fast-forwarding and profiling. */
+    /** Host seconds spent fast-forwarding, profiling and building a
+     *  plan. */
     double ff_wall = 0.0;
     /** Instructions run in detail, warm and measure alike. */
     u64 detailed_retired = 0;
@@ -563,7 +517,17 @@ runUniform(SampledRun &run, u64 budget)
     while ((params.max_intervals == 0
             || r.sampling.intervals < params.max_intervals)
            && (budget == 0 || pos < budget)) {
-        const Window w = run.window(pos + params.skip);
+        const auto t0 = std::chrono::steady_clock::now();
+        run.walkTo(pos + params.skip);
+        run.ff_wall += secondsSince(t0);
+        if (run.cursor.halted()) {
+            // The program HALTed at or before the window: coverage
+            // extends to HALT.
+            pos = run.cursor.instrCount();
+            completed = true;
+            break;
+        }
+        const Window w = run.window(run.capture());
         pos = w.end;
         completed = w.completed;
         if (w.measured())
@@ -597,8 +561,8 @@ runUniform(SampledRun &run, u64 budget)
     return run.finish(pos, completed);
 }
 
-/** Phase placement: one window per phase representative of the
- *  (cached) BBV profile; CPI is weighted by phase. */
+/** Phase placement: one window per representative of the run's
+ *  plan; CPI is weighted by phase. */
 RunResult
 runPhases(SampledRun &run, u64 budget)
 {
@@ -610,29 +574,22 @@ runPhases(SampledRun &run, u64 budget)
     r.sampling.phase_dims = params.phase.dims;
     r.sampling.phase_seed = params.phase.seed;
 
-    // The profile's wall clock lands in the fast-forward bucket.
-    const auto prof_start = std::chrono::steady_clock::now();
-    const std::shared_ptr<const PhaseAnalysis> pa = run.analysis(budget);
-    run.ff_wall += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - prof_start)
-                       .count();
-    r.sampling.phase_k = pa->k;
-    r.sampling.phase_intervals = pa->assignment.size();
+    const std::shared_ptr<const PhasePlan> plan = run.plan(budget);
+    const PhaseAnalysis &pa = plan->analysis;
+    r.sampling.phase_k = pa.k;
+    r.sampling.phase_intervals = pa.assignment.size();
 
-    bool completed = pa->completed;
-    u64 end = pa->covered;
-    for (const PhaseInfo &ph : pa->phases) {
+    bool completed = plan->completed;
+    u64 end = plan->covered;
+    for (size_t i = 0; i < pa.phases.size(); ++i) {
+        const PhaseInfo &ph = pa.phases[i];
         PhaseCpi row;
         row.id = ph.id;
         row.rep = ph.rep;
         row.pos = ph.rep * params.phase.interval;
         row.weight = ph.weight;
         row.members = ph.members;
-        // A representative can sit past HALT only if profiling and the
-        // run's cursor disagree — which the bit-identity contract
-        // rules out — but stay graceful: the phase goes unmeasured and
-        // the aggregate renormalizes over the measured ones.
-        const Window w = run.window(row.pos);
+        const Window w = run.window(plan->starts[i]);
         completed = completed || w.completed;
         if (w.completed)
             end = w.end;
@@ -685,7 +642,7 @@ runPhases(SampledRun &run, u64 budget)
     // The headline IPC is the weighted estimate — the whole point of
     // phase weighting — not the unweighted window sum.
     r.ipc = r.sampling.cpi_mean > 0.0 ? 1.0 / r.sampling.cpi_mean : 0.0;
-    return run.finish(pa->covered, completed);
+    return run.finish(plan->covered, completed);
 }
 
 } // namespace
@@ -704,8 +661,7 @@ runWorkloadSampled(const SimConfig &cfg, const std::string &workload,
 void
 clearCheckpointCache()
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    g_cache.clear();
+    dropPlans();
     g_ckpt_mem_hits.store(0, std::memory_order_relaxed);
     g_ckpt_builds.store(0, std::memory_order_relaxed);
 }
@@ -713,11 +669,7 @@ clearCheckpointCache()
 void
 clearPhaseCache()
 {
-    std::lock_guard<std::mutex> lock(g_cache_m);
-    for (auto &[name, e] : g_cache) {
-        std::lock_guard<std::mutex> entry_lock(e->m);
-        e->analyses.clear();
-    }
+    dropPlans();
     g_phase_hits.store(0, std::memory_order_relaxed);
     g_phase_builds.store(0, std::memory_order_relaxed);
 }

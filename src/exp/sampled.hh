@@ -12,14 +12,10 @@
  * the RunResult.  Per-interval CPI feeds a mean +- 95% confidence
  * interval so the aggregate comes with an error bar.
  *
- * Checkpoints live in memory only.  The cache holds one entry per
- * workload: its Program, its phase analyses (exp/phase.hh) and the
- * checkpoints at their representatives; uniform windows keep none, so
- * a uniform run holds O(1) checkpoints and a rerun walks its prefix
- * again.  Both placements run every window through one code path; only
- * where windows start and how their CPIs aggregate differ.  Checkpoints
- * share their memory pages copy-on-write (sim/mainmem.hh), so taking,
- * restoring and resuming one copies a pointer per page.
+ * Checkpoints live in memory only and share their pages copy-on-write
+ * (sim/mainmem.hh), so taking, restoring and resuming one copies a
+ * pointer per page.  Both placements run every window through one code
+ * path; only where windows start and how their CPIs aggregate differ.
  *
  * Configuration is a SampleParams spec "skip:warm:measure[:intervals]"
  * (instruction counts; intervals bounds the number of measured windows,
@@ -30,11 +26,14 @@
  * fixed `interval`-length slices is clustered into phases, one
  * warm+measure window runs at each phase representative, and CPI
  * aggregates by phase weight.  Omitted trailing fields take their
- * documented defaults (maxk 8, dims 16, seed 42).  The run that
- * builds an analysis profiles on its own cursor, laying down a trail
- * of checkpoints (at most about 1 MiB of pages) on the way; each
- * window then starts from the nearest one at or before it, so a cold
- * run walks the program about once.
+ * documented defaults (maxk 8, dims 16, seed 42).  The analysis and
+ * the checkpoint at each representative make a phase plan, the one
+ * thing the sampled path keeps across runs.  The first run to need a
+ * plan builds it on its own cursor: it profiles, laying a trail of
+ * checkpoints (at most about 1 MiB of pages), then walks to each
+ * representative from the nearest one.  Later runs over the same
+ * workload, phase fields and budget resume every window from the plan.
+ * A uniform run walks its own cursor forward and keeps nothing.
  *
  * A run that measures no window (the program ends before the first
  * window's warm-up is over) throws SimError: it has no estimate.
@@ -115,20 +114,20 @@ RunResult runWorkloadSampled(const SimConfig &cfg,
                              const SampleParams &params, u64 budget = 0);
 
 /**
- * Drop every per-workload entry — checkpoints and phase analyses alike
- * (test hook; afterwards a run sees what a fresh process sees).
- * Zeroes the checkpoint counters below; the phase counters belong to
- * clearPhaseCache().
+ * Drop every phase plan (test hook; afterwards a run sees what a fresh
+ * process sees) and zero the checkpoint counters below; the phase
+ * counters belong to clearPhaseCache(), which drops the plans too.
  */
 void clearCheckpointCache();
 
 /**
- * Process-lifetime accounting for the shared checkpoint cache.  A
- * sampled window first looks for its start checkpoint in memory
- * (mem_hits; only phase windows keep theirs), and only then builds one
- * on its run's cursor (builds).  The daemon reports these in its
- * `stats` reply and the local harness mains print them in their stderr
- * summaries, so warm-cache behaviour is visible in both deployments.
+ * Process-lifetime accounting for window checkpoints: builds counts
+ * those a run captured (each uniform window's, and each
+ * representative's while building a plan), mem_hits the phase windows
+ * resumed from a plan an earlier run built.  The daemon reports these
+ * in its `stats` reply and the local harness mains print them in their
+ * stderr summaries, so warm-plan behaviour is visible in both
+ * deployments.
  */
 struct CheckpointCacheCounters
 {
@@ -138,7 +137,7 @@ struct CheckpointCacheCounters
     u64 builds = 0;
 };
 
-/** Snapshot of the shared checkpoint-cache counters. */
+/** Snapshot of the window-checkpoint counters. */
 CheckpointCacheCounters checkpointCacheCounters();
 
 } // namespace dmt

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "casm/assembler.hh"
+#include "isa/encoding.hh"
 #include "isa/regs.hh"
 #include "reference_run.hh"
 
@@ -248,6 +249,36 @@ TEST(AssemblerErrors, DataDirectiveInText)
 {
     AsmResult r = assembleSource(".word 1\nhalt\n");
     EXPECT_FALSE(r.ok);
+}
+
+TEST(AssemblerErrors, LiteralImmediatesMustFitTheirField)
+{
+    // Each field's edges assemble into encodable instructions; one past
+    // an edge is an error.
+    for (const char *ok :
+         {"addi $t0, $t0, -32768", "slti $t0, $t0, 32767",
+          "ori $t0, $t0, 0xFFFF", "subi $t0, $t0, 32768",
+          "subi $t0, $t0, -32767", "halt\n.data\n.byte -128, 255",
+          "halt\n.data\n.half -32768, 0xFFFF",
+          "halt\n.data\n.word -2147483648, 0xFFFFFFFF"}) {
+        const AsmResult r = assembleSource(ok);
+        ASSERT_TRUE(r.ok) << ok << ": " << r.errorText();
+        u32 word = 0;
+        EXPECT_TRUE(encodeInst(r.program.text[0], &word, nullptr)) << ok;
+    }
+    for (const char *bad :
+         {"addi $t0, $zero, 100000", "addi $t0, $t0, -32769",
+          "ori $t0, $t0, 0x10000", "xori $t0, $t0, -1",
+          "subi $t0, $t0, 32769", "halt\n.data\n.byte 256",
+          "halt\n.data\n.byte 0x1ff", "halt\n.data\n.byte -129",
+          "halt\n.data\n.half 0x12345",
+          "halt\n.data\n.word 0x100000000"}) {
+        const AsmResult r = assembleSource(bad);
+        ASSERT_EQ(r.errors.size(), 1u) << bad;
+        EXPECT_NE(r.errors[0].message.find("out of range"),
+                  std::string::npos)
+            << r.errors[0].message;
+    }
 }
 
 TEST(AssemblerErrors, ReportsEveryErrorInLineOrder)

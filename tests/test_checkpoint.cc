@@ -278,7 +278,7 @@ TEST(Sampled, UniformRunHoldsNoCheckpointPerWindow)
     clearCheckpointCache();
     SampleParams one = p;
     one.max_intervals = 1;
-    runWorkloadSampled(cfg, "compress", one); // builds the entry
+    runWorkloadSampled(cfg, "compress", one); // warms the heap
     const auto heap_in_use = [] {
         const struct mallinfo2 mi = mallinfo2();
         return mi.uordblks + mi.hblkhd;

@@ -557,6 +557,22 @@ TEST(EngineEnv, MapsEachKnobIntoItsSimConfigField)
     EXPECT_EQ(c.fault.seed, 5u);
 }
 
+TEST(EngineEnvDeath, UnknownSinksAndSitesAreFatal)
+{
+    // A misspelt site must not turn injection on with every rate at 0.
+    setenv("DMT_FAULT", "spawn_input", 1);
+    EXPECT_DEATH(faultOptionsFromEnv(FaultOptions{}),
+                 "DMT_FAULT: unknown site 'spawn_input'");
+    setenv("DMT_FAULT", "load-value,bogus", 1);
+    EXPECT_DEATH(faultOptionsFromEnv(FaultOptions{}),
+                 "unknown site 'bogus'");
+    unsetenv("DMT_FAULT");
+    setenv("DMT_TRACE", "chrome,crome", 1);
+    EXPECT_DEATH(traceOptionsFromEnv(TraceOptions{}),
+                 "DMT_TRACE: unknown sink 'crome'");
+    unsetenv("DMT_TRACE");
+}
+
 /** The canonical bytes of a direct go run and of an in-process
  *  daemon's reply to the same job. */
 std::pair<std::string, std::string>

@@ -25,6 +25,7 @@
 #include "exp/phase.hh"
 #include "exp/runner.hh"
 #include "exp/sampled.hh"
+#include "exp/sweep.hh"
 #include "golden_file.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -317,8 +318,8 @@ TEST(PhaseCluster, DegenerateInputsStayWellDefined)
 
 TEST(PhaseCluster, AnalysisCacheSharesOneBuild)
 {
-    // Two phase-sampled runs with one analysis key profile the program
-    // once; the second (on another machine) reuses the analysis.
+    // Two phase-sampled runs with one plan key profile the program
+    // once; the second (on another machine) reuses the plan.
     clearAllCaches();
     const SampleParams p = phaseParams("phase:20000:500:1500");
     runWorkloadSampled(SimConfig::dmt(6, 2), "go", p, 400000);
@@ -351,8 +352,8 @@ TEST(PhaseSampled, DeterministicAcrossCacheStatesAndEngines)
     EXPECT_EQ(cold.jsonString(), warm.jsonString())
         << "warm phase/checkpoint caches must not change a byte";
 
-    // A second machine over the same analysis resumes every phase
-    // window from the checkpoints the first one kept.
+    // A second machine over the same plan resumes every phase window
+    // from the checkpoints the first one captured.
     const CheckpointCacheCounters before = checkpointCacheCounters();
     const RunResult other =
         runWorkloadSampled(SimConfig::dmt(2, 2), "go", p, kBudget);
@@ -427,7 +428,7 @@ TEST(PhaseSampled, OnePassProfilesOnTheRunsCursor)
 {
     // The run that profiles walks to its representatives from the
     // trail checkpoints its profile laid down, not from instruction 0
-    // again; a second machine resumes every window from the entry.
+    // again; a second machine resumes every window from the plan.
     const SampleParams p = phaseParams("phase:20000:500:1500");
     clearAllCaches();
     const RunResult cold = runWorkloadSampled(SimConfig::dmt(6, 2), "go", p);
@@ -445,6 +446,32 @@ TEST(PhaseSampled, OnePassProfilesOnTheRunsCursor)
     EXPECT_EQ(warm.sampling.ff_instr, 0u);
     EXPECT_EQ(after.mem_hits - before.mem_hits, warm.sampling.phase_k);
     EXPECT_EQ(after.builds - before.builds, 0u);
+    clearAllCaches();
+}
+
+TEST(PhaseSampled, ConcurrentMachinesShareOnePlan)
+{
+    // Two machines over one phase spec, run side by side: whichever
+    // asks second waits for the first one's plan and resumes every
+    // window from it, capturing no checkpoint of its own.
+    const SampleParams p = phaseParams("phase:20000:500:1500");
+    clearAllCaches();
+    SweepRunner runner(2);
+    for (const SimConfig &cfg : {SimConfig::dmt(6, 2), SimConfig::dmt(2, 2)})
+        runner.add({"", "gen:loopnest:7:trips=20000", cfg, 0, p});
+    const std::vector<SweepCell> &cells = runner.run();
+    ASSERT_TRUE(cells[0].ok) << cells[0].error;
+    ASSERT_TRUE(cells[1].ok) << cells[1].error;
+    const u64 k = cells[0].result.sampling.phase_k;
+    ASSERT_GE(k, 2u);
+    EXPECT_EQ(cells[1].result.sampling.phase_k, k);
+
+    const CheckpointCacheCounters ck = checkpointCacheCounters();
+    EXPECT_EQ(ck.builds, k);
+    EXPECT_EQ(ck.mem_hits, k);
+    const PhaseCacheCounters ph = phaseCacheCounters();
+    EXPECT_EQ(ph.builds, 1u);
+    EXPECT_EQ(ph.hits, 1u);
     clearAllCaches();
 }
 
